@@ -81,6 +81,19 @@ func stateKeyOf(s State) string {
 	return ""
 }
 
+// sameRepr reports whether b, keyed bk, may stand in for a, keyed ak: both
+// keys exist and agree, and for polyhedra the rows' minimization status
+// (which System consults but the key omits) agrees too.
+func sameRepr(a State, ak string, b State, bk string) bool {
+	if ak == "" || ak != bk {
+		return false
+	}
+	if pa, ok := a.(polyState); ok {
+		return pa.p.Minimized() == b.(polyState).p.Minimized()
+	}
+	return true
+}
+
 // ---------------------------------------------------------------------------
 // Polyhedra adapter
 

@@ -272,6 +272,15 @@ func Analyze(p *ip.Program, opts Options) (*Result, error) {
 			preds[e.to] = append(preds[e.to], cfgEdge{to: i, cond: e.cond})
 		}
 	}
+	// Only stale nodes are recomputed: a node whose predecessors' in-states
+	// all kept their representation since it was last computed would
+	// recompute the same state from identical inputs. changed[i] is the
+	// clock tick at which in[i] last took a new representation (a keyless
+	// state always counts as new), computed[j] the tick at which node j was
+	// last recomputed; pass 0 recomputes every node.
+	changed := make([]int, n+1)
+	computed := make([]int, n+1)
+	clock := 0
 	for pass := 0; pass < opts.NarrowingPasses; pass++ {
 		for j := 1; j <= n; j++ {
 			if opts.Token.Exhausted() {
@@ -284,6 +293,16 @@ func Analyze(p *ip.Program, opts Options) (*Result, error) {
 			if opts.TierToken.Exhausted() {
 				return tierExhaustedResult(p, opts, dom, nvars, iterations), nil
 			}
+			stale := pass == 0
+			for _, pe := range preds[j] {
+				// >= keeps a node that is its own predecessor stale.
+				stale = stale || changed[pe.to] >= computed[j]
+			}
+			if !stale {
+				continue
+			}
+			clock++
+			computed[j] = clock
 			acc := dom.Bottom(nvars)
 			for _, pe := range preds[j] {
 				s := transfer(pe.to, in[pe.to])
@@ -294,9 +313,13 @@ func Analyze(p *ip.Program, opts Options) (*Result, error) {
 			}
 			// Keep only refinements (soundness: the narrowed value must
 			// stay above the true fixpoint; intersecting a post-fixpoint
-			// with a recomputed value is safe).
-			if memo.includes(in[j], acc) {
+			// with a recomputed value is safe). A refinement with in[j]'s
+			// own representation keeps the old object, which may already
+			// hold generators.
+			oldKey, accKey := stateKeyOf(in[j]), stateKeyOf(acc)
+			if memo.includesKeyed(in[j], oldKey, acc, accKey) && !sameRepr(in[j], oldKey, acc, accKey) {
 				in[j] = acc
+				changed[j] = clock
 			}
 		}
 	}
@@ -393,13 +416,18 @@ func osGetenvInt(k string) int {
 type includesMemo map[string]bool
 
 func (m includesMemo) includes(a, b State) bool {
-	ak := stateKeyOf(a)
-	if ak == "" {
+	return m.includesKeyed(a, stateKeyOf(a), b, stateKeyOf(b))
+}
+
+// includesKeyed is includes with the operands' keys already computed.
+// Operands with one and the same key are identical representations, so
+// inclusion holds without a conversion.
+func (m includesMemo) includesKeyed(a State, ak string, b State, bk string) bool {
+	if ak == "" || bk == "" {
 		return a.Includes(b)
 	}
-	bk := stateKeyOf(b)
-	if bk == "" {
-		return a.Includes(b)
+	if ak == bk {
+		return true
 	}
 	key := strconv.Itoa(len(ak)) + ":" + ak + bk
 	if v, ok := m[key]; ok {

@@ -14,18 +14,8 @@ type genset struct {
 	rays  []vec
 }
 
-func (g *genset) clone() *genset {
-	c := &genset{}
-	for _, l := range g.lines {
-		c.lines = append(c.lines, l.clone())
-	}
-	for _, r := range g.rays {
-		c.rays = append(c.rays, r.clone())
-	}
-	return c
-}
-
-// cloneAr is clone with machine-tier backings drawn from the arena.
+// cloneAr returns an independent copy of g, machine-tier backings drawn
+// from the arena (a nil arena allocates).
 func (g *genset) cloneAr(ar *arena.Arena) *genset {
 	c := &genset{}
 	for _, l := range g.lines {
@@ -65,7 +55,7 @@ type row struct {
 	eq bool
 }
 
-func (r row) clone() row { return row{v: r.v.clone(), eq: r.eq} }
+func (r row) clone() row { return row{v: r.v.cloneAr(nil), eq: r.eq} }
 
 // satRay pairs a ray with the set of added constraints it saturates.
 type satRay struct {
@@ -102,9 +92,7 @@ type cone struct {
 	// the old backing is recycled instead of reallocated.
 	spare             []satRay
 	plusBuf, minusBuf []classified
-	dedupIdx          map[uint64]int32
-	dedupKeys         []byte
-	dedupEnds         []int32
+	dedup             vecSet
 }
 
 // classified pairs a ray with its index and its product against the
@@ -228,21 +216,22 @@ func (c *cone) add(r row) bool {
 		c.rays = keep
 		return true
 	}
-	if c.maxRays > 0 && len(plus)*len(minus) > c.maxRays {
-		// The combination step would explode; drop the constraint
-		// (the represented set only grows, a sound over-approximation
-		// for the forward analysis).
-		c.plusBuf, c.minusBuf, c.spare = plus, minus, keep[:0]
-		c.ncons--
-		c.dropped++
-		return false
-	}
-	if c.token.Exhausted() {
-		// Budget exhausted: stop refining and drop the constraint. Like
-		// the ray cap this only grows the represented set, so the
-		// degraded result stays a sound over-approximation. Not counted
-		// in dropped: budget drops depend on wall-clock timing and must
-		// not feed deterministic precision stats.
+	capped := c.maxRays > 0 && len(plus)*len(minus) > c.maxRays
+	// The combination step would explode (capped), or the budget is
+	// exhausted: drop the constraint. The represented set only grows, a
+	// sound over-approximation for the forward analysis. Budget drops are
+	// not counted in dropped: they depend on wall-clock timing and must
+	// not feed deterministic precision stats.
+	if capped || c.token.Exhausted() {
+		if capped {
+			c.dropped++
+		}
+		// The next constraint reuses idx: clear the bit the zero-product
+		// rays got above, or it would make the adjacency test skip real
+		// extreme rays and shrink the result.
+		for _, ry := range c.rays {
+			ry.sat.unset(idx)
+		}
 		c.plusBuf, c.minusBuf, c.spare = plus, minus, keep[:0]
 		c.ncons--
 		return false
@@ -309,65 +298,23 @@ func adjacent(ar *arena.Arena, i1, i2 int, all []satRay) bool {
 	return adj
 }
 
-// dedupRays normalizes every ray and drops duplicates, keyed by the
-// canonical (tier-independent) value encoding of the normalized row.
-// Dropped duplicates are released to the arena. Kept keys live in the
-// cone's reused scratch (concatenated bytes plus end offsets) indexed by
-// an open-addressed hash map of the key bytes, so the steady state
-// allocates nothing — a map[string]bool here previously accounted for
-// more than half of the join benchmark's allocations.
+// dedupRays normalizes every ray and drops later duplicates by value,
+// keeping first occurrences in order. Dropped duplicates are released to
+// the arena.
 func (c *cone) dedupRays(rays []satRay) []satRay {
 	out := rays[:0]
-	if c.dedupIdx == nil {
-		c.dedupIdx = make(map[uint64]int32, 2*len(rays))
-	} else {
-		clear(c.dedupIdx)
-	}
-	keys := c.dedupKeys[:0]
-	ends := c.dedupEnds[:0]
+	c.dedup.reset(len(rays))
 	for i := range rays {
-		rays[i].v = rays[i].v.normalize()
-		start := len(keys)
-		keys = rays[i].v.appendKey(keys)
-		key := keys[start:]
-		dup := false
-		for h := fnv1a(key); ; h++ {
-			j, ok := c.dedupIdx[h]
-			if !ok {
-				c.dedupIdx[h] = int32(len(ends))
-				break
-			}
-			ks := 0
-			if j > 0 {
-				ks = int(ends[j-1])
-			}
-			if string(keys[ks:ends[j]]) == string(key) {
-				dup = true
-				break
-			}
-			// Genuine 64-bit hash collision: probe the next slot.
-		}
-		if dup {
-			keys = keys[:start]
-			rays[i].v.release(c.ar)
+		v := rays[i].v.normalize()
+		if !c.dedup.add(v.hash(), len(out), func(k int) bool { return out[k].v.equal(v) }) {
+			v.release(c.ar)
 			rays[i].sat.release(c.ar)
 			continue
 		}
-		ends = append(ends, int32(len(keys)))
+		rays[i].v = v
 		out = append(out, rays[i])
 	}
-	c.dedupKeys, c.dedupEnds = keys, ends
 	return out
-}
-
-// fnv1a is the 64-bit FNV-1a hash of b.
-func fnv1a(b []byte) uint64 {
-	h := uint64(14695981039346656037)
-	for _, x := range b {
-		h ^= uint64(x)
-		h *= 1099511628211
-	}
-	return h
 }
 
 // result extracts the plain generator set. The saturation bitsets are

@@ -212,6 +212,64 @@ func TestMaxRaysCapCounted(t *testing.T) {
 	}
 }
 
+// TestRayCapDropSound: a constraint dropped at the ray cap must leave no
+// trace in the saturation sets of the kept rays. Its index is reused by the
+// next constraint, so a stale bit would make the adjacency test skip real
+// extreme rays and the capped polyhedron would come out smaller than the
+// exact one.
+func TestRayCapDropSound(t *testing.T) {
+	// 2*x2 - 2*x3 + x4 >= -1 && -2*x2 - 2*x3 >= -13 && 2*x0 - 2*x1 >= 3 &&
+	// -x1 >= -12 && x2 >= -12 && x0 - x1 + 2*x3 - 2*x4 >= -3 &&
+	// -x1 >= -1 && 2*x2 >= -9
+	sys := linear.System{
+		ge(1, 2, 2, -2, 3, 1, 4),
+		ge(13, -2, 2, -2, 3),
+		ge(-3, 2, 0, -2, 1),
+		ge(12, -1, 1),
+		ge(12, 1, 2),
+		ge(3, 1, 0, -1, 1, 2, 3, -2, 4),
+		ge(1, -1, 1),
+		ge(9, 2, 2),
+	}
+	capped := (&Config{MaxRays: 2}).FromSystem(sys, 5)
+	exact := (&Config{MaxRays: -1}).FromSystem(sys, 5)
+	if !capped.Includes(exact) {
+		t.Fatalf("capped conversion lost points:\ncapped: %s\nexact:  %s", capped.String(nil), exact.String(nil))
+	}
+}
+
+// TestRayCapDropSoundRandom sweeps random inequality systems under tiny
+// ray caps: every capped conversion must include the uncapped one.
+func TestRayCapDropSoundRandom(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	failed := 0
+	for trial := 0; trial < 20000; trial++ {
+		n := 3 + rng.Intn(4)
+		var sys linear.System
+		for k, m := 0, 4+rng.Intn(10); k < m; k++ {
+			e := linear.ConstExpr(int64(rng.Intn(27) - 13))
+			for v := 0; v < n; v++ {
+				if rng.Intn(2) == 0 {
+					e.AddTerm(v, int64(rng.Intn(5)-2))
+				}
+			}
+			sys = append(sys, linear.NewGe(e))
+		}
+		maxRays := 1 + rng.Intn(6)
+		capped := (&Config{MaxRays: maxRays}).FromSystem(sys, n)
+		exact := (&Config{MaxRays: -1}).FromSystem(sys, n)
+		if !capped.Includes(exact) {
+			failed++
+			if failed <= 3 {
+				t.Errorf("trial %d (MaxRays=%d): capped conversion lost points of %s", trial, maxRays, sys.String(nil))
+			}
+		}
+	}
+	if failed > 0 {
+		t.Errorf("%d of 20000 capped conversions were unsound", failed)
+	}
+}
+
 // TestRandomizedSubstitution: Substitute computes the exact weakest
 // precondition of the assignment — pointwise: pt satisfies Subst(v, e, P)
 // iff pt[v := e(pt)] satisfies P.

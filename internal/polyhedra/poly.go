@@ -151,7 +151,7 @@ func (p *Poly) Clone() *Poly {
 		}
 	}
 	if p.gens != nil {
-		c.gens = p.gens.clone()
+		c.gens = p.gens.cloneAr(nil)
 	}
 	return c
 }
@@ -185,6 +185,11 @@ func (p *Poly) Key() (string, bool) {
 	putScratch(sc)
 	return s, true
 }
+
+// Minimized reports whether p's rows came from a dual conversion. Key omits
+// it, but System re-minimizes rows that did not: polyhedra with equal keys
+// behave identically only when their Minimized flags agree too.
+func (p *Poly) Minimized() bool { return p.minimized }
 
 // MeetSystem intersects p with the constraints of sys, returning a new
 // polyhedron.
@@ -644,31 +649,20 @@ func satSignature(r row, g *genset) string {
 	return sb.String()
 }
 
-// dedupRows normalizes every row and drops duplicates, keyed by the
-// canonical value encoding of the normalized row (the old implementation
-// compared rows pairwise, quadratic in the system size). Dropped
+// dedupRows normalizes every row and drops later duplicates by value
+// (relation included), keeping first occurrences in order. Dropped
 // duplicates are released to the arena.
 func dedupRows(ar *arena.Arena, rows []row) []row {
 	out := rows[:0]
-	seen := make(map[string]bool, len(rows))
 	sc := getScratch()
+	sc.set.reset(len(rows))
 	for i := range rows {
-		rows[i].v = rows[i].v.normalize()
-		key := sc.key[:0]
-		if rows[i].eq {
-			key = append(key, 1)
-		} else {
-			key = append(key, 0)
-		}
-		sc.key = rows[i].v.appendKey(key)
-		// Lookup with an in-place converted key does not allocate; only the
-		// insert of a fresh key does.
-		if seen[string(sc.key)] {
-			rows[i].v.release(ar)
+		r := row{v: rows[i].v.normalize(), eq: rows[i].eq}
+		if !sc.set.add(r.v.hash(), len(out), func(k int) bool { return out[k].eq == r.eq && out[k].v.equal(r.v) }) {
+			r.v.release(ar)
 			continue
 		}
-		seen[string(sc.key)] = true
-		out = append(out, rows[i])
+		out = append(out, r)
 	}
 	putScratch(sc)
 	return out

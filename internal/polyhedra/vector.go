@@ -23,6 +23,7 @@ package polyhedra
 import (
 	"math"
 	"math/big"
+	"slices"
 	"sync"
 
 	"repro/internal/arena"
@@ -68,8 +69,6 @@ func (v vec) dim() int {
 	return len(v.w)
 }
 
-func (v vec) isBig() bool { return v.xs != nil }
-
 // promoted returns an exact-tier vector with the same values. Machine-tier
 // input yields fresh, independent storage; exact-tier input is returned
 // as-is (shared).
@@ -102,21 +101,15 @@ func (v vec) demoted() vec {
 	return vec{w: w}
 }
 
-func (v vec) clone() vec {
+// cloneAr returns an independent copy of v; a machine-tier backing is
+// drawn from the arena (a nil arena allocates).
+func (v vec) cloneAr(ar *arena.Arena) vec {
 	if v.xs != nil {
 		c := make([]*big.Int, len(v.xs))
 		for i := range v.xs {
 			c[i] = new(big.Int).Set(v.xs[i])
 		}
 		return vec{xs: c, pure: v.pure}
-	}
-	return vec{w: append([]int64(nil), v.w...)}
-}
-
-// cloneAr is clone with the machine-tier backing drawn from the arena.
-func (v vec) cloneAr(ar *arena.Arena) vec {
-	if v.xs != nil {
-		return v.clone()
 	}
 	w := ar.Int64s(len(v.w))
 	copy(w, v.w)
@@ -243,6 +236,84 @@ func (v vec) appendKey(key []byte) []byte {
 		key = numkernel.AppendKeyBig(key, x)
 	}
 	return key
+}
+
+// hash returns a value hash of v: machine words are mixed directly, and an
+// exact-tier entry is mixed as its int64 value when it fits one and as its
+// sign and limbs otherwise, so equal vectors hash equally on either tier.
+func (v vec) hash() uint64 {
+	const prime = 0x100000001b3
+	h := uint64(14695981039346656037)
+	if v.xs == nil {
+		for _, x := range v.w {
+			h = (h ^ uint64(x)) * prime
+		}
+	} else {
+		for _, x := range v.xs {
+			if x.IsInt64() {
+				h = (h ^ uint64(x.Int64())) * prime
+				continue
+			}
+			h = (h ^ uint64(x.Sign()+2)<<62) * prime
+			for _, w := range x.Bits() {
+				h = (h ^ uint64(w)) * prime
+			}
+		}
+	}
+	// The multiplications only carry upwards; fold the high bits down so
+	// the low bits that index the table depend on every entry.
+	h ^= h >> 29
+	h *= 0xbf58476d1ce4e5b9
+	return h ^ h>>32
+}
+
+// equal reports whether v and u, of one dimension, hold the same values
+// whatever their tiers.
+func (v vec) equal(u vec) bool {
+	if v.xs == nil && u.xs == nil {
+		return slices.Equal(v.w, u.w)
+	}
+	var ta, tb big.Int
+	for i := 0; i < v.dim(); i++ {
+		if v.bigRef(i, &ta).Cmp(u.bigRef(i, &tb)) != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// vecSet indexes the vectors a dedup pass keeps: an open-addressed table,
+// probed linearly from a value hash, of positions in the kept slice (plus
+// one; 0 marks an empty slot). It is reused across passes, so the steady
+// state allocates nothing.
+type vecSet []int32
+
+// reset empties the set and sizes it for n vectors.
+func (s *vecSet) reset(n int) {
+	size := 16
+	for size < 2*n {
+		size <<= 1
+	}
+	if cap(*s) < size {
+		*s = make(vecSet, size)
+		return
+	}
+	*s = (*s)[:size]
+	clear(*s)
+}
+
+// add records kept position k, unless same reports an equal vector at a
+// kept position on h's probe sequence.
+func (s vecSet) add(h uint64, k int, same func(kept int) bool) bool {
+	mask := uint64(len(s) - 1)
+	i := h & mask
+	for ; s[i] != 0; i = (i + 1) & mask {
+		if same(int(s[i] - 1)) {
+			return false
+		}
+	}
+	s[i] = int32(k + 1)
+	return true
 }
 
 // scalar is a hybrid integer: the machine value w when b == nil, the exact
@@ -439,11 +510,12 @@ var (
 	bigOne = big.NewInt(1)
 )
 
-// scratch is pooled working storage for the exact-tier paths and the dedup
-// key builders, so the hot loops allocate only their results.
+// scratch is pooled working storage for the exact-tier paths, the key
+// builder and row dedup, so the hot loops allocate only their results.
 type scratch struct {
 	t   [4]*big.Int
 	key []byte
+	set vecSet
 }
 
 var scratchPool = sync.Pool{New: func() any {
@@ -464,16 +536,12 @@ func putScratch(s *scratch) {
 // bitset is a growable bit vector used for constraint-saturation tracking.
 type bitset []uint64
 
-func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
-
-// newBitsetAr is newBitset with the backing drawn from the arena.
+// newBitsetAr returns an all-clear bitset for n bits, drawn from the arena.
 func newBitsetAr(ar *arena.Arena, n int) bitset { return bitset(ar.Uint64s((n + 63) / 64)) }
 
 // release returns the bitset's backing store to the arena; the caller
 // asserts no live ray references it.
 func (b bitset) release(ar *arena.Arena) { ar.PutUint64s(b) }
-
-func (b bitset) clone() bitset { return append(bitset(nil), b...) }
 
 func (b *bitset) set(i int) {
 	for len(*b) <= i/64 {
@@ -482,11 +550,10 @@ func (b *bitset) set(i int) {
 	(*b)[i/64] |= 1 << uint(i%64)
 }
 
-func (b bitset) get(i int) bool {
-	if i/64 >= len(b) {
-		return false
+func (b bitset) unset(i int) {
+	if i/64 < len(b) {
+		b[i/64] &^= 1 << uint(i%64)
 	}
-	return b[i/64]&(1<<uint(i%64)) != 0
 }
 
 // and returns the intersection of b and c, drawn from the arena.
@@ -510,15 +577,6 @@ func (b bitset) subsetOf(c bitset) bool {
 			ci = c[i]
 		}
 		if b[i]&^ci != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-func (b bitset) equalUpTo(c bitset, n int) bool {
-	for i := 0; i < n; i++ {
-		if b.get(i) != c.get(i) {
 			return false
 		}
 	}
