@@ -72,7 +72,7 @@ type suiteResult struct {
 func main() {
 	var (
 		jsonOut   = flag.Bool("json", false, "emit the machine-readable suite report on stdout instead of per-task lines")
-		schedMode = flag.String("schedule", "off", "cascade tier scheduler: off, static, adaptive")
+		schedMode = flag.String("schedule", "off", "cascade tier scheduler: off, adaptive")
 		schedProf = flag.String("schedule-profile", "", "directory for the on-disk scheduler profile (default: <cache-dir>/schedule when -cache-dir is set)")
 		cacheDir  = flag.String("cache-dir", "", "directory for the on-disk analysis cache shared across tasks")
 		jobs      = flag.Int("j", 0, "procedures analyzed in parallel per task (0 = all CPUs)")

@@ -30,7 +30,6 @@ func main() {
 	steps := flag.Int("step-budget", 0, "fixpoint iteration budget per procedure (0 = unlimited)")
 	octagon := flag.Bool("octagon", false, "insert the octagon tier between the zone tier and the final domain (implies the cascade)")
 	target := flag.String("target", "paper32", "object-layout data model: paper32, sysv64")
-	noArena := flag.Bool("no-arena", false, "disable the per-procedure slice arenas")
 	stats := flag.Bool("stats", false, "print substrate statistics (arena recycling, zone representation selections) after the table")
 	flag.Parse()
 
@@ -40,7 +39,6 @@ func main() {
 	opts.Driver.Certify = *certify
 	opts.Driver.Cascade = *certify || *octagon // certificates record the discharging tier
 	opts.Driver.Octagon = *octagon
-	opts.Driver.NoArena = *noArena
 	opts.Driver.ProcDeadline = *timeout
 	opts.Driver.StepBudget = *steps
 	tgt, err := ctypes.ParseTarget(*target)

@@ -34,7 +34,6 @@ func main() {
 		cascade     = flag.Bool("cascade", false, "discharge checks in tiers (interval, zone, then the selected domain on the sliced residual)")
 		certify     = flag.Bool("certify", false, "verify invariant certificates for discharged checks (independent Fourier-Motzkin checker) and replay reported messages to concrete witnesses")
 		octagon     = flag.Bool("octagon", false, "insert the octagon tier (±x±y constraints) between the zone tier and the final domain (implies -cascade)")
-		noArena     = flag.Bool("no-arena", false, "disable the per-procedure slice arenas that recycle numeric-substrate storage")
 		dumpRed     = flag.Bool("dump-reduced-ip", false, "print the residual integer program the final cascade tier analyzed (implies -cascade)")
 		jobs        = flag.Int("j", 0, "procedures analyzed in parallel (0 = all CPUs, 1 = sequential)")
 		quiet       = flag.Bool("q", false, "suppress warnings")
@@ -43,7 +42,7 @@ func main() {
 		cacheDir    = flag.String("cache-dir", "", "directory for the on-disk analysis cache (default: no cache); re-runs reuse stored per-procedure results when the procedure, contracts and configuration are unchanged")
 		cacheVerify = flag.Bool("cache-verify", false, "re-verify stored certificates with the independent checker before trusting an exact cache hit (revalidation always verifies)")
 		ptcacheSize = flag.Int("ptcache-size", 0, "in-memory pointer-analysis memo bound in entries (0 = default 128, negative = unbounded); oldest entries are evicted first")
-		schedMode   = flag.String("schedule", "off", "cascade tier scheduler: off (fixed interval->zone->final cascade), static (scheduled path, fixed plan), adaptive (per-check tier order and step budgets from the recorded profile); static and adaptive imply -cascade")
+		schedMode   = flag.String("schedule", "off", "cascade tier scheduler: off (fixed interval->zone->final cascade), adaptive (per-check tier order and step budgets from the recorded profile; implies -cascade)")
 		schedProf   = flag.String("schedule-profile", "", "directory for the on-disk scheduler profile (default: <cache-dir>/schedule when -cache-dir is set, otherwise in-memory only)")
 	)
 	flag.Parse()
@@ -63,7 +62,6 @@ func main() {
 		Cascade:           *cascade || *dumpRed || *octagon,
 		Certify:           *certify,
 		Octagon:           *octagon,
-		NoArena:           *noArena,
 		Workers:           *jobs,
 		ProcTimeout:       *timeout,
 		StepBudget:        *steps,

@@ -123,10 +123,6 @@ type Config struct {
 	// doubled-variable DBM) between the zone tier and the final domain.
 	// The tier lives in the cascade, so setting it implies Cascade.
 	Octagon bool
-	// NoArena disables the per-procedure slice arenas that recycle
-	// numeric-substrate storage. On by default; the toggle exists for
-	// debugging and ablation.
-	NoArena bool
 	// CacheDir enables the content-addressed on-disk result cache rooted at
 	// this directory (created if missing). Results are keyed by structural
 	// hashes of the procedure body, the run configuration, and the textual
@@ -148,14 +144,11 @@ type Config struct {
 	// entries first; evictions appear in RunStats.PtCacheEvictions.
 	PtCacheSize int
 	// Schedule selects the cascade's tier scheduling: "off" (default, or
-	// empty) runs the fixed interval→zone→…→final cascade through the
-	// legacy code path with byte-identical reports; "static" routes every
-	// check through the scheduler with the fixed plan (deterministic
-	// exercise of the scheduled path); "adaptive" plans per-check tier
-	// order and per-tier step budgets from static slice features and the
-	// recorded cross-run profile. Scheduling redistributes cost only: the
-	// final domain always runs last and unbudgeted, so no verdict can
-	// change. A non-off mode implies Cascade.
+	// empty) runs the fixed interval→zone→…→final cascade; "adaptive"
+	// plans per-check tier order and per-tier step budgets from static
+	// slice features and the recorded cross-run profile. Scheduling
+	// redistributes cost only: the final domain always runs last and
+	// unbudgeted, so no verdict can change. "adaptive" implies Cascade.
 	Schedule string
 	// ScheduleProfile is the directory for the adaptive scheduler's
 	// cross-run outcome profiles. Empty defaults to <CacheDir>/schedule
@@ -225,16 +218,7 @@ type Procedure struct {
 
 // Degradation explains why a procedure's analysis fell short of a full
 // run.
-type Degradation struct {
-	// Cause is "deadline", "step-budget", or "panic".
-	Cause string
-	// Detail is a human-readable description.
-	Detail string
-	// Stack is the goroutine stack for panics (empty otherwise).
-	Stack string
-	// Unresolved counts checks reported as unresolved potential errors.
-	Unresolved int
-}
+type Degradation = core.Degradation
 
 // CertificationStats summarizes one procedure's a-posteriori validation.
 type CertificationStats struct {
@@ -287,18 +271,9 @@ type CascadeStats struct {
 	Decisions []ScheduleDecision
 }
 
-// ScheduleDecision is one plan the scheduler applied to a group of
-// checks.
-type ScheduleDecision struct {
-	// Checks are the integer-program statement indices of the group.
-	Checks []int
-	// Order lists the tiers tried, in order; Budgets the per-tier step
-	// budget (0 = unbudgeted). Source is "static" (fixed order) or
-	// "profile" (steered by recorded outcomes).
-	Order   []string
-	Budgets []int
-	Source  string
-}
+// ScheduleDecision is one plan the adaptive scheduler applied to a group
+// of checks (integer-program statement indices).
+type ScheduleDecision = schedule.Decision
 
 // CascadeTier is one tier of the cascade.
 type CascadeTier struct {
@@ -336,70 +311,7 @@ type Report struct {
 }
 
 // RunStats describes one analysis run.
-type RunStats struct {
-	// Workers is the pool size actually used.
-	Workers int
-	// Wall is the run's elapsed time; SequentialCPU sums the per-procedure
-	// pipeline times (what a Workers=1 run would need, modulo caches).
-	Wall          time.Duration
-	SequentialCPU time.Duration
-	// PointerCacheHits / PointerCacheMisses count memoized whole-program
-	// pointer analyses; LibcHeaderReused reports whether the parsed libc
-	// contract header was already cached when the run started.
-	PointerCacheHits, PointerCacheMisses int
-	LibcHeaderReused                     bool
-	// PrecisionDrops counts constraints the polyhedra substrate dropped at
-	// its ray cap during this run (each is a sound over-approximation, but
-	// nonzero means precision was lost).
-	PrecisionDrops int
-	// DegradedProcs counts procedures cut short by a budget or isolated
-	// after a panic; UnresolvedChecks counts their checks conservatively
-	// reported as potential errors.
-	DegradedProcs    int
-	UnresolvedChecks int
-	// ArenaRecycledBytes sums the bytes the per-procedure slice arenas
-	// served out of their free lists instead of the heap (0 under
-	// Config.NoArena). Deterministic per input.
-	ArenaRecycledBytes int64
-	// SparseZoneSelections / DenseZoneSelections count the zone
-	// substrate's representation decisions at closure boundaries.
-	SparseZoneSelections, DenseZoneSelections int64
-	// CacheHits / CacheRevalidated / CacheMisses count, under
-	// Config.CacheDir, how each cacheable procedure was resolved: exact
-	// replay, certificate revalidation (front end re-run, certificates
-	// re-proved, no fixpoint), or full analysis. CacheStores counts entries
-	// written. CacheBadEntries counts corrupt or undecodable entries
-	// encountered (logged and analyzed around); CacheCertRejected counts
-	// entries rejected because a stored certificate failed re-verification
-	// or assert accounting.
-	CacheHits, CacheRevalidated, CacheMisses int
-	CacheStores                              int
-	CacheBadEntries, CacheCertRejected       int
-	// PtCacheEvictions counts pointer-analysis memo entries evicted because
-	// the memo reached its configured bound.
-	PtCacheEvictions int
-	// FixpointIterations sums the fixpoint worklist iterations actually
-	// executed this run; cached procedures contribute nothing, so a fully
-	// warm run reports 0.
-	FixpointIterations int
-	// MemberResolved / MemberHavocked count memory-access sites translated
-	// with precise offset/aSize constraints for every possible target region
-	// versus sites where a channel was abandoned (unknown target, untracked
-	// offset, or the legacy wide-store terminator havoc).
-	MemberResolved, MemberHavocked int
-	// ScheduleMode names the cascade scheduling mode of the run ("off",
-	// "static", "adaptive"). ScheduleDecisions counts the plans the
-	// scheduler applied across procedures; ScheduleFromProfile how many
-	// were steered by the recorded profile rather than the static
-	// fallback.
-	ScheduleMode        string
-	ScheduleDecisions   int
-	ScheduleFromProfile int
-	// TierDischarged counts discharged checks per cascade tier name
-	// (plus "unreachable" for CFG-pruned checks); nil when the cascade
-	// did not run.
-	TierDischarged map[string]int
-}
+type RunStats = core.RunStats
 
 // Messages returns all messages across procedures.
 func (r *Report) Messages() []Message {
@@ -420,7 +332,7 @@ func Analyze(filename, source string, cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &Report{Stats: RunStats(rep.Stats)}
+	out := &Report{Stats: rep.Stats}
 	for i := range rep.Procs {
 		out.Procedures = append(out.Procedures, convertProc(&rep.Procs[i]))
 	}
@@ -485,7 +397,6 @@ func (cfg Config) driverOptions() (core.Options, error) {
 		StepBudget:      cfg.StepBudget,
 		MaxRays:         cfg.MaxRays,
 		Octagon:         cfg.Octagon,
-		NoArena:         cfg.NoArena,
 		PPT:             ppt.Options{DisableMerging: cfg.DisablePPTMerging},
 		C2IP: c2ip.Options{
 			Naive:           cfg.NaiveC2IP,
@@ -537,6 +448,7 @@ func convertProc(pr *core.ProcReport) Procedure {
 		CPU:    pr.CPU,
 		Space:  pr.Space,
 
+		Degraded:    pr.Degraded,
 		CacheStatus: pr.CacheStatus,
 	}
 	// The IP can be nil when a pipeline stage upstream of C2IP produced the
@@ -593,21 +505,8 @@ func convertProc(pr *core.ProcReport) Procedure {
 				Violated: c.Violated, IPVars: c.Vars, IPSize: c.Stmts,
 			})
 		}
-		for _, d := range pr.Cascade.Sched {
-			cs.Decisions = append(cs.Decisions, ScheduleDecision{
-				Checks: d.Checks, Order: d.Order, Budgets: d.Budgets,
-				Source: d.Source,
-			})
-		}
+		cs.Decisions = pr.Cascade.Sched
 		p.Cascade = cs
-	}
-	if pr.Degraded != nil {
-		p.Degraded = &Degradation{
-			Cause:      pr.Degraded.Cause,
-			Detail:     pr.Degraded.Detail,
-			Stack:      pr.Degraded.Stack,
-			Unresolved: pr.Degraded.Unresolved,
-		}
 	}
 	if pr.Certification != nil {
 		st := &CertificationStats{

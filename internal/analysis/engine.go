@@ -64,11 +64,13 @@ type Options struct {
 	// the tier for the affected checks instead of reporting them
 	// unresolved, so a tier budget can only cost time, never verdicts.
 	TierToken *budget.Token
-	// Planner, when non-nil with a mode other than schedule.Off, routes
-	// AnalyzeCascade through the scheduled path: per-check feature
-	// extraction, plan groups, per-tier ordering and budgets.
+	// Planner, when non-nil in schedule.Adaptive mode, makes
+	// AnalyzeCascade plan each check from its own slice features and run
+	// one plan group per distinct plan (tier order and step budgets).
+	// When nil or schedule.Off, every check runs in one group under the
+	// fixed, unbudgeted plan, and no features or decisions are recorded.
 	Planner *schedule.Planner
-	// Recorder, when non-nil, receives the scheduled cascade's
+	// Recorder, when non-nil, receives the adaptive cascade's
 	// per-(bucket, tier) outcomes for the cross-run profile. It is not
 	// safe for concurrent use; the driver gives each procedure its own.
 	Recorder *schedule.Recorder

@@ -1,62 +1,37 @@
 package analysis
 
 import (
-	"sort"
-	"time"
-
-	"repro/internal/budget"
-	"repro/internal/certify"
 	"repro/internal/ip"
-	"repro/internal/linear"
 	"repro/internal/reduce"
 	"repro/internal/schedule"
 )
 
-// analyzeScheduled is the scheduler-driven variant of the tiered check
-// discharge, entered from AnalyzeCascade when Options.Planner is active.
-// It differs from the fixed cascade in shape, not in authority:
-//
-//   - every residual check gets its own backward slice first, from which
-//     static Features (kind, slice dimensions, loop count) are computed;
-//   - the Planner maps features to a Plan — a tier order plus per-tier
-//     step budgets — and checks sharing a plan are grouped so each tier
-//     still runs once per group, not once per check;
-//   - a tier whose step budget runs out is skipped for its group (the
-//     checks fall through to the next tier in the plan; the group's final
-//     tier is always last and never budgeted), so scheduling moves cost
-//     around but can never turn a provable check into a report;
-//   - outcomes are recorded per (feature bucket, tier) into
-//     Options.Recorder for the cross-run profile.
-//
-// Everything downstream — discharge bookkeeping, certificates, unresolved
-// degradation on procedure-budget exhaustion, provenance assembly — is
-// the legacy cascade's logic applied per group. Violations are sorted by
-// original statement index at the end, so the report order matches the
-// fixed cascade's program-order reporting.
-func analyzeScheduled(p *ip.Program, opts Options, pruned *ip.Program, pm reduce.StmtMap, propagated *ip.Program, tiers []Domain) (*CascadeResult, error) {
-	domOf := make(map[string]Domain, len(tiers))
-	for _, d := range tiers {
-		domOf[d.Name()] = d
-	}
-	finalName := tiers[len(tiers)-1].Name()
+// A planGroup is a set of checks the cascade runs under one plan.
+type planGroup struct {
+	plan   schedule.Plan
+	checks []int // pruned-program assert indices, ascending
+}
 
-	out := &CascadeResult{}
-	decided := map[int]CheckProvenance{} // keyed by pruned-program index
-
-	// Plan each check from its individual slice, then group checks that
-	// share a plan. Group order follows the first member's assert index,
-	// so the whole schedule is a pure function of the program + profile.
-	type group struct {
-		plan   schedule.Plan
-		checks []int // pruned-program assert indices, ascending
+// planGroups splits the pruned program's checks into plan groups over the
+// cascade's tier names (cheapest first, final last). Without an adaptive
+// planner every check lands in one group under schedule.FixedPlan, and no
+// features are computed (feats is nil). With one, each check gets its own
+// backward slice first, from which static Features (kind, slice
+// dimensions, loop count) are computed and mapped to a Plan; checks
+// sharing a plan are grouped so each tier still runs once per group, not
+// once per check. Group order follows the first member's assert index, so
+// the whole schedule is a pure function of the program + profile.
+func planGroups(planner *schedule.Planner, pruned, propagated *ip.Program, tiers []string) ([]*planGroup, map[int]schedule.Features, error) {
+	if planner == nil || planner.Mode() == schedule.Off {
+		return []*planGroup{{plan: schedule.FixedPlan(tiers), checks: pruned.Asserts()}}, nil, nil
 	}
 	feats := map[int]schedule.Features{}
-	groups := map[string]*group{}
-	var groupOrder []string
+	byKey := map[string]*planGroup{}
+	var groups []*planGroup
 	for _, a := range pruned.Asserts() {
 		sliced, _, err := reduce.Slice(propagated, []int{a})
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		ast := pruned.Stmts[a].(*ip.Assert)
 		f := schedule.Features{
@@ -66,210 +41,26 @@ func analyzeScheduled(p *ip.Program, opts Options, pruned *ip.Program, pm reduce
 			Loops: backEdgeCount(sliced),
 		}
 		feats[a] = f
-		plan := opts.Planner.Plan(f)
+		plan := planner.Plan(f, tiers)
 		key := plan.Key()
-		g := groups[key]
+		g := byKey[key]
 		if g == nil {
-			g = &group{plan: plan}
-			groups[key] = g
-			groupOrder = append(groupOrder, key)
+			g = &planGroup{plan: plan}
+			byKey[key] = g
+			groups = append(groups, g)
 		}
 		g.checks = append(g.checks, a)
 	}
-
-	// markUnresolved conservatively reports the given still-residual
-	// checks once the procedure budget is exhausted (same degradation as
-	// the fixed cascade: completed tiers keep their verdicts).
-	markUnresolved := func(cause string, checks []int) {
-		out.Exhausted = cause
-		for _, a := range checks {
-			ast := pruned.Stmts[a].(*ip.Assert)
-			decided[a] = CheckProvenance{
-				Index: pm[a], Pos: ast.Pos, Msg: ast.Msg,
-				Tier: "unresolved", Violated: true,
-			}
-			out.Violations = append(out.Violations, Violation{
-				Index: pm[a], Msg: ast.Msg, Pos: ast.Pos, Unresolved: true,
-			})
-		}
-	}
-
-	var cause string // procedure-budget exhaustion, latched across groups
-	for _, key := range groupOrder {
-		g := groups[key]
-		out.Sched = append(out.Sched, schedule.Decision{
-			Checks:  origIndices(g.checks, pm),
-			Order:   g.plan.Order,
-			Budgets: g.plan.Budgets,
-			Source:  g.plan.Source,
-		})
-		residual := g.checks
-		if cause != "" {
-			markUnresolved(cause, residual)
-			continue
-		}
-		for ti, tierName := range g.plan.Order {
-			if len(residual) == 0 {
-				break
-			}
-			if opts.Token.Exhausted() {
-				cause = opts.Token.Cause()
-				break
-			}
-			dom := domOf[tierName]
-			isFinal := tierName == finalName
-			base := propagated
-			if isFinal {
-				base = pruned
-			}
-			sliced, sm, err := reduce.Slice(base, residual)
-			if err != nil {
-				return nil, err
-			}
-			checkOnly := map[int]bool{}
-			for _, a := range residual {
-				checkOnly[sm.StmtOf[a]] = true
-			}
-			var tierTok *budget.Token
-			if !isFinal && g.plan.Budgets[ti] > 0 {
-				tierTok = budget.New(time.Time{}, g.plan.Budgets[ti])
-			}
-			start := time.Now()
-			res, err := Analyze(sliced, Options{
-				Domain:          dom,
-				WideningDelay:   opts.WideningDelay,
-				NarrowingPasses: opts.NarrowingPasses,
-				CheckOnly:       checkOnly,
-				Token:           opts.Token,
-				TierToken:       tierTok,
-			})
-			if err != nil {
-				return nil, err
-			}
-			if res.Exhausted == TierBudgetExhausted {
-				// The tier overran its scheduled step budget: skip it for
-				// this group, the checks fall through to the next tier.
-				// Unlike a deadline, the cut point is a deterministic step
-				// count, so the spent iterations still count toward the
-				// stats and the profile (as attempts with no discharge).
-				out.Iterations += res.Iterations
-				cutCPU := time.Since(start)
-				out.Tiers = append(out.Tiers, TierStat{
-					Domain: tierName,
-					Vars:   sliced.NumVars(), Stmts: sliced.Size(),
-					Asserts:    len(residual),
-					Iterations: res.Iterations,
-					CPU:        cutCPU,
-				})
-				recordOutcomes(opts.Recorder, feats, residual, tierName, nil, res.Iterations)
-				continue
-			}
-			if res.Exhausted != "" {
-				// Procedure budget: same degradation as the fixed cascade —
-				// the aborted tier's partial work is discarded, everything
-				// still residual becomes unresolved.
-				cause = res.Exhausted
-				break
-			}
-			tierCPU := time.Since(start)
-			out.Iterations += res.Iterations
-
-			violated := map[int]bool{}
-			for _, v := range res.Violations {
-				violated[v.Index] = true
-			}
-			var certInv []linear.System
-			var certOrig []int
-			var certNames []string
-			if opts.Certify {
-				certInv = invariantSystems(res.States)
-				certOrig = make([]int, len(sm.Stmt))
-				for i, mid := range sm.Stmt {
-					certOrig[i] = pm[mid]
-				}
-				certNames = sliced.Space.Names()
-			}
-			discharged := map[int]bool{}
-			var next []int
-			for _, a := range residual {
-				if violated[sm.StmtOf[a]] {
-					next = append(next, a)
-					continue
-				}
-				discharged[a] = true
-				ast := pruned.Stmts[a].(*ip.Assert)
-				decided[a] = CheckProvenance{
-					Index: pm[a], Pos: ast.Pos, Msg: ast.Msg,
-					Tier: dom.Name(), Vars: sliced.NumVars(), Stmts: sliced.Size(),
-				}
-				if opts.Certify {
-					out.Certificates = append(out.Certificates, &certify.Certificate{
-						Check: certify.Check{
-							OrigIndex: pm[a], Pos: ast.Pos, Msg: ast.Msg,
-							Tier: dom.Name(),
-						},
-						Prog:      sliced,
-						AssertIdx: sm.StmtOf[a],
-						Inv:       certInv,
-						OrigStmt:  certOrig,
-						VarNames:  certNames,
-					})
-				}
-			}
-			out.Tiers = append(out.Tiers, TierStat{
-				Domain:     dom.Name(),
-				Vars:       sliced.NumVars(),
-				Stmts:      sliced.Size(),
-				Asserts:    len(residual),
-				Discharged: len(residual) - len(next),
-				Iterations: res.Iterations,
-				CPU:        tierCPU,
-			})
-			recordOutcomes(opts.Recorder, feats, residual, tierName, discharged, res.Iterations)
-			if isFinal {
-				// Track the largest final-tier slice for -dump-reduced-ip;
-				// with scheduling, each group reaches the final tier in its
-				// own slice.
-				if out.Residual == nil || sliced.Size() > out.ResidualStmts {
-					out.Residual = sliced
-					out.ResidualVars = sliced.NumVars()
-					out.ResidualStmts = sliced.Size()
-				}
-				for _, v := range res.Violations {
-					prunedIdx := sm.Stmt[v.Index]
-					ast := pruned.Stmts[prunedIdx].(*ip.Assert)
-					decided[prunedIdx] = CheckProvenance{
-						Index: pm[prunedIdx], Pos: ast.Pos, Msg: ast.Msg,
-						Tier: dom.Name(), Violated: true,
-						Vars: sliced.NumVars(), Stmts: sliced.Size(),
-					}
-					v.Index = pm[prunedIdx]
-					out.Violations = append(out.Violations, v)
-				}
-			}
-			residual = next
-		}
-		if cause != "" {
-			markUnresolved(cause, residual)
-		}
-	}
-
-	// Groups report out of program order; restore it. Each assert yields
-	// at most one violation, so sorting by original index is total.
-	sort.SliceStable(out.Violations, func(i, j int) bool {
-		return out.Violations[i].Index < out.Violations[j].Index
-	})
-	assembleChecks(p, pm, decided, opts.Certify, out)
-	return out, nil
+	return groups, feats, nil
 }
 
 // recordOutcomes attributes one tier run over a group to the per-check
 // feature buckets: one attempt per entering check, a discharge where the
 // tier proved it, and an even share of the run's worklist steps. The
 // split is deterministic, so merged profiles are identical across worker
-// counts.
+// counts. Nothing is recorded for the fixed cascade (nil feats).
 func recordOutcomes(r *schedule.Recorder, feats map[int]schedule.Features, entering []int, tier string, discharged map[int]bool, iterations int) {
-	if r == nil || len(entering) == 0 {
+	if r == nil || feats == nil || len(entering) == 0 {
 		return
 	}
 	share := iterations / len(entering)

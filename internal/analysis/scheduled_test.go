@@ -13,38 +13,36 @@ import (
 	"repro/internal/schedule"
 )
 
-var staticTiers = []string{"interval", "zone", "polyhedra"}
-
-// TestScheduledStaticMatchesLegacy: with the static plan every check goes
-// through the same tiers in the same order on the same residuals, so the
-// scheduled path must reproduce the legacy cascade's violations and
-// provenance exactly. Adaptive planning over an empty profile degenerates
-// to the static plan and must match too.
-func TestScheduledStaticMatchesLegacy(t *testing.T) {
+// TestScheduledColdAdaptiveMatchesFixed: an adaptive planner over an
+// empty profile hands every check the fixed plan, so its per-check plan
+// groups run the same tiers in the same order as the fixed cascade's one
+// group, and must reproduce its violations and provenance exactly. Only
+// the adaptive run records scheduling decisions.
+func TestScheduledColdAdaptiveMatchesFixed(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 40; trial++ {
 		p := genIP(rng)
-		legacy, err := AnalyzeCascade(p, Options{})
+		fixed, err := AnalyzeCascade(p, Options{})
 		if err != nil {
-			t.Fatalf("trial %d: legacy: %v", trial, err)
+			t.Fatalf("trial %d: fixed: %v", trial, err)
 		}
-		for _, mode := range []schedule.Mode{schedule.Static, schedule.Adaptive} {
-			planner := schedule.NewPlanner(mode, staticTiers, nil)
-			sched, err := AnalyzeCascade(p, Options{Planner: planner})
-			if err != nil {
-				t.Fatalf("trial %d: %v: %v", trial, mode, err)
-			}
-			if !reflect.DeepEqual(sched.Violations, legacy.Violations) {
-				t.Errorf("trial %d: %v violations differ\nlegacy: %+v\nsched:  %+v",
-					trial, mode, legacy.Violations, sched.Violations)
-			}
-			if !reflect.DeepEqual(sched.Checks, legacy.Checks) {
-				t.Errorf("trial %d: %v provenance differs\nlegacy: %+v\nsched:  %+v",
-					trial, mode, legacy.Checks, sched.Checks)
-			}
-			if len(p.Asserts()) > 0 && len(sched.Sched) == 0 {
-				t.Errorf("trial %d: %v recorded no scheduling decisions", trial, mode)
-			}
+		if fixed.Sched != nil {
+			t.Errorf("trial %d: fixed cascade recorded scheduling decisions: %+v", trial, fixed.Sched)
+		}
+		cold, err := AnalyzeCascade(p, Options{Planner: schedule.NewPlanner(schedule.Adaptive, nil)})
+		if err != nil {
+			t.Fatalf("trial %d: adaptive: %v", trial, err)
+		}
+		if !reflect.DeepEqual(cold.Violations, fixed.Violations) {
+			t.Errorf("trial %d: violations differ\nfixed:    %+v\nadaptive: %+v",
+				trial, fixed.Violations, cold.Violations)
+		}
+		if !reflect.DeepEqual(cold.Checks, fixed.Checks) {
+			t.Errorf("trial %d: provenance differs\nfixed:    %+v\nadaptive: %+v",
+				trial, fixed.Checks, cold.Checks)
+		}
+		if len(p.Asserts()) > 0 && len(cold.Sched) == 0 {
+			t.Errorf("trial %d: adaptive run recorded no scheduling decisions", trial)
 		}
 	}
 }
@@ -61,7 +59,7 @@ func TestScheduledTrainedProfileKeepsVerdicts(t *testing.T) {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		rec := schedule.NewRecorder()
-		warm := schedule.NewPlanner(schedule.Adaptive, staticTiers, nil)
+		warm := schedule.NewPlanner(schedule.Adaptive, nil)
 		if _, err := AnalyzeCascade(p, Options{Planner: warm, Recorder: rec}); err != nil {
 			t.Fatalf("trial %d: warmup: %v", trial, err)
 		}
@@ -71,7 +69,7 @@ func TestScheduledTrainedProfileKeepsVerdicts(t *testing.T) {
 		for i := 0; i < 8; i++ {
 			prof.Merge(rec.Profile())
 		}
-		trained := schedule.NewPlanner(schedule.Adaptive, staticTiers, prof)
+		trained := schedule.NewPlanner(schedule.Adaptive, prof)
 		got, err := AnalyzeCascade(p, Options{Planner: trained})
 		if err != nil {
 			t.Fatalf("trial %d: trained: %v", trial, err)
@@ -144,7 +142,7 @@ func TestScheduledTierBudgetFallsThrough(t *testing.T) {
 	p.Emit(&ip.Label{Name: "end"})
 	p.Emit(&ip.Assert{C: ip.Single(linear.NewGe(linear.VarExpr(x))), Msg: "write through p"})
 
-	// Recompute the check's features exactly as the scheduled path does,
+	// Recompute the check's features exactly as planGroups does,
 	// and record a profile that hands the interval tier the minimum
 	// budget (64 steps): cheap mean cost, many successes.
 	pruned, _, err := reduce.PruneUnreachable(p)
@@ -175,7 +173,7 @@ func TestScheduledTierBudgetFallsThrough(t *testing.T) {
 	prof := schedule.NewProfile()
 	prof.Record(f, "interval", 10, 10, 100) // mean cost 10 -> budget max(64, 40) = 64
 
-	planner := schedule.NewPlanner(schedule.Adaptive, staticTiers, prof)
+	planner := schedule.NewPlanner(schedule.Adaptive, prof)
 	res, err := AnalyzeCascade(p, Options{Planner: planner})
 	if err != nil {
 		t.Fatal(err)

@@ -92,11 +92,6 @@ type Options struct {
 	// doubled-variable DBM) between the zone tier and the final domain.
 	// Only meaningful with Cascade.
 	Octagon bool
-	// NoArena disables the per-procedure slice arenas that recycle
-	// numeric-substrate storage (DBM rows, generator vectors, saturation
-	// bitsets). The arena is on by default; the toggle exists for
-	// debugging and for measuring its effect.
-	NoArena bool
 	// Procs restricts analysis to these procedures (default: all defined
 	// procedures that are not libc models).
 	Procs []string
@@ -124,12 +119,11 @@ type Options struct {
 	// the oldest entries first; evictions are surfaced in RunStats.
 	PtCacheSize int
 	// Schedule selects how the cascade orders its tiers (only meaningful
-	// with Cascade): Off (default) runs the legacy fixed cascade through
-	// the legacy code path, byte-identical reports; Static routes every
-	// check through the scheduler with the fixed plan; Adaptive plans
-	// per-check tier order and step budgets from the on-disk outcome
-	// profile. Scheduling moves cost, never verdicts: the final domain
-	// always runs last and unbudgeted on whatever remains.
+	// with Cascade): Off (default) runs the fixed cascade, every check in
+	// one group under the fixed plan; Adaptive plans per-check tier order
+	// and step budgets from the on-disk outcome profile. Scheduling moves
+	// cost, never verdicts: the final domain always runs last and
+	// unbudgeted on whatever remains.
 	Schedule schedule.Mode
 	// ScheduleProfile is the directory holding the scheduler's cross-run
 	// outcome profiles (content-addressed by configuration, like cache
@@ -297,8 +291,8 @@ type RunStats struct {
 	// abandoned (unknown target, untracked offset, or the legacy wide-store
 	// terminator havoc). Content-only counts, hence deterministic.
 	MemberResolved, MemberHavocked int
-	// ScheduleMode names the cascade scheduling mode of the run ("off",
-	// "static", "adaptive"). ScheduleDecisions counts the plans the
+	// ScheduleMode names the cascade scheduling mode of the run ("off" or
+	// "adaptive"). ScheduleDecisions counts the plans the
 	// scheduler applied across all procedures; ScheduleFromProfile how
 	// many of them were steered by the recorded profile rather than the
 	// static fallback. Zero/empty when scheduling is off or the cascade
@@ -446,7 +440,7 @@ func AnalyzeSource(filename, src string, opts Options) (*Report, error) {
 			}
 			prof = loaded
 		}
-		planner = schedule.NewPlanner(opts.Schedule, cascadeTierNames(opts), prof)
+		planner = schedule.NewPlanner(opts.Schedule, prof)
 		recorders = make([]*schedule.Recorder, len(procs))
 		for i := range recorders {
 			recorders[i] = schedule.NewRecorder()
@@ -541,29 +535,6 @@ func scheduleProfileDir(opts Options) string {
 		return filepath.Join(opts.CacheDir, "schedule")
 	}
 	return ""
-}
-
-// cascadeTierNames mirrors AnalyzeCascade's tier construction: interval,
-// zone, octagon when enabled, the final domain last — with any cheap tier
-// that coincides with the final domain dropped. The planner's static
-// order must match the cascade's or plans would name tiers that never
-// run.
-func cascadeTierNames(opts Options) []string {
-	final := "polyhedra"
-	if opts.Domain != nil {
-		final = opts.Domain.Name()
-	}
-	cheap := []string{"interval", "zone"}
-	if opts.Octagon {
-		cheap = append(cheap, "octagon")
-	}
-	var names []string
-	for _, n := range cheap {
-		if n != final {
-			names = append(names, n)
-		}
-	}
-	return append(names, final)
 }
 
 // guardedAnalyzeProc isolates a panicking per-procedure pipeline: the
@@ -789,10 +760,7 @@ func analyzeProc(orig *cast.File, prog *corec.Program, name string, opts Options
 		// (single-goroutine by construction) and freed wholesale when the
 		// procedure's report is built — the configs, and the arena with them,
 		// go out of scope at return.
-		var ar *arena.Arena
-		if !opts.NoArena {
-			ar = arena.New()
-		}
+		ar := arena.New()
 		pcfg := &polyhedra.Config{MaxRays: opts.MaxRays, Token: tok, Arena: ar}
 		zcfg := &zone.Config{Token: tok, Arena: ar}
 		// Certificates are exported whenever the result may be cached, not

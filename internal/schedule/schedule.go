@@ -26,28 +26,21 @@ import (
 type Mode int
 
 const (
-	// Off runs the fixed cheapest-to-most-precise cascade through the
-	// legacy code path: reports are byte-identical to pre-scheduler
-	// releases.
+	// Off runs the fixed cheapest-to-most-precise cascade: every check in
+	// one group under FixedPlan, no per-check features, no recorded
+	// decisions.
 	Off Mode = iota
-	// Static routes every check through the planner but with the fixed
-	// default plan: same tier order, no per-tier budgets. It exists to
-	// exercise the scheduled code path deterministically.
-	Static
 	// Adaptive consults the profile: tiers that historically discharge
 	// checks with this feature signature run first under step budgets
 	// sized from past cost; tiers that historically never succeed are
 	// skipped. The final tier always runs unbudgeted, so precision is
-	// never lost relative to the static cascade.
+	// never lost relative to the fixed cascade.
 	Adaptive
 )
 
 // String names the mode as accepted by the -schedule flag.
 func (m Mode) String() string {
-	switch m {
-	case Static:
-		return "static"
-	case Adaptive:
+	if m == Adaptive {
 		return "adaptive"
 	}
 	return "off"
@@ -58,12 +51,10 @@ func ParseMode(s string) (Mode, error) {
 	switch s {
 	case "", "off":
 		return Off, nil
-	case "static":
-		return Static, nil
 	case "adaptive":
 		return Adaptive, nil
 	}
-	return Off, fmt.Errorf("schedule: unknown mode %q (want off, static, or adaptive)", s)
+	return Off, fmt.Errorf("schedule: unknown mode %q (want off or adaptive)", s)
 }
 
 // Features are the static signals the planner sees for one check. They
@@ -159,21 +150,27 @@ const minAttempts = 4
 // hopeless tier stops early.
 const budgetHeadroom = 4
 
+// FixedPlan is the cascade's default plan: the given tiers (cheapest
+// first, final tier last) in order, none of them budgeted.
+func FixedPlan(tiers []string) Plan {
+	return Plan{
+		Order:   append([]string(nil), tiers...),
+		Budgets: make([]int, len(tiers)),
+		Source:  "static",
+	}
+}
+
 // A Planner maps features to plans. It is immutable after construction
 // and safe for concurrent use from every analysis worker.
 type Planner struct {
 	mode Mode
-	// static is the fixed tier order, cheapest first, final tier last.
-	static []string
-	prof   *Profile
+	prof *Profile
 }
 
-// NewPlanner builds a planner over the cascade's static tier order
-// (cheapest first; the last entry is the final, authoritative domain).
-// prof may be nil: adaptive planning then degenerates to the static
-// order until a profile accumulates.
-func NewPlanner(mode Mode, static []string, prof *Profile) *Planner {
-	p := &Planner{mode: mode, static: append([]string(nil), static...), prof: prof}
+// NewPlanner builds a planner. prof may be nil: adaptive planning then
+// degenerates to the fixed order until a profile accumulates.
+func NewPlanner(mode Mode, prof *Profile) *Planner {
+	p := &Planner{mode: mode, prof: prof}
 	if p.prof == nil {
 		p.prof = NewProfile()
 	}
@@ -183,22 +180,20 @@ func NewPlanner(mode Mode, static []string, prof *Profile) *Planner {
 // Mode returns the planner's scheduling mode.
 func (p *Planner) Mode() Mode { return p.mode }
 
-// Plan decides the tier order and budgets for one check.
-func (p *Planner) Plan(f Features) Plan {
-	static := Plan{
-		Order:   append([]string(nil), p.static...),
-		Budgets: make([]int, len(p.static)),
-		Source:  "static",
-	}
-	if p.mode != Adaptive || len(p.static) < 2 {
-		return static
+// Plan decides the tier order and budgets for one check over the
+// cascade's tiers (cheapest first; the last entry is the final,
+// authoritative domain).
+func (p *Planner) Plan(f Features, tiers []string) Plan {
+	fixed := FixedPlan(tiers)
+	if p.mode != Adaptive || len(tiers) < 2 {
+		return fixed
 	}
 	stats := p.prof.Buckets[f.bucket()]
 	if stats == nil {
-		return static
+		return fixed
 	}
 
-	final := p.static[len(p.static)-1]
+	final := tiers[len(tiers)-1]
 	type ranked struct {
 		name   string
 		pos    int   // static position, the tie-break and no-data rank
@@ -206,7 +201,7 @@ func (p *Planner) Plan(f Features) Plan {
 		budget int
 	}
 	var cheap []ranked
-	for i, name := range p.static[:len(p.static)-1] {
+	for i, name := range tiers[:len(tiers)-1] {
 		r := ranked{name: name, pos: i, cost: -1}
 		if o := stats[name]; o != nil && o.Attempts >= minAttempts {
 			if o.Discharges == 0 {

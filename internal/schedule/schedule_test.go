@@ -11,20 +11,30 @@ import (
 var tiers = []string{"interval", "zone", "polyhedra"}
 
 func TestParseMode(t *testing.T) {
-	for s, want := range map[string]Mode{"": Off, "off": Off, "static": Static, "adaptive": Adaptive} {
+	for s, want := range map[string]Mode{"": Off, "off": Off, "adaptive": Adaptive} {
 		got, err := ParseMode(s)
 		if err != nil || got != want {
 			t.Errorf("ParseMode(%q) = %v, %v; want %v", s, got, err, want)
 		}
 	}
-	if _, err := ParseMode("bogus"); err == nil {
-		t.Error("ParseMode(bogus) succeeded")
+	for _, bad := range []string{"bogus", "static"} {
+		_, err := ParseMode(bad)
+		if err == nil {
+			t.Errorf("ParseMode(%q) succeeded", bad)
+			continue
+		}
+		if msg := err.Error(); !strings.Contains(msg, "off") || !strings.Contains(msg, "adaptive") {
+			t.Errorf("ParseMode(%q) error %q does not name the valid modes", bad, msg)
+		}
 	}
 }
 
 func TestStaticPlan(t *testing.T) {
-	p := NewPlanner(Static, tiers, nil)
-	plan := p.Plan(Features{Kind: "pre", Vars: 4, Stmts: 10})
+	plan := FixedPlan(tiers)
+	// An Off planner hands out the same fixed plan for every check.
+	if off := NewPlanner(Off, nil).Plan(Features{Kind: "pre", Vars: 4, Stmts: 10}, tiers); !reflect.DeepEqual(off, plan) {
+		t.Errorf("off planner plan = %+v, want %+v", off, plan)
+	}
 	if !reflect.DeepEqual(plan.Order, tiers) {
 		t.Errorf("static order = %v", plan.Order)
 	}
@@ -39,8 +49,8 @@ func TestStaticPlan(t *testing.T) {
 }
 
 func TestAdaptiveNoDataFallsBackToStatic(t *testing.T) {
-	p := NewPlanner(Adaptive, tiers, nil)
-	plan := p.Plan(Features{Kind: "pre", Vars: 4, Stmts: 10})
+	p := NewPlanner(Adaptive, nil)
+	plan := p.Plan(Features{Kind: "pre", Vars: 4, Stmts: 10}, tiers)
 	if !reflect.DeepEqual(plan.Order, tiers) || plan.Source != "static" {
 		t.Errorf("no-data adaptive plan = %+v", plan)
 	}
@@ -53,8 +63,8 @@ func TestAdaptiveSkipsHopelessTierAndReordersByCost(t *testing.T) {
 	prof.Record(f, "interval", 10, 0, 500)
 	// zone: cheap and effective -> first, budgeted.
 	prof.Record(f, "zone", 10, 9, 90)
-	p := NewPlanner(Adaptive, tiers, prof)
-	plan := p.Plan(f)
+	p := NewPlanner(Adaptive, prof)
+	plan := p.Plan(f, tiers)
 	if !reflect.DeepEqual(plan.Order, []string{"zone", "polyhedra"}) {
 		t.Fatalf("order = %v", plan.Order)
 	}
@@ -68,7 +78,7 @@ func TestAdaptiveSkipsHopelessTierAndReordersByCost(t *testing.T) {
 		t.Errorf("source = %q", plan.Source)
 	}
 	// A different bucket is unaffected.
-	other := p.Plan(Features{Kind: "post", Vars: 64, Stmts: 300})
+	other := p.Plan(Features{Kind: "post", Vars: 64, Stmts: 300}, tiers)
 	if !reflect.DeepEqual(other.Order, tiers) {
 		t.Errorf("other-bucket order = %v", other.Order)
 	}
@@ -79,8 +89,8 @@ func TestAdaptiveFinalTierAlwaysLast(t *testing.T) {
 	prof := NewProfile()
 	prof.Record(f, "interval", 8, 1, 800)
 	prof.Record(f, "zone", 8, 8, 16)
-	p := NewPlanner(Adaptive, tiers, prof)
-	plan := p.Plan(f)
+	p := NewPlanner(Adaptive, prof)
+	plan := p.Plan(f, tiers)
 	if plan.Order[len(plan.Order)-1] != "polyhedra" {
 		t.Fatalf("final tier not last: %v", plan.Order)
 	}
@@ -90,9 +100,9 @@ func TestAdaptiveFinalTierAlwaysLast(t *testing.T) {
 }
 
 func TestPlanKeyGroupsEqualPlans(t *testing.T) {
-	p := NewPlanner(Static, tiers, nil)
-	a := p.Plan(Features{Kind: "pre", Stmts: 10, Vars: 3})
-	b := p.Plan(Features{Kind: "post", Stmts: 500, Vars: 40})
+	p := NewPlanner(Off, nil)
+	a := p.Plan(Features{Kind: "pre", Stmts: 10, Vars: 3}, tiers)
+	b := p.Plan(Features{Kind: "post", Stmts: 500, Vars: 40}, tiers)
 	if a.Key() != b.Key() {
 		t.Errorf("static plans differ: %q vs %q", a.Key(), b.Key())
 	}

@@ -47,9 +47,9 @@ type RequestConfig struct {
 	Cascade   bool     `json:"cascade,omitempty"`
 	Certify   bool     `json:"certify,omitempty"`
 	Octagon   bool     `json:"octagon,omitempty"`
-	// Schedule selects the cascade tier scheduler ("off", "static",
-	// "adaptive"); the profile directory stays server-owned (it lives
-	// under the server's cache directory).
+	// Schedule selects the cascade tier scheduler ("off" or "adaptive");
+	// the profile directory stays server-owned (it lives under the
+	// server's cache directory).
 	Schedule string `json:"schedule,omitempty"`
 
 	Stats         bool `json:"stats,omitempty"`

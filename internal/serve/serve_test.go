@@ -89,17 +89,22 @@ func TestServeBatchAndErrors(t *testing.T) {
 	batch := BatchRequest{Requests: []Request{
 		{Filename: "skipline.c", Source: string(src), Config: RequestConfig{Cascade: true, Quiet: true}},
 		{Filename: "broken.c", Source: "void f( {", Config: RequestConfig{}},
+		// An unknown scheduler mode ("static") is a config error, not a panic.
+		{Filename: "skipline.c", Source: string(src), Config: RequestConfig{Schedule: "static"}},
 	}}
 	var resp BatchResponse
 	post(t, ts, "/v1/batch", batch, &resp)
-	if len(resp.Results) != 2 {
-		t.Fatalf("batch returned %d results, want 2", len(resp.Results))
+	if len(resp.Results) != 3 {
+		t.Fatalf("batch returned %d results, want 3", len(resp.Results))
 	}
 	if resp.Results[0].Error != "" || resp.Results[0].Messages != 1 {
 		t.Errorf("batch result 0: %+v", resp.Results[0])
 	}
 	if resp.Results[1].Error == "" || resp.Results[1].ExitCode != 2 {
 		t.Errorf("batch result 1 should be a parse failure: %+v", resp.Results[1])
+	}
+	if r := resp.Results[2]; r.Error == "" || r.ExitCode != 2 {
+		t.Errorf("batch result 2 should reject schedule \"static\": %+v", r)
 	}
 
 	if r, err := http.Post(ts.URL+"/v1/analyze", "application/json",
@@ -110,9 +115,9 @@ func TestServeBatchAndErrors(t *testing.T) {
 		t.Errorf("GET analyze: resp=%v err=%v", r, err)
 	}
 
-	// Rejected HTTP requests never reach the analyzer: only the two
-	// batch jobs count, one of which failed to parse.
-	if got := srv.Snapshot(); got.Requests != 2 || got.Failures != 1 {
+	// Rejected HTTP requests never reach the analyzer: only the three
+	// batch jobs count, two of which failed.
+	if got := srv.Snapshot(); got.Requests != 3 || got.Failures != 2 {
 		t.Errorf("snapshot: %+v", got)
 	}
 }

@@ -1,11 +1,9 @@
 // Tests for the adaptive cascade scheduler's determinism contract:
-// scheduling moves cost, never verdicts, and the off mode is bit-for-bit
-// the pre-scheduler analyzer.
+// scheduling moves cost, never verdicts.
 package cssv
 
 import (
 	"bytes"
-	"fmt"
 	"reflect"
 	"testing"
 )
@@ -29,30 +27,17 @@ func renderQuiet(t *testing.T, path string, cfg Config) string {
 	return buf.String()
 }
 
-// TestScheduleOffByteIdentical: the default and explicit "off" modes
-// must render byte-identical reports — the legacy cascade path untouched.
-func TestScheduleOffByteIdentical(t *testing.T) {
-	for _, path := range scheduleGoldens {
-		t.Run(path, func(t *testing.T) {
-			legacy := renderQuiet(t, path, Config{Cascade: true})
-			off := renderQuiet(t, path, Config{Cascade: true, Schedule: "off"})
-			if legacy != off {
-				t.Errorf("-schedule off report differs from the legacy cascade:\nlegacy:\n%s\noff:\n%s", legacy, off)
-			}
-		})
-	}
-}
-
-// TestScheduleStaticMatchesOff: the scheduled path under the static plan
-// follows the same tier order on the same residuals, so the rendered
-// report must match the legacy cascade byte for byte.
+// TestScheduleStaticMatchesOff: a cold adaptive planner hands every
+// check the static (fixed) plan, so its per-check plan groups run the
+// same tiers in the same order on the same residuals as the fixed
+// cascade, and the rendered report must match it byte for byte.
 func TestScheduleStaticMatchesOff(t *testing.T) {
 	for _, path := range scheduleGoldens {
 		t.Run(path, func(t *testing.T) {
 			off := renderQuiet(t, path, Config{Cascade: true})
-			static := renderQuiet(t, path, Config{Cascade: true, Schedule: "static"})
-			if off != static {
-				t.Errorf("static schedule changed the report:\noff:\n%s\nstatic:\n%s", off, static)
+			cold := renderQuiet(t, path, Config{Cascade: true, Schedule: "adaptive"})
+			if off != cold {
+				t.Errorf("cold adaptive schedule changed the report:\noff:\n%s\nadaptive:\n%s", off, cold)
 			}
 		})
 	}
@@ -63,23 +48,21 @@ func TestScheduleStaticMatchesOff(t *testing.T) {
 // produce deep-equal reports once cost measurements are stripped.
 func TestScheduleAdaptiveParallelDeterminism(t *testing.T) {
 	for _, path := range scheduleGoldens {
-		for _, mode := range []string{"static", "adaptive"} {
-			t.Run(fmt.Sprintf("%s/%s", path, mode), func(t *testing.T) {
-				seq, err := AnalyzeFile(path, Config{Workers: 1, Cascade: true, Schedule: mode})
-				if err != nil {
-					t.Fatal(err)
-				}
-				par, err := AnalyzeFile(path, Config{Workers: 8, Cascade: true, Schedule: mode})
-				if err != nil {
-					t.Fatal(err)
-				}
-				stripTimings(seq)
-				stripTimings(par)
-				if !reflect.DeepEqual(seq, par) {
-					t.Errorf("%s %s: 1-worker and 8-worker reports differ", path, mode)
-				}
-			})
-		}
+		t.Run(path+"/adaptive", func(t *testing.T) {
+			seq, err := AnalyzeFile(path, Config{Workers: 1, Cascade: true, Schedule: "adaptive"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			par, err := AnalyzeFile(path, Config{Workers: 8, Cascade: true, Schedule: "adaptive"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			stripTimings(seq)
+			stripTimings(par)
+			if !reflect.DeepEqual(seq, par) {
+				t.Errorf("%s: 1-worker and 8-worker reports differ", path)
+			}
+		})
 	}
 }
 

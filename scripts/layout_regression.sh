@@ -2,9 +2,12 @@
 # Layout-regression gate: the paper32 target must keep producing
 # byte-identical reports on the benchmark suites (the layout engine is
 # new plumbing, not new behavior, under the packed model), and the
-# sysv64 target must analyze the same suites cleanly. Emits the
-# member-access precision counters for both targets to $COUNTER_OUT
-# (default layout-counters.txt) so CI can archive the deltas.
+# sysv64 target must analyze the same suites cleanly. The cascade
+# goldens (testdata/goldens/<suite>.cascade.txt, from
+# `cssv -cascade -certify -dump-reduced-ip -q`) pin each check's deciding
+# tier, its certificate status and the residual slices, at -j 1 and -j 8
+# alike. Emits the member-access precision counters for both targets to
+# $COUNTER_OUT (default layout-counters.txt) so CI can archive the deltas.
 #
 # Usage: scripts/layout_regression.sh   (from the repo root)
 set -eu
@@ -31,6 +34,21 @@ for f in running/skipline airbus/airbus fixwrites/fixwrites; do
     else
         echo "ok: $name paper32 report is byte-identical"
     fi
+
+    golden="testdata/goldens/$name.cascade.txt"
+    for j in 1 8; do
+        got="/tmp/$name.cascade.j$j.out"
+        rc=0
+        "$CSSV" -j "$j" -cascade -certify -dump-reduced-ip -q "testdata/$f.c" > "$got" 2>&1 || rc=$?
+        echo "exit=$rc" >> "$got"
+        if ! cmp -s "$golden" "$got"; then
+            echo "FAIL: -j $j cascade report for $name differs from $golden:" >&2
+            diff "$golden" "$got" >&2 || true
+            fail=1
+        else
+            echo "ok: $name -j $j cascade report is byte-identical"
+        fi
+    done
 
     for target in paper32 sysv64; do
         rc=0
