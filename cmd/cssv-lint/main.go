@@ -2,66 +2,34 @@
 // (internal/lint): the suite that mechanically enforces the soundness,
 // determinism, and governance invariants the compiler cannot see.
 //
-// Two modes:
+// It loads the whole module (tests included) from source and runs every
+// analyzer over each package:
 //
-// Standalone, over the whole module (tests included):
-//
-//	cssv-lint [-tests=false] [module-dir]
-//
-// As a vet tool, driven by the build system one package at a time:
-//
-//	go vet -vettool=$(command -v cssv-lint) ./...
-//
-// The vet mode implements the -vettool protocol by hand (-V=full
-// handshake, -flags, unit .cfg files with compiler export data) because
-// this build environment vendors no golang.org/x/tools; see
-// internal/lint for the framework.
+//	cssv-lint [-tests=false] [-q] [module-dir]
 //
 // Exit status: 0 clean, 1 findings (or usage error), 2 internal error.
 package main
 
 import (
-	"crypto/sha256"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"repro/internal/lint"
 )
 
 func main() {
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, `usage:
-  cssv-lint [-tests=false] [module-dir]   # standalone, whole module
-  go vet -vettool=$(command -v cssv-lint) ./...
-`)
+		fmt.Fprintln(os.Stderr, "usage: cssv-lint [-tests=false] [-q] [module-dir]")
+		flag.PrintDefaults()
 		os.Exit(1)
 	}
-	flag.Var(versionFlag{}, "V", "print version and exit (-V=full, for the go vet handshake)")
-	printFlags := flag.Bool("flags", false, "print analyzer flags in JSON (for the go vet handshake)")
-	tests := flag.Bool("tests", true, "include _test.go files in standalone mode")
-	quiet := flag.Bool("q", false, "suppress the summary line in standalone mode")
+	tests := flag.Bool("tests", true, "include _test.go files")
+	quiet := flag.Bool("q", false, "suppress the summary line")
 	flag.Parse()
 
-	if *printFlags {
-		// go vet asks which flags the tool supports before forwarding
-		// any; we accept none of vet's standard analyzer flags.
-		fmt.Println("[]")
-		return
-	}
-
 	args := flag.Args()
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		vetUnit(args[0])
-		return
-	}
-	standalone(args, *tests, *quiet)
-}
-
-func standalone(args []string, tests, quiet bool) {
 	dir := "."
 	switch len(args) {
 	case 0:
@@ -75,7 +43,7 @@ func standalone(args []string, tests, quiet bool) {
 	if err != nil {
 		fatal(err)
 	}
-	l := &lint.Loader{IncludeTests: tests}
+	l := &lint.Loader{IncludeTests: *tests}
 	pkgs, err := l.LoadModule(root)
 	if err != nil {
 		fatal(err)
@@ -92,7 +60,7 @@ func standalone(args []string, tests, quiet bool) {
 		}
 		suppressed += len(res.Suppressed)
 	}
-	if !quiet {
+	if !*quiet {
 		fmt.Fprintf(os.Stderr, "cssv-lint: %d finding(s), %d suppressed by lint:allow, %d package(s)\n",
 			findings, suppressed, len(pkgs))
 	}
@@ -121,34 +89,4 @@ func findModuleRoot(dir string) (string, error) {
 func fatal(err error) {
 	fmt.Fprintf(os.Stderr, "cssv-lint: %v\n", err)
 	os.Exit(2)
-}
-
-// versionFlag implements the -V=full protocol go vet uses to fold the
-// tool's identity into its action cache key: print one line
-// "<path> version devel comments-go-here buildID=<content-hash>".
-type versionFlag struct{}
-
-func (versionFlag) IsBoolFlag() bool { return true }
-func (versionFlag) String() string   { return "" }
-
-func (versionFlag) Set(s string) error {
-	if s != "full" {
-		fatal(fmt.Errorf("unsupported flag value: -V=%s (use -V=full)", s))
-	}
-	exe, err := os.Executable()
-	if err != nil {
-		fatal(err)
-	}
-	f, err := os.Open(exe)
-	if err != nil {
-		fatal(err)
-	}
-	defer f.Close()
-	h := sha256.New()
-	if _, err := io.Copy(h, f); err != nil {
-		fatal(err)
-	}
-	fmt.Printf("%s version devel comments-go-here buildID=%02x\n", exe, string(h.Sum(nil)))
-	os.Exit(0)
-	return nil
 }

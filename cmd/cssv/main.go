@@ -41,7 +41,6 @@ func main() {
 		steps       = flag.Int("step-budget", 0, "fixpoint iteration budget per procedure (0 = unlimited); deterministic counterpart of -proc-timeout")
 		cacheDir    = flag.String("cache-dir", "", "directory for the on-disk analysis cache (default: no cache); re-runs reuse stored per-procedure results when the procedure, contracts and configuration are unchanged")
 		cacheVerify = flag.Bool("cache-verify", false, "re-verify stored certificates with the independent checker before trusting an exact cache hit (revalidation always verifies)")
-		ptcacheSize = flag.Int("ptcache-size", 0, "in-memory pointer-analysis memo bound in entries (0 = default 128, negative = unbounded); oldest entries are evicted first")
 		schedMode   = flag.String("schedule", "off", "cascade tier scheduler: off (fixed interval->zone->final cascade), adaptive (per-check tier order and step budgets from the recorded profile; implies -cascade)")
 		schedProf   = flag.String("schedule-profile", "", "directory for the on-disk scheduler profile (default: <cache-dir>/schedule when -cache-dir is set, otherwise in-memory only)")
 	)
@@ -67,7 +66,6 @@ func main() {
 		StepBudget:        *steps,
 		CacheDir:          *cacheDir,
 		CacheVerify:       *cacheVerify,
-		PtCacheSize:       *ptcacheSize,
 		Schedule:          *schedMode,
 		ScheduleProfile:   *schedProf,
 	}

@@ -139,10 +139,6 @@ type Config struct {
 	// accounting of every exact cache hit before trusting it (paranoid
 	// mode; integrity digests are always verified regardless).
 	CacheVerify bool
-	// PtCacheSize bounds the process-wide pointer-analysis memo (0 = the
-	// 128-entry default, negative = unbounded). Overflow evicts oldest
-	// entries first; evictions appear in RunStats.PtCacheEvictions.
-	PtCacheSize int
 	// Schedule selects the cascade's tier scheduling: "off" (default, or
 	// empty) runs the fixed interval→zone→…→final cascade; "adaptive"
 	// plans per-check tier order and per-tier step budgets from static
@@ -388,7 +384,6 @@ func (cfg Config) driverOptions() (core.Options, error) {
 		Certify:         cfg.Certify,
 		CacheDir:        cfg.CacheDir,
 		CacheVerify:     cfg.CacheVerify,
-		PtCacheSize:     cfg.PtCacheSize,
 		Procs:           cfg.Procedures,
 		NoLibc:          cfg.NoLibc,
 		Workers:         cfg.Workers,

@@ -8,14 +8,13 @@ import (
 
 // TestLintSuite runs the cssv-lint analyzers (internal/lint) over the
 // whole module as a regression test, so `go test ./...` alone — without
-// the vet wiring — still enforces the invariant catalog: no mutable
+// the cssv-lint binary — still enforces the invariant catalog: no mutable
 // package-scope state in analysis packages (the guard that used to live
 // here as hand-rolled AST walking), the layering DAG (certify never
 // links the code it checks), determinism of report assembly, budget
 // safe points in substrate fixpoints, and verdict-constructor
-// discipline. CI additionally runs the same suite through
-// `go vet -vettool` (see .github/workflows/ci.yml); this test is the
-// belt to that suspender and keeps the suite honest on plain `go test`.
+// discipline. It loads the module exactly as `cssv-lint ./...` does
+// (strictly, tests included), which CI also runs for readable output.
 func TestLintSuite(t *testing.T) {
 	loader := &lint.Loader{IncludeTests: true}
 	pkgs, err := loader.LoadModule(".")

@@ -37,9 +37,6 @@ type Options struct {
 	// instead of per cell, and statements are duplicated accordingly. Used
 	// by the complexity-shape ablation (paper §3.4.2.4).
 	Naive bool
-	// NoCleanness disables the beyond-null-terminator cleanness checks,
-	// leaving only hard bounds checks.
-	NoCleanness bool
 	// StrictZeroStore replaces the paper's Table 4 rule for storing a null
 	// byte (len := offset unconditionally) with a guarded transfer that
 	// accounts for a possible earlier terminator. Sound in corner cases

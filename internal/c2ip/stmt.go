@@ -233,7 +233,7 @@ func (x *xform) load(dst aval, weak bool, u *cast.Unary, a *cast.Assign) error {
 				})
 				return
 			}
-			if elem != 1 || x.opts.NoCleanness || !x.stringRegion(r) {
+			if elem != 1 || !x.stringRegion(r) {
 				// Word-sized or scalar-cell load: the value channel.
 				x.assign(x.valV(dst.cell), linear.VarExpr(x.valV(r)))
 				return

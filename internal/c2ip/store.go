@@ -137,7 +137,7 @@ func (x *xform) store(lhs *cast.Unary, rhs cast.Expr, a *cast.Assign) error {
 			if sv.pointer || x.pt.Loc(r).Scalar {
 				x.storeCell(r, sv)
 			}
-			if elem == 1 && !x.opts.NoCleanness && x.stringRegion(r) {
+			if elem == 1 && x.stringRegion(r) {
 				x.storeChar(r, p, sv)
 			} else if elem != 1 && !x.pt.Loc(r).Scalar {
 				x.wideStore(r, p)

@@ -187,7 +187,7 @@ func (x *xform) derefCheck(off linear.Expr, r ppt.LocID, elem int64, isRead bool
 	nonneg := linear.NewGe(off)
 	size := linear.VarExpr(x.sizeV(r))
 	inBounds := linear.NewGe(size.Sub(off).Sub(linear.ConstExpr(elem)))
-	if x.opts.NoCleanness || !isRead || elem != 1 || !x.stringRegion(r) {
+	if !isRead || elem != 1 || !x.stringRegion(r) {
 		return ip.Conj(nonneg, inBounds)
 	}
 	nt := linear.VarExpr(x.ntV(r))

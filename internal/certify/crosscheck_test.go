@@ -168,3 +168,56 @@ func FuzzEntails(f *testing.F) {
 		}
 	})
 }
+
+// TestOverflowDemotionAgreesWithPolyhedra checks systems whose coefficients
+// lie near 2^62. Fourier–Motzkin combination multiplies two of them, which
+// overflows the int64 engine's checked arithmetic, so Unsat and every
+// prepared premise fall back to the big.Int engine. The polyhedra package
+// promotes on overflow too and stays exact, so the answers must agree.
+func TestOverflowDemotionAgreesWithPolyhedra(t *testing.T) {
+	const a, b = 1<<62 - 1, 1<<62 - 3
+	ge := func(k int64, terms ...int64) linear.Constraint {
+		e := linear.NewExpr()
+		e.AddConst(k)
+		for v, c := range terms {
+			e.AddTerm(v, c)
+		}
+		return linear.NewGe(e)
+	}
+	// a·x + 3y >= 5 and b·x <= 7y + 1 give y >= (5b - a)/(3b + 7a) ≈ 0.4.
+	base := linear.System{ge(-5, a, 3), ge(1, -b, 7)}
+	// On base alone only the first target is entailed.
+	targets := []linear.Constraint{
+		ge(0, 0, 1),   // y >= 0
+		ge(-1, 0, 1),  // y >= 1
+		ge(0, 1),      // x >= 0
+		ge(-1, b, -a), // b·x - a·y >= 1
+		linear.NewEq(linear.VarExpr(1)),
+	}
+	// x = 3 - 2y: substituting it doubles a, which overflows int64 already
+	// during equality elimination; it pins y near 1.5 and x near 0.
+	eqE := linear.NewExpr()
+	eqE.AddTerm(0, 1)
+	eqE.AddTerm(1, 2)
+	eqE.AddConst(-3)
+	systems := []linear.System{
+		base,
+		append(linear.System{ge(0, 0, -1)}, base...), // y <= 0: unsat
+		append(linear.System{ge(1, 0, -1)}, base...), // y <= 1: sat
+		append(linear.System{linear.NewEq(eqE)}, base...),
+	}
+	for i, sys := range systems {
+		const n = 2
+		p := polyhedra.FromSystem(sys, n)
+		if fm, ch := certify.Unsat(sys, n), p.IsEmpty(); fm != ch {
+			t.Errorf("system %d: Unsat=%v, polyhedra empty=%v for %s",
+				i, fm, ch, certify.FormatSystem(sys, nil))
+		}
+		for j, c := range targets {
+			if fm, ch := certify.Entails(sys, c, n), p.Entails(c); fm != ch {
+				t.Errorf("system %d target %d: Entails=%v, polyhedra=%v for %s |= %s",
+					i, j, fm, ch, certify.FormatSystem(sys, nil), c.String(nil))
+			}
+		}
+	}
+}

@@ -1,11 +1,15 @@
-// The int64 fast path of the Fourier–Motzkin engine: an exact twin of the
-// big.Int implementation in fm.go operating on machine integers with
-// checked arithmetic. Every operation that could wrap panics with the
-// fmOverflow sentinel, which the boundary wrappers recover to fall back to
-// the arbitrary-precision engine — the same promote-on-overflow discipline
-// as the numeric substrate kernel (DESIGN.md §6), applied to the checker.
-// Both engines implement the same decision procedure (same pivots, same
-// subsumption, same maxRows cap), so which one answers is unobservable.
+// The int64 fast path of the Fourier–Motzkin engine: a twin of the big.Int
+// implementation in fm.go operating on machine integers with checked
+// arithmetic. Every operation that could wrap panics with the fmOverflow
+// sentinel, which the boundary wrappers recover to fall back to the
+// arbitrary-precision engine — the same promote-on-overflow discipline as
+// the numeric substrate kernel (DESIGN.md §6), applied to the checker.
+// Both engines use the same equality pivots, sift, elimination order and
+// maxRows cap. Only this engine has the premise-subsumption shortcut
+// (iprep.subsumes), which answers "entailed" only when a premise row
+// implies the target outright, so the engines can disagree only where the
+// big engine gives up at maxRows on an entailment the shortcut proves.
+// TestEnginesAgree holds both to identical answers on a seeded corpus.
 package certify
 
 import (

@@ -114,10 +114,6 @@ type Options struct {
 	// re-proved and assert accounting re-checked before the entry is
 	// trusted (paranoid mode; the integrity digests are always checked).
 	CacheVerify bool
-	// PtCacheSize bounds the process-wide pointer-analysis memo
-	// (0 = the 128-entry default, negative = unbounded). Overflow evicts
-	// the oldest entries first; evictions are surfaced in RunStats.
-	PtCacheSize int
 	// Schedule selects how the cascade orders its tiers (only meaningful
 	// with Cascade): Off (default) runs the fixed cascade, every check in
 	// one group under the fixed plan; Adaptive plans per-check tier order
@@ -694,7 +690,7 @@ func analyzeProc(orig *cast.File, prog *corec.Program, name string, opts Options
 	// pointer result is memoized process-wide (read-only for all
 	// consumers), so procedures whose inlining leaves the global points-to
 	// input unchanged — and repeated runs — share one analysis.
-	g, hit, evicted := cachedPointerAnalyze(nprog, opts.PointerMode, opts.PtCacheSize)
+	g, hit, evicted := cachedPointerAnalyze(nprog, opts.PointerMode, 0)
 	if hit {
 		rc.ptHits.Add(1)
 	} else {

@@ -30,8 +30,8 @@ type ptKey struct {
 	hash   [sha256.Size]byte
 }
 
-// defaultPtCacheMax is the memo bound used when the caller does not
-// configure one (Options.PtCacheSize == 0). Entries are evicted in
+// defaultPtCacheMax is the memo bound the driver uses (it passes limit
+// 0 to cachedPointerAnalyze). Entries are evicted in
 // insertion order (FIFO) once the bound is reached — not dropped
 // wholesale, so a long-running embedder cycling through many translation
 // units keeps its recent working set warm.

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/c2ip"
 	"repro/internal/concrete"
 	"repro/internal/corec"
 	"repro/internal/cparse"
@@ -22,40 +23,54 @@ import (
 // string and bounds properties, not initialization — uninitialized cells
 // read as unknown values), as are step-limit aborts (non-termination is not
 // a string error).
+//
+// The same programs run under both null-store transfers: the paper's Table 4
+// rule (the default) and the fully guarded StrictZeroStore alternative.
 func TestSoundnessDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential test is slow")
 	}
 	rng := rand.New(rand.NewSource(7))
-	trials := 60
+	const trials = 60
+	srcs := make([]string, trials)
+	concreteErrs := make([]*concrete.RuntimeError, trials)
 	checkedErrs := 0
-	for trial := 0; trial < trials; trial++ {
-		src := genProgram(rng)
-
-		rep, err := AnalyzeSource("gen.c", src, Options{
-			Procs: []string{"f"},
-		})
-		if err != nil {
-			t.Fatalf("trial %d: analysis failed: %v\nsource:\n%s", trial, err, src)
-		}
-		staticMsgs := rep.Proc("f").Messages()
-
+	for trial := range srcs {
+		srcs[trial] = genProgram(rng)
 		// Concrete executions over a spread of inputs.
-		concreteErr := runConcrete(t, src)
-
-		if concreteErr != nil && staticMsgs == 0 {
-			t.Errorf("trial %d: UNSOUND: concrete error %v but no static message\nsource:\n%s",
-				trial, concreteErr, src)
-		}
-		if concreteErr != nil {
+		concreteErrs[trial] = runConcrete(t, srcs[trial])
+		if concreteErrs[trial] != nil {
 			checkedErrs++
 		}
 	}
 	if checkedErrs == 0 {
-		t.Error("generator produced no erroneous programs; the test checks nothing")
+		t.Fatal("generator produced no erroneous programs; the test checks nothing")
 	}
-	t.Logf("%d/%d generated programs had concrete errors; soundness held on all",
-		checkedErrs, trials)
+	for _, mode := range []struct {
+		name string
+		opts c2ip.Options
+	}{
+		{"paper-null-store", c2ip.Options{}},
+		{"strict-null-store", c2ip.Options{StrictZeroStore: true}},
+	} {
+		t.Run(mode.name, func(t *testing.T) {
+			for trial, src := range srcs {
+				rep, err := AnalyzeSource("gen.c", src, Options{
+					Procs: []string{"f"},
+					C2IP:  mode.opts,
+				})
+				if err != nil {
+					t.Fatalf("trial %d: analysis failed: %v\nsource:\n%s", trial, err, src)
+				}
+				if concreteErrs[trial] != nil && rep.Proc("f").Messages() == 0 {
+					t.Errorf("trial %d: UNSOUND: concrete error %v but no static message\nsource:\n%s",
+						trial, concreteErrs[trial], src)
+				}
+			}
+			t.Logf("%d/%d generated programs had concrete errors; soundness held on all",
+				checkedErrs, trials)
+		})
+	}
 }
 
 // runConcrete executes f on a battery of inputs and returns the first

@@ -32,9 +32,8 @@ type Package struct {
 // empty placeholder package so syntax-level analyzers still run.
 //
 // This replaces golang.org/x/tools/go/packages, which the build
-// environment does not vendor. Under `go vet -vettool` the loader is
-// not used at all: the build system supplies export data per unit (see
-// cmd/cssv-lint).
+// environment does not vendor. cmd/cssv-lint and TestLintSuite both
+// load the whole module through it, strictly.
 type Loader struct {
 	// Lenient tolerates type errors and fakes unresolvable imports.
 	// Fixture loading uses it; whole-module loading must not.
