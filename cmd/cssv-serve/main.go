@@ -47,7 +47,6 @@ func main() {
 		cascade   = flag.Bool("cascade", false, "client mode: discharge checks in tiers")
 		certify   = flag.Bool("certify", false, "client mode: verify invariant certificates")
 		octagon   = flag.Bool("octagon", false, "client mode: insert the octagon tier (implies -cascade)")
-		schedMode = flag.String("schedule", "", "client mode: cascade tier scheduler (off, adaptive)")
 		stats     = flag.Bool("stats", false, "client mode: print per-procedure statistics")
 		quiet     = flag.Bool("q", false, "client mode: suppress warnings")
 	)
@@ -62,7 +61,6 @@ func main() {
 			Cascade:   *cascade,
 			Certify:   *certify,
 			Octagon:   *octagon,
-			Schedule:  *schedMode,
 			Stats:     *stats,
 			Quiet:     *quiet,
 		}))

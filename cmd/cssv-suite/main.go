@@ -62,7 +62,6 @@ type taskResult struct {
 }
 
 type suiteResult struct {
-	Schedule    string       `json:"schedule"`
 	Tasks       []taskResult `json:"tasks"`
 	Total       int          `json:"total"`
 	Passed      int          `json:"passed"`
@@ -72,8 +71,6 @@ type suiteResult struct {
 func main() {
 	var (
 		jsonOut   = flag.Bool("json", false, "emit the machine-readable suite report on stdout instead of per-task lines")
-		schedMode = flag.String("schedule", "off", "cascade tier scheduler: off, adaptive")
-		schedProf = flag.String("schedule-profile", "", "directory for the on-disk scheduler profile (default: <cache-dir>/schedule when -cache-dir is set)")
 		cacheDir  = flag.String("cache-dir", "", "directory for the on-disk analysis cache shared across tasks")
 		jobs      = flag.Int("j", 0, "procedures analyzed in parallel per task (0 = all CPUs)")
 		domain    = flag.String("domain", "polyhedra", "final numeric domain: polyhedra, zone, interval")
@@ -102,21 +99,19 @@ func main() {
 	}
 
 	cfg := cssv.Config{
-		Domain:          *domain,
-		Pointer:         *pointer,
-		Target:          *target,
-		Contracts:       *contracts,
-		Cascade:         true,
-		Octagon:         *octagon,
-		Workers:         *jobs,
-		ProcTimeout:     *timeout,
-		StepBudget:      *steps,
-		CacheDir:        *cacheDir,
-		Schedule:        *schedMode,
-		ScheduleProfile: *schedProf,
+		Domain:      *domain,
+		Pointer:     *pointer,
+		Target:      *target,
+		Contracts:   *contracts,
+		Cascade:     true,
+		Octagon:     *octagon,
+		Workers:     *jobs,
+		ProcTimeout: *timeout,
+		StepBudget:  *steps,
+		CacheDir:    *cacheDir,
 	}
 
-	suite := suiteResult{Schedule: *schedMode}
+	var suite suiteResult
 	for _, cfile := range tasks {
 		exp, err := parseExpect(expectPath(cfile))
 		if err != nil {

@@ -41,8 +41,6 @@ func main() {
 		steps       = flag.Int("step-budget", 0, "fixpoint iteration budget per procedure (0 = unlimited); deterministic counterpart of -proc-timeout")
 		cacheDir    = flag.String("cache-dir", "", "directory for the on-disk analysis cache (default: no cache); re-runs reuse stored per-procedure results when the procedure, contracts and configuration are unchanged")
 		cacheVerify = flag.Bool("cache-verify", false, "re-verify stored certificates with the independent checker before trusting an exact cache hit (revalidation always verifies)")
-		schedMode   = flag.String("schedule", "off", "cascade tier scheduler: off (fixed interval->zone->final cascade), adaptive (per-check tier order and step budgets from the recorded profile; implies -cascade)")
-		schedProf   = flag.String("schedule-profile", "", "directory for the on-disk scheduler profile (default: <cache-dir>/schedule when -cache-dir is set, otherwise in-memory only)")
 	)
 	flag.Parse()
 	if flag.NArg() != 1 {
@@ -66,8 +64,6 @@ func main() {
 		StepBudget:        *steps,
 		CacheDir:          *cacheDir,
 		CacheVerify:       *cacheVerify,
-		Schedule:          *schedMode,
-		ScheduleProfile:   *schedProf,
 	}
 	if *jobs < 0 {
 		fmt.Fprintln(os.Stderr, "cssv: -j must be >= 0")

@@ -45,7 +45,6 @@ import (
 	"repro/internal/derive"
 	"repro/internal/linear"
 	"repro/internal/ppt"
-	"repro/internal/schedule"
 )
 
 // Config selects analysis variants. The zero value is the paper's
@@ -139,18 +138,6 @@ type Config struct {
 	// accounting of every exact cache hit before trusting it (paranoid
 	// mode; integrity digests are always verified regardless).
 	CacheVerify bool
-	// Schedule selects the cascade's tier scheduling: "off" (default, or
-	// empty) runs the fixed interval→zone→…→final cascade; "adaptive"
-	// plans per-check tier order and per-tier step budgets from static
-	// slice features and the recorded cross-run profile. Scheduling
-	// redistributes cost only: the final domain always runs last and
-	// unbudgeted, so no verdict can change. "adaptive" implies Cascade.
-	Schedule string
-	// ScheduleProfile is the directory for the adaptive scheduler's
-	// cross-run outcome profiles. Empty defaults to <CacheDir>/schedule
-	// when CacheDir is set; with neither, outcomes stay in-memory and the
-	// adaptive scheduler starts cold each run.
-	ScheduleProfile string
 }
 
 // Message is one potential string error.
@@ -260,16 +247,7 @@ type CascadeStats struct {
 	ResidualVars, ResidualStmts int
 	// ReducedProgram is the pretty-printed residual integer program.
 	ReducedProgram string
-	// Decisions lists the scheduler's plans, one per group of checks that
-	// shared a plan (nil under Config.Schedule "off", and for procedures
-	// replayed from the result cache, which stores verdicts, not
-	// scheduling history).
-	Decisions []ScheduleDecision
 }
-
-// ScheduleDecision is one plan the adaptive scheduler applied to a group
-// of checks (integer-program statement indices).
-type ScheduleDecision = schedule.Decision
 
 // CascadeTier is one tier of the cascade.
 type CascadeTier struct {
@@ -371,28 +349,21 @@ func (cfg Config) driverOptions() (core.Options, error) {
 	if cfg.StepBudget < 0 {
 		return core.Options{}, fmt.Errorf("cssv: StepBudget must be >= 0, got %d", cfg.StepBudget)
 	}
-	schedMode, err := schedule.ParseMode(cfg.Schedule)
-	if err != nil {
-		return core.Options{}, fmt.Errorf("cssv: %v", err)
-	}
 	opts := core.Options{
-		// The scheduler lives in the cascade, so a non-off mode implies it
-		// (like Octagon).
-		Cascade:         cfg.Cascade || cfg.Octagon || schedMode != schedule.Off,
-		Schedule:        schedMode,
-		ScheduleProfile: cfg.ScheduleProfile,
-		Certify:         cfg.Certify,
-		CacheDir:        cfg.CacheDir,
-		CacheVerify:     cfg.CacheVerify,
-		Procs:           cfg.Procedures,
-		NoLibc:          cfg.NoLibc,
-		Workers:         cfg.Workers,
-		WideningDelay:   cfg.WideningDelay,
-		ProcDeadline:    cfg.ProcTimeout,
-		StepBudget:      cfg.StepBudget,
-		MaxRays:         cfg.MaxRays,
-		Octagon:         cfg.Octagon,
-		PPT:             ppt.Options{DisableMerging: cfg.DisablePPTMerging},
+		// Octagon implies Cascade: the octagon tier runs inside it.
+		Cascade:       cfg.Cascade || cfg.Octagon,
+		Certify:       cfg.Certify,
+		CacheDir:      cfg.CacheDir,
+		CacheVerify:   cfg.CacheVerify,
+		Procs:         cfg.Procedures,
+		NoLibc:        cfg.NoLibc,
+		Workers:       cfg.Workers,
+		WideningDelay: cfg.WideningDelay,
+		ProcDeadline:  cfg.ProcTimeout,
+		StepBudget:    cfg.StepBudget,
+		MaxRays:       cfg.MaxRays,
+		Octagon:       cfg.Octagon,
+		PPT:           ppt.Options{DisableMerging: cfg.DisablePPTMerging},
 		C2IP: c2ip.Options{
 			Naive:           cfg.NaiveC2IP,
 			StrictZeroStore: cfg.StrictZeroStore,
@@ -500,7 +471,6 @@ func convertProc(pr *core.ProcReport) Procedure {
 				Violated: c.Violated, IPVars: c.Vars, IPSize: c.Stmts,
 			})
 		}
-		cs.Decisions = pr.Cascade.Sched
 		p.Cascade = cs
 	}
 	if pr.Certification != nil {

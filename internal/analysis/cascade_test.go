@@ -2,7 +2,11 @@ package analysis
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
+	"time"
+
+	"repro/internal/budget"
 )
 
 // TestCascadeSoundVsInterpreter: the tiered analysis must keep the engine's
@@ -108,5 +112,68 @@ func TestCascadeProvenance(t *testing.T) {
 					trial, ti, ts.Vars, ts.Stmts, p.NumVars(), p.Size())
 			}
 		}
+	}
+}
+
+// TestCascadeStepBudgetSweep pins the tier loop under every procedure
+// step budget from 1 up to the unbudgeted run's iteration count: a budget
+// only turns verdicts into "unresolved", never a violation into a
+// discharge. Every unbudgeted violation appears unchanged or unresolved,
+// every budgeted discharge is also an unbudgeted one, and Exhausted is set
+// exactly when some check is unresolved.
+func TestCascadeStepBudgetSweep(t *testing.T) {
+	rng := rand.New(rand.NewSource(59))
+	exhaustedRuns := 0
+	for trial := 0; trial < 30; trial++ {
+		p := genIP(rng)
+		full, err := AnalyzeCascade(p, Options{})
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if full.Exhausted != "" {
+			t.Fatalf("trial %d: unbudgeted run exhausted (%q)", trial, full.Exhausted)
+		}
+		fullDischarged := map[int]bool{}
+		for _, c := range full.Checks {
+			if !c.Violated {
+				fullDischarged[c.Index] = true
+			}
+		}
+		for n := 1; n <= full.Iterations; n++ {
+			res, err := AnalyzeCascade(p, Options{Token: budget.New(time.Time{}, n)})
+			if err != nil {
+				t.Fatalf("trial %d budget %d: %v", trial, n, err)
+			}
+			byIndex := map[int]Violation{}
+			for _, v := range res.Violations {
+				byIndex[v.Index] = v
+			}
+			for _, v := range full.Violations {
+				got, ok := byIndex[v.Index]
+				if !ok || (!got.Unresolved && !reflect.DeepEqual(got, v)) {
+					t.Errorf("trial %d budget %d: violation %d %q became %+v (present %v)",
+						trial, n, v.Index, v.Msg, got, ok)
+				}
+			}
+			unresolved := false
+			for _, c := range res.Checks {
+				if c.Tier == "unresolved" {
+					unresolved = true
+				} else if !c.Violated && !fullDischarged[c.Index] {
+					t.Errorf("trial %d budget %d: check %d discharged by %s but violated unbudgeted",
+						trial, n, c.Index, c.Tier)
+				}
+			}
+			if (res.Exhausted != "") != unresolved {
+				t.Errorf("trial %d budget %d: Exhausted = %q but unresolved checks = %v",
+					trial, n, res.Exhausted, unresolved)
+			}
+			if res.Exhausted != "" {
+				exhaustedRuns++
+			}
+		}
+	}
+	if exhaustedRuns == 0 {
+		t.Error("no budget exhausted the cascade; the sweep exercised nothing")
 	}
 }

@@ -13,16 +13,8 @@ import (
 	"repro/internal/clex"
 	"repro/internal/ip"
 	"repro/internal/linear"
-	"repro/internal/schedule"
 	"repro/internal/zone"
 )
-
-// TierBudgetExhausted is the Result.Exhausted value of an analysis cut
-// short by Options.TierToken (the scheduler's per-tier step budget), as
-// opposed to the procedure budget. The cascade treats it as "skip this
-// tier" — the checks fall through to the next tier — never as an
-// unresolved verdict.
-const TierBudgetExhausted = "tier-budget"
 
 // debugIterEvery reads CSSV_DEBUG_ITER once per process. The trace is a
 // human debugging aid: it must go to stderr, never stdout, because
@@ -58,22 +50,6 @@ type Options struct {
 	// asked about is reported as an unresolved Violation (a potential
 	// error, never silently "safe") and Result.Exhausted names the cause.
 	Token *budget.Token
-	// TierToken, when non-nil, is the scheduler's per-tier step budget,
-	// polled alongside Token. Its exhaustion is reported as
-	// Result.Exhausted == TierBudgetExhausted: the cascade then skips
-	// the tier for the affected checks instead of reporting them
-	// unresolved, so a tier budget can only cost time, never verdicts.
-	TierToken *budget.Token
-	// Planner, when non-nil in schedule.Adaptive mode, makes
-	// AnalyzeCascade plan each check from its own slice features and run
-	// one plan group per distinct plan (tier order and step budgets).
-	// When nil or schedule.Off, every check runs in one group under the
-	// fixed, unbudgeted plan, and no features or decisions are recorded.
-	Planner *schedule.Planner
-	// Recorder, when non-nil, receives the adaptive cascade's
-	// per-(bucket, tier) outcomes for the cross-run profile. It is not
-	// safe for concurrent use; the driver gives each procedure its own.
-	Recorder *schedule.Recorder
 	// ZoneConfig configures the zone tier AnalyzeCascade constructs
 	// internally (the final domain arrives pre-configured via Domain).
 	ZoneConfig *zone.Config
@@ -227,9 +203,6 @@ func Analyze(p *ip.Program, opts Options) (*Result, error) {
 		if !opts.Token.Step(1) {
 			return exhaustedResult(p, opts, dom, nvars, iterations), nil
 		}
-		if !opts.TierToken.Step(1) {
-			return tierExhaustedResult(p, opts, dom, nvars, iterations), nil
-		}
 		i := work.pop()
 		inWork[i] = false
 		if i >= n {
@@ -292,9 +265,6 @@ func Analyze(p *ip.Program, opts Options) (*Result, error) {
 				// outcome.
 				return exhaustedResult(p, opts, dom, nvars, iterations), nil
 			}
-			if opts.TierToken.Exhausted() {
-				return tierExhaustedResult(p, opts, dom, nvars, iterations), nil
-			}
 			stale := pass == 0
 			for _, pe := range preds[j] {
 				// >= keeps a node that is its own predecessor stale.
@@ -356,23 +326,7 @@ func Analyze(p *ip.Program, opts Options) (*Result, error) {
 		// canonical exhausted outcome so reports stay deterministic.
 		return exhaustedResult(p, opts, dom, nvars, iterations), nil
 	}
-	if opts.TierToken.Exhausted() {
-		return tierExhaustedResult(p, opts, dom, nvars, iterations), nil
-	}
 	return res, nil
-}
-
-// tierExhaustedResult is the canonical outcome of a run cut short by the
-// scheduler's per-tier step budget: shaped exactly like exhaustedResult
-// (no invariants, universe exit, unresolved per-check Violations) but
-// with the distinguished cause, so the cascade can tell "skip this tier"
-// apart from "the procedure budget is gone". Tier budgets are pure step
-// counts, so the cut point — and therefore the whole result — is
-// deterministic across worker counts.
-func tierExhaustedResult(p *ip.Program, opts Options, dom Domain, nvars, iterations int) *Result {
-	res := exhaustedResult(p, opts, dom, nvars, iterations)
-	res.Exhausted = TierBudgetExhausted
-	return res
 }
 
 // exhaustedResult is the canonical outcome of a budget-exhausted analysis:

@@ -45,6 +45,7 @@ import (
 	"repro/internal/certify"
 	"repro/internal/corec"
 	"repro/internal/ip"
+	"repro/internal/schedule"
 )
 
 // cacheCtx is the per-run cache state shared by all workers. nil means
@@ -96,11 +97,9 @@ func confFingerprint(opts Options) string {
 		opts.WideningDelay, opts.NarrowingPasses, opts.Cascade, opts.Octagon, opts.MaxRays)
 	fmt.Fprintf(h, "nolibc=%v nosideeffect=%v contracts=%d\n",
 		opts.NoLibc, opts.NoSideEffectCheck, opts.Contracts)
-	// The schedule mode participates because cached entries replay tier
-	// statistics: an entry recorded under one scheduling mode must not be
-	// replayed under another. The profile directory does not — the profile
-	// can only move cost between tiers, never change results.
-	fmt.Fprintf(h, "schedule=%s\n", opts.Schedule)
+	// The fixed tier order is the only schedule; the line stays so that
+	// fingerprints (and the entries keyed by them) keep their bytes.
+	fmt.Fprintf(h, "schedule=%s\n", schedule.Off)
 	return hex.EncodeToString(h.Sum(nil))
 }
 

@@ -2,8 +2,6 @@ package core
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"runtime"
 	"runtime/debug"
 	"sort"
@@ -28,7 +26,6 @@ import (
 	"repro/internal/pointer"
 	"repro/internal/polyhedra"
 	"repro/internal/ppt"
-	"repro/internal/schedule"
 	"repro/internal/zone"
 )
 
@@ -114,19 +111,6 @@ type Options struct {
 	// re-proved and assert accounting re-checked before the entry is
 	// trusted (paranoid mode; the integrity digests are always checked).
 	CacheVerify bool
-	// Schedule selects how the cascade orders its tiers (only meaningful
-	// with Cascade): Off (default) runs the fixed cascade, every check in
-	// one group under the fixed plan; Adaptive plans per-check tier order
-	// and step budgets from the on-disk outcome profile. Scheduling moves
-	// cost, never verdicts: the final domain always runs last and
-	// unbudgeted on whatever remains.
-	Schedule schedule.Mode
-	// ScheduleProfile is the directory holding the scheduler's cross-run
-	// outcome profiles (content-addressed by configuration, like cache
-	// entries). Empty defaults to <CacheDir>/schedule when CacheDir is
-	// set; with neither, outcomes are recorded in-memory only and the
-	// adaptive scheduler starts cold every run.
-	ScheduleProfile string
 }
 
 // ContractMode selects the analyzed procedure's own contract.
@@ -287,18 +271,10 @@ type RunStats struct {
 	// abandoned (unknown target, untracked offset, or the legacy wide-store
 	// terminator havoc). Content-only counts, hence deterministic.
 	MemberResolved, MemberHavocked int
-	// ScheduleMode names the cascade scheduling mode of the run ("off" or
-	// "adaptive"). ScheduleDecisions counts the plans the
-	// scheduler applied across all procedures; ScheduleFromProfile how
-	// many of them were steered by the recorded profile rather than the
-	// static fallback. Zero/empty when scheduling is off or the cascade
-	// did not run.
-	ScheduleMode        string
-	ScheduleDecisions   int
-	ScheduleFromProfile int
 	// TierDischarged counts, per tier (domain name, plus "unreachable"
 	// for CFG-pruned checks), the checks that tier discharged across the
-	// run; nil when the cascade did not run. Content-only, deterministic.
+	// run; nil when the cascade discharged nothing (or did not run).
+	// Content-only, deterministic.
 	TierDischarged map[string]int
 }
 
@@ -418,39 +394,10 @@ func AnalyzeSource(filename, src string, opts Options) (*Report, error) {
 		return nil, err
 	}
 
-	// Scheduler setup: one immutable planner shared by every worker, one
-	// recorder per procedure (merged in input order below, so the saved
-	// profile is identical for every worker count). The profile is
-	// content-addressed by the run configuration, like cache entries; a
-	// corrupt profile is logged and replaced by an empty one.
-	var planner *schedule.Planner
-	var recorders []*schedule.Recorder
-	var profPath string
-	prof := schedule.NewProfile()
-	if opts.Cascade && opts.Schedule != schedule.Off {
-		if dir := scheduleProfileDir(opts); dir != "" {
-			profPath = schedule.ProfilePath(dir, confFingerprint(opts))
-			loaded, perr := schedule.LoadProfile(profPath)
-			if perr != nil {
-				fmt.Fprintf(os.Stderr, "cssv: schedule profile discarded: %v\n", perr)
-			}
-			prof = loaded
-		}
-		planner = schedule.NewPlanner(opts.Schedule, prof)
-		recorders = make([]*schedule.Recorder, len(procs))
-		for i := range recorders {
-			recorders[i] = schedule.NewRecorder()
-		}
-	}
-
 	rc := &runCounters{}
 	results := make([]*ProcReport, len(procs))
 	err = runPool(workers, len(procs), func(i int, done <-chan struct{}) error {
-		var rec *schedule.Recorder
-		if recorders != nil {
-			rec = recorders[i]
-		}
-		pr, err := guardedAnalyzeProc(file, prog, procs[i], opts, cc, rc, planner, rec, exclusive, done)
+		pr, err := guardedAnalyzeProc(file, prog, procs[i], opts, cc, rc, exclusive, done)
 		if err != nil {
 			if err == errCancelled {
 				return err
@@ -465,7 +412,6 @@ func AnalyzeSource(filename, src string, opts Options) (*Report, error) {
 	}
 
 	rep := &Report{}
-	rep.Stats.ScheduleMode = opts.Schedule.String()
 	for _, pr := range results {
 		rep.Procs = append(rep.Procs, *pr)
 		rep.Stats.SequentialCPU += pr.CPU
@@ -482,20 +428,6 @@ func AnalyzeSource(filename, src string, opts Options) (*Report, error) {
 					rep.Stats.TierDischarged[c.Tier]++
 				}
 			}
-			rep.Stats.ScheduleDecisions += len(pr.Cascade.Sched)
-			for _, d := range pr.Cascade.Sched {
-				if d.Source == "profile" {
-					rep.Stats.ScheduleFromProfile++
-				}
-			}
-		}
-	}
-	if recorders != nil && profPath != "" {
-		for _, r := range recorders {
-			prof.Merge(r.Profile())
-		}
-		if perr := schedule.SaveProfile(profPath, prof); perr != nil {
-			fmt.Fprintf(os.Stderr, "cssv: schedule profile not saved: %v\n", perr)
 		}
 	}
 	rep.Stats.Workers = workers
@@ -520,32 +452,18 @@ func AnalyzeSource(filename, src string, opts Options) (*Report, error) {
 	return rep, nil
 }
 
-// scheduleProfileDir resolves where the scheduler persists its outcome
-// profile: the explicit override, else alongside the result cache, else
-// nowhere (in-memory only).
-func scheduleProfileDir(opts Options) string {
-	if opts.ScheduleProfile != "" {
-		return opts.ScheduleProfile
-	}
-	if opts.CacheDir != "" {
-		return filepath.Join(opts.CacheDir, "schedule")
-	}
-	return ""
-}
-
 // guardedAnalyzeProc isolates a panicking per-procedure pipeline: the
 // worker recovers, and the procedure is reported as degraded with one
 // synthesized unresolved violation, so the run completes (with a nonzero
 // message count) instead of crashing. Sibling procedures are unaffected.
 func guardedAnalyzeProc(orig *cast.File, prog *corec.Program, name string, opts Options,
-	cc *cacheCtx, rc *runCounters, planner *schedule.Planner, rec *schedule.Recorder,
-	exclusive bool, done <-chan struct{}) (pr *ProcReport, err error) {
+	cc *cacheCtx, rc *runCounters, exclusive bool, done <-chan struct{}) (pr *ProcReport, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			pr, err = panicReport(name, r, debug.Stack()), nil
 		}
 	}()
-	return analyzeProc(orig, prog, name, opts, cc, rc, planner, rec, exclusive, done)
+	return analyzeProc(orig, prog, name, opts, cc, rc, exclusive, done)
 }
 
 // panicReport builds the conservative report for a procedure whose
@@ -604,8 +522,7 @@ func withContract(prog *corec.Program, proc string, ct *cast.Contract) *corec.Pr
 // a failing sibling cancels the pipeline promptly. exclusive marks that no
 // sibling runs concurrently, enabling the Space measurement.
 func analyzeProc(orig *cast.File, prog *corec.Program, name string, opts Options,
-	cc *cacheCtx, rc *runCounters, planner *schedule.Planner, rec *schedule.Recorder,
-	exclusive bool, done <-chan struct{}) (*ProcReport, error) {
+	cc *cacheCtx, rc *runCounters, exclusive bool, done <-chan struct{}) (*ProcReport, error) {
 	var allocBefore uint64
 	if exclusive {
 		allocBefore = heapAllocBytes()
@@ -771,8 +688,6 @@ func analyzeProc(orig *cast.File, prog *corec.Program, name string, opts Options
 			Token:           tok,
 			ZoneConfig:      zcfg,
 			Octagon:         opts.Octagon,
-			Planner:         planner,
-			Recorder:        rec,
 		}
 		var exhausted string
 		if opts.Cascade {

@@ -16,7 +16,6 @@ var determinismScope = []string{
 	ModulePath + "/internal/analysis",
 	ModulePath + "/internal/table5",
 	ModulePath + "/internal/derive",
-	ModulePath + "/internal/schedule",
 }
 
 // Determinism guards the bit-identical-reports contract. In scope

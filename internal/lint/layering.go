@@ -104,7 +104,7 @@ var LayerRules = []LayerRule{
 	{
 		Pkg:  ModulePath + "/internal/schedule",
 		Deny: []string{ModulePath + "/"},
-		Why:  "the scheduler is a leaf that maps static features to tier orders and budgets — pure cost policy; linking any analysis layer would let scheduling read the state whose verdicts it must never influence",
+		Why:  "the package only names the fixed tier schedule in the cache-key fingerprint; it stays a leaf so that fingerprint constant can never depend on analysis code",
 	},
 	{
 		Pkg: ModulePath + "/internal/lint",

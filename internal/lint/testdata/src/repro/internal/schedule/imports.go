@@ -1,5 +1,5 @@
-// Fixture for the layering analyzer: the scheduler is a leaf — pure
-// cost policy that must not link any analysis layer.
+// Fixture for the layering analyzer: the schedule package is a leaf
+// that must not link any analysis layer.
 package schedule
 
 import (

@@ -47,10 +47,6 @@ type RequestConfig struct {
 	Cascade   bool     `json:"cascade,omitempty"`
 	Certify   bool     `json:"certify,omitempty"`
 	Octagon   bool     `json:"octagon,omitempty"`
-	// Schedule selects the cascade tier scheduler ("off" or "adaptive");
-	// the profile directory stays server-owned (it lives under the
-	// server's cache directory).
-	Schedule string `json:"schedule,omitempty"`
 
 	Stats         bool `json:"stats,omitempty"`
 	DumpIP        bool `json:"dump_ip,omitempty"`
@@ -149,6 +145,15 @@ func decodeError(w http.ResponseWriter, err error) {
 	http.Error(w, "malformed request: "+err.Error(), http.StatusBadRequest)
 }
 
+// decodeRequest decodes a request body into v. Unknown fields are
+// rejected, so a misspelled or retired config key gets a 400 instead of
+// silently running a different configuration.
+func decodeRequest(r *http.Request, v any) error {
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	return dec.Decode(v)
+}
+
 // Handler returns the daemon's HTTP mux.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -162,7 +167,7 @@ func (s *Server) Handler() http.Handler {
 		}
 		s.limitBody(w, r)
 		var req Request
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		if err := decodeRequest(r, &req); err != nil {
 			decodeError(w, err)
 			return
 		}
@@ -175,7 +180,7 @@ func (s *Server) Handler() http.Handler {
 		}
 		s.limitBody(w, r)
 		var req BatchRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		if err := decodeRequest(r, &req); err != nil {
 			decodeError(w, err)
 			return
 		}
@@ -216,7 +221,6 @@ func (s *Server) analyze(req Request) Response {
 		Cascade:     c.Cascade || c.Octagon || c.DumpReducedIP,
 		Certify:     c.Certify,
 		Octagon:     c.Octagon,
-		Schedule:    c.Schedule,
 		Workers:     s.Workers,
 		CacheDir:    s.CacheDir,
 		CacheVerify: s.CacheVerify,

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -89,8 +90,8 @@ func TestServeBatchAndErrors(t *testing.T) {
 	batch := BatchRequest{Requests: []Request{
 		{Filename: "skipline.c", Source: string(src), Config: RequestConfig{Cascade: true, Quiet: true}},
 		{Filename: "broken.c", Source: "void f( {", Config: RequestConfig{}},
-		// An unknown scheduler mode ("static") is a config error, not a panic.
-		{Filename: "skipline.c", Source: string(src), Config: RequestConfig{Schedule: "static"}},
+		// An unknown domain is a config error, not a panic.
+		{Filename: "skipline.c", Source: string(src), Config: RequestConfig{Domain: "bogus"}},
 	}}
 	var resp BatchResponse
 	post(t, ts, "/v1/batch", batch, &resp)
@@ -104,7 +105,26 @@ func TestServeBatchAndErrors(t *testing.T) {
 		t.Errorf("batch result 1 should be a parse failure: %+v", resp.Results[1])
 	}
 	if r := resp.Results[2]; r.Error == "" || r.ExitCode != 2 {
-		t.Errorf("batch result 2 should reject schedule \"static\": %+v", r)
+		t.Errorf("batch result 2 should reject domain \"bogus\": %+v", r)
+	}
+
+	// An unknown config key (here a misspelled "cascade") is rejected
+	// before analysis instead of silently running the default config.
+	for _, path := range []string{"/v1/analyze", "/v1/batch"} {
+		body := `{"filename":"skipline.c","source":"","config":{"cascde":true}}`
+		if path == "/v1/batch" {
+			body = `{"requests":[` + body + `]}`
+		}
+		r, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(r.Body)
+		r.Body.Close()
+		if r.StatusCode != http.StatusBadRequest || !strings.HasPrefix(string(msg), "malformed request") {
+			t.Errorf("%s with unknown config key: status %d, body %q; want 400 malformed request",
+				path, r.StatusCode, msg)
+		}
 	}
 
 	if r, err := http.Post(ts.URL+"/v1/analyze", "application/json",

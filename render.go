@@ -52,12 +52,8 @@ func Render(w io.Writer, rep *Report, o RenderOptions) (messages, certFailed int
 			s.CacheHits, s.CacheRevalidated, s.CacheMisses, s.CacheStores,
 			s.CacheBadEntries, s.CacheCertRejected, s.PtCacheEvictions,
 			s.FixpointIterations)
-		// Printed only under an active scheduler so that "off" reports stay
-		// byte-identical to pre-scheduler releases.
-		if s.ScheduleMode != "" && s.ScheduleMode != "off" {
-			fmt.Fprintf(w, "run: schedule mode=%s decisions=%d from-profile=%d discharged=%s\n",
-				s.ScheduleMode, s.ScheduleDecisions, s.ScheduleFromProfile,
-				formatTierDischarged(s.TierDischarged))
+		if s.TierDischarged != nil {
+			fmt.Fprintf(w, "run: cascade discharged=%s\n", formatTierDischarged(s.TierDischarged))
 		}
 	}
 
@@ -91,10 +87,6 @@ func Render(w io.Writer, rep *Report, o RenderOptions) (messages, certFailed int
 					}
 					fmt.Fprintf(w, "%s: check %s (%s): %s on %dx%d\n",
 						p.Name, c.Check, c.Pos, verdict, c.IPVars, c.IPSize)
-				}
-				for i, d := range p.Cascade.Decisions {
-					fmt.Fprintf(w, "%s: schedule group %d (%s): checks=%v order=%v budgets=%v\n",
-						p.Name, i, d.Source, d.Checks, d.Order, d.Budgets)
 				}
 			}
 			if o.DumpReducedIP {
@@ -158,9 +150,6 @@ func orTrue(s string) string {
 // formatTierDischarged renders the per-tier discharge counts in sorted
 // tier order (map iteration alone would be nondeterministic output).
 func formatTierDischarged(m map[string]int) string {
-	if len(m) == 0 {
-		return "none"
-	}
 	tiers := make([]string, 0, len(m))
 	for t := range m {
 		tiers = append(tiers, t)
