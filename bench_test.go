@@ -399,7 +399,7 @@ func BenchmarkRunningExample(b *testing.B) {
 // write-back) on the running example.
 func BenchmarkDerive(b *testing.B) {
 	src := mustRead(b, "testdata/running/skipline.c")
-	prog, err := core.Prepare("skipline.c", src, false)
+	prog, err := core.Prepare("skipline.c", src)
 	if err != nil {
 		b.Fatal(err)
 	}

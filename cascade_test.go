@@ -2,7 +2,6 @@ package cssv
 
 import (
 	"os"
-	"strings"
 	"testing"
 
 	"repro/internal/analysis"
@@ -98,16 +97,5 @@ func TestConvertProcNilIP(t *testing.T) {
 	}
 	if p.IntegerProgram != "" {
 		t.Errorf("IntegerProgram = %q, want empty for nil IP", p.IntegerProgram)
-	}
-}
-
-func TestWideningDelayValidation(t *testing.T) {
-	_, err := Analyze("x.c", "void f(void) {}", Config{WideningDelay: -1})
-	if err == nil {
-		t.Fatal("WideningDelay -1 accepted")
-	}
-	const want = "WideningDelay must be >= 0"
-	if got := err.Error(); !strings.Contains(got, want) {
-		t.Errorf("error %q does not mention %q", got, want)
 	}
 }

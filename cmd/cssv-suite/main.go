@@ -77,7 +77,6 @@ func main() {
 		pointer   = flag.String("pointer", "inclusion", "pointer analysis: inclusion, unification")
 		target    = flag.String("target", "paper32", "object-layout data model: paper32, sysv64")
 		contracts = flag.String("contracts", "manual", "contract mode: manual, vacuous, auto")
-		octagon   = flag.Bool("octagon", false, "insert the octagon tier between zone and the final domain")
 		timeout   = flag.Duration("proc-timeout", 0, "wall-clock budget per procedure (0 = unlimited)")
 		steps     = flag.Int("step-budget", 0, "fixpoint iteration budget per procedure (0 = unlimited)")
 	)
@@ -104,7 +103,6 @@ func main() {
 		Target:      *target,
 		Contracts:   *contracts,
 		Cascade:     true,
-		Octagon:     *octagon,
 		Workers:     *jobs,
 		ProcTimeout: *timeout,
 		StepBudget:  *steps,

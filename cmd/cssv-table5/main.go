@@ -28,7 +28,6 @@ func main() {
 	certify := flag.Bool("certify", false, "verify invariant certificates and replay messages to witnesses; adds the Cert/CFail/Wit/Pot columns")
 	timeout := flag.Duration("proc-timeout", 0, "wall-clock budget per procedure (0 = unlimited); expired procedures report unresolved checks")
 	steps := flag.Int("step-budget", 0, "fixpoint iteration budget per procedure (0 = unlimited)")
-	octagon := flag.Bool("octagon", false, "insert the octagon tier between the zone tier and the final domain (implies the cascade)")
 	target := flag.String("target", "paper32", "object-layout data model: paper32, sysv64")
 	stats := flag.Bool("stats", false, "print substrate statistics (arena recycling, zone representation selections) after the table")
 	flag.Parse()
@@ -37,8 +36,7 @@ func main() {
 	opts := table5.Options{SkipDerivation: *fast, Stats: &runStats}
 	opts.Driver.Workers = *jobs
 	opts.Driver.Certify = *certify
-	opts.Driver.Cascade = *certify || *octagon // certificates record the discharging tier
-	opts.Driver.Octagon = *octagon
+	opts.Driver.Cascade = *certify // certificates record the discharging tier
 	opts.Driver.ProcDeadline = *timeout
 	opts.Driver.StepBudget = *steps
 	tgt, err := ctypes.ParseTarget(*target)

@@ -33,7 +33,6 @@ func main() {
 		dumpIP      = flag.Bool("dump-ip", false, "print the generated integer programs")
 		cascade     = flag.Bool("cascade", false, "discharge checks in tiers (interval, zone, then the selected domain on the sliced residual)")
 		certify     = flag.Bool("certify", false, "verify invariant certificates for discharged checks (independent Fourier-Motzkin checker) and replay reported messages to concrete witnesses")
-		octagon     = flag.Bool("octagon", false, "insert the octagon tier (±x±y constraints) between the zone tier and the final domain (implies -cascade)")
 		dumpRed     = flag.Bool("dump-reduced-ip", false, "print the residual integer program the final cascade tier analyzed (implies -cascade)")
 		jobs        = flag.Int("j", 0, "procedures analyzed in parallel (0 = all CPUs, 1 = sequential)")
 		quiet       = flag.Bool("q", false, "suppress warnings")
@@ -56,9 +55,8 @@ func main() {
 		Contracts:         *contracts,
 		DisablePPTMerging: *noMerge,
 		NaiveC2IP:         *naive,
-		Cascade:           *cascade || *dumpRed || *octagon,
+		Cascade:           *cascade || *dumpRed,
 		Certify:           *certify,
-		Octagon:           *octagon,
 		Workers:           *jobs,
 		ProcTimeout:       *timeout,
 		StepBudget:        *steps,

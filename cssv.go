@@ -76,8 +76,6 @@ type Config struct {
 	// StrictZeroStore uses the guarded null-store transfer instead of the
 	// paper's Table 4 rule (see DESIGN.md).
 	StrictZeroStore bool
-	// NoLibc disables the built-in standard-library contract models.
-	NoLibc bool
 	// Workers bounds how many procedures are analyzed concurrently. CSSV
 	// verifies each procedure separately against contracts, so the
 	// per-procedure pipelines are independent and fan out over a bounded
@@ -86,8 +84,6 @@ type Config struct {
 	// (runtime.GOMAXPROCS); 1 forces the sequential driver, which is also
 	// the only mode in which Procedure.Space is measured.
 	Workers int
-	// WideningDelay defers widening at loop heads (default 1).
-	WideningDelay int
 	// Cascade discharges checks in tiers: the integer program is reduced
 	// (unreachable-node pruning, constant/copy propagation, per-assertion
 	// backward slicing), the interval domain proves what it can, the zone
@@ -114,14 +110,6 @@ type Config struct {
 	// (0 = unlimited). Exhaustion degrades exactly like ProcTimeout but
 	// is fully deterministic.
 	StepBudget int
-	// MaxRays overrides the polyhedra ray cap per run (0 = default,
-	// negative = unlimited); drops at the cap are counted in
-	// RunStats.PrecisionDrops.
-	MaxRays int
-	// Octagon inserts the octagon tier (±x±y difference constraints on a
-	// doubled-variable DBM) between the zone tier and the final domain.
-	// The tier lives in the cascade, so setting it implies Cascade.
-	Octagon bool
 	// CacheDir enables the content-addressed on-disk result cache rooted at
 	// this directory (created if missing). Results are keyed by structural
 	// hashes of the procedure body, the run configuration, and the textual
@@ -325,7 +313,7 @@ func AnalyzeFile(path string, cfg Config) (*Report, error) {
 // DeriveContracts runs the paper's §4 derivation (ASPost + AWPre) for one
 // procedure and returns the derived clauses in contract-language syntax.
 func DeriveContracts(filename, source, proc string) (requires, ensures string, err error) {
-	prog, err := core.Prepare(filename, source, false)
+	prog, err := core.Prepare(filename, source)
 	if err != nil {
 		return "", "", err
 	}
@@ -337,33 +325,25 @@ func DeriveContracts(filename, source, proc string) (requires, ensures string, e
 }
 
 func (cfg Config) driverOptions() (core.Options, error) {
-	if cfg.WideningDelay < 0 {
-		return core.Options{}, fmt.Errorf("cssv: WideningDelay must be >= 0, got %d", cfg.WideningDelay)
-	}
 	if cfg.Workers < 0 {
-		return core.Options{}, fmt.Errorf("cssv: Workers must be >= 0, got %d", cfg.Workers)
+		return core.Options{}, fmt.Errorf("Workers must be >= 0, got %d", cfg.Workers)
 	}
 	if cfg.ProcTimeout < 0 {
-		return core.Options{}, fmt.Errorf("cssv: ProcTimeout must be >= 0, got %v", cfg.ProcTimeout)
+		return core.Options{}, fmt.Errorf("ProcTimeout must be >= 0, got %v", cfg.ProcTimeout)
 	}
 	if cfg.StepBudget < 0 {
-		return core.Options{}, fmt.Errorf("cssv: StepBudget must be >= 0, got %d", cfg.StepBudget)
+		return core.Options{}, fmt.Errorf("StepBudget must be >= 0, got %d", cfg.StepBudget)
 	}
 	opts := core.Options{
-		// Octagon implies Cascade: the octagon tier runs inside it.
-		Cascade:       cfg.Cascade || cfg.Octagon,
-		Certify:       cfg.Certify,
-		CacheDir:      cfg.CacheDir,
-		CacheVerify:   cfg.CacheVerify,
-		Procs:         cfg.Procedures,
-		NoLibc:        cfg.NoLibc,
-		Workers:       cfg.Workers,
-		WideningDelay: cfg.WideningDelay,
-		ProcDeadline:  cfg.ProcTimeout,
-		StepBudget:    cfg.StepBudget,
-		MaxRays:       cfg.MaxRays,
-		Octagon:       cfg.Octagon,
-		PPT:           ppt.Options{DisableMerging: cfg.DisablePPTMerging},
+		Cascade:      cfg.Cascade,
+		Certify:      cfg.Certify,
+		CacheDir:     cfg.CacheDir,
+		CacheVerify:  cfg.CacheVerify,
+		Procs:        cfg.Procedures,
+		Workers:      cfg.Workers,
+		ProcDeadline: cfg.ProcTimeout,
+		StepBudget:   cfg.StepBudget,
+		PPT:          ppt.Options{DisableMerging: cfg.DisablePPTMerging},
 		C2IP: c2ip.Options{
 			Naive:           cfg.NaiveC2IP,
 			StrictZeroStore: cfg.StrictZeroStore,
@@ -377,14 +357,14 @@ func (cfg Config) driverOptions() (core.Options, error) {
 	case "zone":
 		opts.Domain = analysis.ZoneDomain{}
 	default:
-		return opts, fmt.Errorf("cssv: unknown domain %q", cfg.Domain)
+		return opts, fmt.Errorf("unknown domain %q", cfg.Domain)
 	}
 	switch cfg.Pointer {
 	case "", "inclusion":
 	case "unification":
 		opts.PointerMode = 1
 	default:
-		return opts, fmt.Errorf("cssv: unknown pointer mode %q", cfg.Pointer)
+		return opts, fmt.Errorf("unknown pointer mode %q", cfg.Pointer)
 	}
 	switch cfg.Contracts {
 	case "", "manual":
@@ -394,11 +374,11 @@ func (cfg Config) driverOptions() (core.Options, error) {
 	case "auto":
 		opts.Contracts = core.AutoContracts
 	default:
-		return opts, fmt.Errorf("cssv: unknown contract mode %q", cfg.Contracts)
+		return opts, fmt.Errorf("unknown contract mode %q", cfg.Contracts)
 	}
 	target, err := ctypes.ParseTarget(cfg.Target)
 	if err != nil {
-		return opts, fmt.Errorf("cssv: %v", err)
+		return opts, err
 	}
 	opts.Target = target
 	return opts, nil

@@ -4,6 +4,7 @@ import (
 	"os"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestRunningExampleAPI drives the public API end to end on the paper's
@@ -80,15 +81,30 @@ func TestFig8CounterExample(t *testing.T) {
 	}
 }
 
+// TestConfigValidation: every invalid Config field is rejected with an
+// unprefixed error; the command-line front ends add their own "cssv: "
+// prefix, so a prefix here would print twice.
 func TestConfigValidation(t *testing.T) {
-	if _, err := Analyze("x.c", "void f() {}", Config{Domain: "octagon"}); err == nil {
-		t.Error("bad domain accepted")
-	}
-	if _, err := Analyze("x.c", "void f() {}", Config{Pointer: "magic"}); err == nil {
-		t.Error("bad pointer mode accepted")
-	}
-	if _, err := Analyze("x.c", "void f() {}", Config{Contracts: "psychic"}); err == nil {
-		t.Error("bad contract mode accepted")
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"domain", Config{Domain: "octagon"}},
+		{"pointer", Config{Pointer: "magic"}},
+		{"contracts", Config{Contracts: "psychic"}},
+		{"target", Config{Target: "pdp11"}},
+		{"workers", Config{Workers: -1}},
+		{"proc-timeout", Config{ProcTimeout: -time.Second}},
+		{"step-budget", Config{StepBudget: -1}},
+	} {
+		_, err := Analyze("x.c", "void f() {}", tc.cfg)
+		if err == nil {
+			t.Errorf("bad %s accepted", tc.name)
+			continue
+		}
+		if strings.HasPrefix(err.Error(), "cssv: ") {
+			t.Errorf("bad %s: error %q carries the front ends' prefix", tc.name, err)
+		}
 	}
 }
 

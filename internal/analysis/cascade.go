@@ -78,9 +78,8 @@ type CascadeResult struct {
 
 // AnalyzeCascade runs the tiered check discharge of the reduction design:
 // the IP is pruned of unreachable nodes, then analyzed by the interval
-// domain first, the zone domain second, the octagon domain third (when
-// Options.Octagon is set), and the configured final domain (polyhedra by
-// default) last. Each tier sees only the backward slice of
+// domain first, the zone domain second, and the configured final domain
+// (polyhedra by default) last. Each tier sees only the backward slice of
 // the asserts every cheaper tier failed to prove, with constant/copy
 // propagation additionally applied in the cheap tiers. Soundness: every
 // tier is sound and every reduction over-approximates, so a check
@@ -107,12 +106,8 @@ func AnalyzeCascade(p *ip.Program, opts Options) (*CascadeResult, error) {
 	}
 
 	final := opts.Domain
-	cheap := []Domain{IntervalDomain{}, ZoneDomain{Config: opts.ZoneConfig}}
-	if opts.Octagon {
-		cheap = append(cheap, OctagonDomain{Config: opts.ZoneConfig})
-	}
 	var tiers []Domain
-	for _, d := range cheap {
+	for _, d := range []Domain{IntervalDomain{}, ZoneDomain{Config: opts.ZoneConfig}} {
 		if d.Name() != final.Name() {
 			tiers = append(tiers, d)
 		}

@@ -53,10 +53,6 @@ type Options struct {
 	// ZoneConfig configures the zone tier AnalyzeCascade constructs
 	// internally (the final domain arrives pre-configured via Domain).
 	ZoneConfig *zone.Config
-	// Octagon inserts the octagon tier between the zone tier and the
-	// final domain in AnalyzeCascade. The tier shares ZoneConfig (its
-	// matrix is the zone substrate's raw DBM).
-	Octagon bool
 }
 
 func (o *Options) fill() {

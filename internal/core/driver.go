@@ -53,9 +53,6 @@ type Options struct {
 	PPT ppt.Options
 	// C2IP tunes the transformation.
 	C2IP c2ip.Options
-	// WideningDelay / NarrowingPasses forward to the fixpoint engine.
-	WideningDelay   int
-	NarrowingPasses int
 	// Cascade runs the tiered check discharge (interval, then zone, then
 	// the configured domain on the sliced residual) instead of a single
 	// fixpoint in the configured domain.
@@ -85,15 +82,9 @@ type Options struct {
 	// package default, negative = unlimited). Replaces the old mutable
 	// polyhedra.MaxRays package global.
 	MaxRays int
-	// Octagon inserts the octagon tier (±x±y constraints on a
-	// doubled-variable DBM) between the zone tier and the final domain.
-	// Only meaningful with Cascade.
-	Octagon bool
 	// Procs restricts analysis to these procedures (default: all defined
 	// procedures that are not libc models).
 	Procs []string
-	// NoLibc disables prepending the standard-library contract header.
-	NoLibc bool
 	// Contracts selects which contract the analyzed procedure itself gets:
 	// the manual one from the source (default), a vacuous one (side effects
 	// only), or the automatically derived one (paper §4, Table 5's
@@ -297,21 +288,16 @@ func (r *Report) Proc(name string) *ProcReport {
 	return nil
 }
 
-// parseUnit parses (with the libc contract header unless noLibc) and
-// normalizes a translation unit under a fresh layout engine for the run's
-// target. The header is lexed and parsed at most once per process
-// (libc.Prelude) and its declarations are shared, immutable, across runs —
-// the engine never mutates the interned structs, it memoizes layouts on the
-// side.
-func parseUnit(filename, src string, noLibc bool, target ctypes.Target) (*cast.File, *corec.Program, error) {
+// parseUnit parses (with the libc contract header) and normalizes a
+// translation unit under a fresh layout engine for the run's target. The
+// header is lexed and parsed at most once per process (libc.Prelude) and
+// its declarations are shared, immutable, across runs — the engine never
+// mutates the interned structs, it memoizes layouts on the side.
+func parseUnit(filename, src string, target ctypes.Target) (*cast.File, *corec.Program, error) {
 	layout := ctypes.NewEngine(target)
-	var pre *cparse.Prelude
-	if !noLibc {
-		p, err := libc.Prelude()
-		if err != nil {
-			return nil, nil, err
-		}
-		pre = p
+	pre, err := libc.Prelude()
+	if err != nil {
+		return nil, nil, err
 	}
 	file, err := cparse.ParseFilesWithLayout(pre, []cparse.NamedSource{{Name: filename, Src: src}}, layout)
 	if err != nil {
@@ -325,10 +311,10 @@ func parseUnit(filename, src string, noLibc bool, target ctypes.Target) (*cast.F
 }
 
 // Prepare parses and normalizes a translation unit (with the libc contract
-// header unless noLibc) under the packed Paper32 model, for callers that
-// drive individual phases (e.g. contract derivation).
-func Prepare(filename, src string, noLibc bool) (*corec.Program, error) {
-	_, prog, err := parseUnit(filename, src, noLibc, ctypes.Paper32)
+// header) under the packed Paper32 model, for callers that drive
+// individual phases (e.g. contract derivation).
+func Prepare(filename, src string) (*corec.Program, error) {
+	_, prog, err := parseUnit(filename, src, ctypes.Paper32)
 	return prog, err
 }
 
@@ -361,8 +347,8 @@ type runCounters struct {
 // workers are cancelled at their next phase boundary.
 func AnalyzeSource(filename, src string, opts Options) (*Report, error) {
 	start := time.Now()
-	libcCached := !opts.NoLibc && libc.PreludeCached()
-	file, prog, err := parseUnit(filename, src, opts.NoLibc, opts.Target)
+	libcCached := libc.PreludeCached()
+	file, prog, err := parseUnit(filename, src, opts.Target)
 	if err != nil {
 		return nil, err
 	}
@@ -543,11 +529,7 @@ func analyzeProc(orig *cast.File, prog *corec.Program, name string, opts Options
 	case VacuousContracts:
 		prog = withContract(prog, name, vacuousOf(prog.File.Lookup(name)))
 	case AutoContracts:
-		der, err := derive.Derive(prog, name, derive.Options{
-			PointerMode:     opts.PointerMode,
-			WideningDelay:   opts.WideningDelay,
-			NarrowingPasses: opts.NarrowingPasses,
-		})
+		der, err := derive.Derive(prog, name, derive.Options{PointerMode: opts.PointerMode})
 		if err != nil {
 			return nil, fmt.Errorf("derive: %w", err)
 		}
@@ -681,13 +663,10 @@ func analyzeProc(orig *cast.File, prog *corec.Program, name string, opts Options
 		// requires its certificates. The flag is result-neutral — it only
 		// makes the engine export what it already proved.
 		aopts := analysis.Options{
-			Domain:          analysis.WithSubstrate(opts.Domain, pcfg, zcfg),
-			WideningDelay:   opts.WideningDelay,
-			NarrowingPasses: opts.NarrowingPasses,
-			Certify:         opts.Certify || cacheable,
-			Token:           tok,
-			ZoneConfig:      zcfg,
-			Octagon:         opts.Octagon,
+			Domain:     analysis.WithSubstrate(opts.Domain, pcfg, zcfg),
+			Certify:    opts.Certify || cacheable,
+			Token:      tok,
+			ZoneConfig: zcfg,
 		}
 		var exhausted string
 		if opts.Cascade {

@@ -15,7 +15,7 @@ void h(void) { char *q; q = g; }
 
 func TestCachedPointerAnalyzeSharesResults(t *testing.T) {
 	FlushCaches()
-	prog, err := Prepare("t.c", ptcacheSrc, false)
+	prog, err := Prepare("t.c", ptcacheSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestCachedPointerAnalyzeSharesResults(t *testing.T) {
 		t.Errorf("different mode shared the inclusion result")
 	}
 	// A structurally different program is a different key.
-	prog2, err := Prepare("t.c", ptcacheSrc+"\nvoid k(void) { char *r; r = g; }", false)
+	prog2, err := Prepare("t.c", ptcacheSrc+"\nvoid k(void) { char *r; r = g; }")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestPtCacheEviction(t *testing.T) {
 		for j := 0; j < i; j++ {
 			src += "\nchar extra" + string(rune('a'+j)) + "[4];"
 		}
-		p, err := Prepare("t.c", src, false)
+		p, err := Prepare("t.c", src)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -35,9 +35,7 @@ import (
 
 // Options configures derivation.
 type Options struct {
-	PointerMode     pointer.Mode
-	WideningDelay   int
-	NarrowingPasses int
+	PointerMode pointer.Mode
 	// KeepManualModifies uses the procedure's declared modifies clause; when
 	// false (or absent) a side-effect analysis synthesizes one (§4 step 1,
 	// following [34]).
@@ -84,10 +82,7 @@ func Derive(prog *corec.Program, proc string, opts Options) (*Result, error) {
 		return nil, err
 	}
 	_ = vac
-	ares, err := analysis.Analyze(ipProg, analysis.Options{
-		WideningDelay:   opts.WideningDelay,
-		NarrowingPasses: opts.NarrowingPasses,
-	})
+	ares, err := analysis.Analyze(ipProg, analysis.Options{})
 	if err != nil {
 		return nil, err
 	}

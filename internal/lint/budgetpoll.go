@@ -11,7 +11,6 @@ var budgetpollScope = []string{
 	ModulePath + "/internal/analysis",
 	ModulePath + "/internal/polyhedra",
 	ModulePath + "/internal/zone",
-	ModulePath + "/internal/octagon",
 	ModulePath + "/internal/interval",
 	ModulePath + "/internal/numkernel",
 }

@@ -38,7 +38,6 @@ func TestLayeringFixtures(t *testing.T) {
 	t.Run("certify", func(t *testing.T) { fixture(t, Layering, "repro/internal/certify", 0) })
 	t.Run("budget", func(t *testing.T) { fixture(t, Layering, "repro/internal/budget", 0) })
 	t.Run("substrate", func(t *testing.T) { fixture(t, Layering, "repro/internal/zone", 0) })
-	t.Run("octagon", func(t *testing.T) { fixture(t, Layering, "repro/internal/octagon", 0) })
 	t.Run("cache", func(t *testing.T) { fixture(t, Layering, "repro/internal/cache", 0) })
 	t.Run("schedule", func(t *testing.T) { fixture(t, Layering, "repro/internal/schedule", 0) })
 }

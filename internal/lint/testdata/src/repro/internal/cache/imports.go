@@ -9,7 +9,6 @@ import (
 	_ "repro/internal/clex"      // allowed: shared position type
 	_ "repro/internal/ip"        // allowed: the integer-program IR is shared vocabulary
 	_ "repro/internal/linear"    // allowed: the constraint IR is shared vocabulary
-	_ "repro/internal/octagon"   // want `must not import repro/internal/octagon`
 	_ "repro/internal/polyhedra" // want `must not import repro/internal/polyhedra`
 	_ "repro/internal/zone"      // want `must not import repro/internal/zone`
 )

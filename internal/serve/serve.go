@@ -46,7 +46,6 @@ type RequestConfig struct {
 	Contracts string   `json:"contracts,omitempty"`
 	Cascade   bool     `json:"cascade,omitempty"`
 	Certify   bool     `json:"certify,omitempty"`
-	Octagon   bool     `json:"octagon,omitempty"`
 
 	Stats         bool `json:"stats,omitempty"`
 	DumpIP        bool `json:"dump_ip,omitempty"`
@@ -218,9 +217,8 @@ func (s *Server) analyze(req Request) Response {
 		Pointer:     c.Pointer,
 		Target:      target,
 		Contracts:   c.Contracts,
-		Cascade:     c.Cascade || c.Octagon || c.DumpReducedIP,
+		Cascade:     c.Cascade || c.DumpReducedIP,
 		Certify:     c.Certify,
-		Octagon:     c.Octagon,
 		Workers:     s.Workers,
 		CacheDir:    s.CacheDir,
 		CacheVerify: s.CacheVerify,

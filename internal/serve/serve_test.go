@@ -108,22 +108,25 @@ func TestServeBatchAndErrors(t *testing.T) {
 		t.Errorf("batch result 2 should reject domain \"bogus\": %+v", r)
 	}
 
-	// An unknown config key (here a misspelled "cascade") is rejected
-	// before analysis instead of silently running the default config.
-	for _, path := range []string{"/v1/analyze", "/v1/batch"} {
-		body := `{"filename":"skipline.c","source":"","config":{"cascde":true}}`
-		if path == "/v1/batch" {
-			body = `{"requests":[` + body + `]}`
-		}
-		r, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		msg, _ := io.ReadAll(r.Body)
-		r.Body.Close()
-		if r.StatusCode != http.StatusBadRequest || !strings.HasPrefix(string(msg), "malformed request") {
-			t.Errorf("%s with unknown config key: status %d, body %q; want 400 malformed request",
-				path, r.StatusCode, msg)
+	// An unknown config key (a misspelled "cascade", or a deleted knob)
+	// is rejected before analysis instead of silently running the
+	// default config.
+	for _, key := range []string{"cascde", "octagon"} {
+		for _, path := range []string{"/v1/analyze", "/v1/batch"} {
+			body := `{"filename":"skipline.c","source":"","config":{"` + key + `":true}}`
+			if path == "/v1/batch" {
+				body = `{"requests":[` + body + `]}`
+			}
+			r, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			msg, _ := io.ReadAll(r.Body)
+			r.Body.Close()
+			if r.StatusCode != http.StatusBadRequest || !strings.HasPrefix(string(msg), "malformed request") {
+				t.Errorf("%s with unknown config key %q: status %d, body %q; want 400 malformed request",
+					path, key, r.StatusCode, msg)
+			}
 		}
 	}
 
