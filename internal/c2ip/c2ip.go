@@ -97,6 +97,8 @@ type xform struct {
 	opts     Options
 	warnings []Warning
 	nlbl     int
+	// err is the first projection error lv met (see lv).
+	err error
 
 	// loadBind maps the body index of a conditional to the (temp, pointer)
 	// pair of the character load that feeds it on every incoming path, so
@@ -436,6 +438,9 @@ func (x *xform) run() error {
 		x.curIdx = i
 		if err := x.stmt(s); err != nil {
 			return err
+		}
+		if x.err != nil {
+			return x.err
 		}
 	}
 	x.emit(&ip.Label{Name: ExitLabel})

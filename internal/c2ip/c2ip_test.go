@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cast"
 	"repro/internal/corec"
 	"repro/internal/cparse"
 	"repro/internal/inline"
@@ -13,6 +14,19 @@ import (
 
 // transform runs the front half of the pipeline and C2IP for one function.
 func transform(t *testing.T, src, fn string, opts Options) string {
+	t.Helper()
+	nprog, fd, g := frontEnd(t, src, fn)
+	pt := ppt.Build(nprog, fd, g, ppt.Options{})
+	res, err := Transform(nprog, fd, pt, opts)
+	if err != nil {
+		t.Fatalf("c2ip: %v", err)
+	}
+	return res.Prog.String()
+}
+
+// frontEnd parses, inlines and renormalizes src for fn, and returns the
+// program, fn's inlined body and the whole-program points-to result.
+func frontEnd(t *testing.T, src, fn string) (*corec.Program, *cast.FuncDecl, *pointer.Result) {
 	t.Helper()
 	f, err := cparse.ParseFile("t.c", src)
 	if err != nil {
@@ -30,14 +44,7 @@ func transform(t *testing.T, src, fn string, opts Options) string {
 	if err != nil {
 		t.Fatalf("renormalize: %v", err)
 	}
-	fd := nprog.File.Lookup(fn)
-	g := pointer.Analyze(nprog, pointer.Inclusion)
-	pt := ppt.Build(nprog, fd, g, ppt.Options{})
-	res, err := Transform(nprog, fd, pt, opts)
-	if err != nil {
-		t.Fatalf("c2ip: %v", err)
-	}
-	return res.Prog.String()
+	return nprog, nprog.File.Lookup(fn), pointer.Analyze(nprog, pointer.Inclusion)
 }
 
 // TestC2IPTable4Alloc: p = malloc(i) sets offset 0, aSize from the
@@ -297,5 +304,39 @@ void f(char *fmt)
 	}
 	if !found {
 		t.Errorf("no warning for non-constant format; warnings: %v", res.Warnings)
+	}
+}
+
+// TestC2IPUnprojectedGlobal: a PPT that lacks a global the body needs (its
+// projection drifted from C2IP's call dispatch) is a transformation error,
+// not a silently dropped write. The PPT is built for a body that does not
+// touch the global and then paired with one that does.
+func TestC2IPUnprojectedGlobal(t *testing.T) {
+	const decls = `
+int count;
+char buf[8];
+void h();
+`
+	const plain = decls + `void f(int n) { n = n + 1; }`
+	cases := []struct{ name, body string }{
+		{"named", decls + `void f(int n) { n = n + 1; count = n; }`},
+		{"worst-case call", decls + `void f(int n) { n = n + 1; h(); }`},
+	}
+	pprog, pfd, pg := frontEnd(t, plain, "f")
+	stale := ppt.Build(pprog, pfd, pg, ppt.Options{})
+	if _, ok := stale.Lv("count"); ok || !stale.Unprojected("count") {
+		t.Fatalf("f's own PPT should project count out:\n%s", stale)
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			prog, fd, g := frontEnd(t, c.body, "f")
+			if _, err := Transform(prog, fd, ppt.Build(prog, fd, g, ppt.Options{}), Options{}); err != nil {
+				t.Fatalf("with its own PPT: %v", err)
+			}
+			_, err := Transform(prog, fd, stale, Options{})
+			if err == nil || !strings.Contains(err.Error(), "does not project") {
+				t.Fatalf("Transform with a PPT missing a needed global: err = %v, want a projection error", err)
+			}
+		})
 	}
 }

@@ -13,12 +13,6 @@ import (
 	"repro/internal/ppt"
 )
 
-// FormatFuncs are the printf-family functions that get automatically
-// derived pre/postconditions per calling context (paper §3.4.2.3).
-var FormatFuncs = map[string]bool{
-	"printf": true, "fprintf": true, "sprintf": true, "snprintf": true,
-}
-
 // callStmt translates a procedure call (Table 4: g(a1..am) becomes
 // mod[g](a1..am); the inliner already bracketed the call with the
 // contract's assert/assume).
@@ -28,7 +22,7 @@ func (x *xform) callStmt(dst string, c *cast.Call, pos clex.Pos) error {
 	if pointer.AllocFuncs[name] {
 		return x.allocCall(dst, c)
 	}
-	if FormatFuncs[name] {
+	if pointer.FormatFuncs[name] {
 		return x.formatCall(dst, c, pos)
 	}
 
@@ -283,7 +277,7 @@ func (x *xform) modifiesEntry(e cast.Expr) {
 			}
 			return
 		}
-		if l, ok := x.pt.Lv(m.Name); ok {
+		if l, ok := x.lv(m.Name); ok {
 			x.weakly(x.pt.Loc(l).Summary, func() { x.havoc(x.valV(l)) })
 		}
 		return
@@ -310,7 +304,7 @@ func (x *xform) modifiesEntry(e cast.Expr) {
 // array identifier IS its region (decay).
 func (x *xform) regionsOfPath(e cast.Expr) []ppt.LocID {
 	if id, ok := e.(*cast.Ident); ok && id.Type() != nil && ctypes.IsArray(id.Type()) {
-		if l, ok := x.pt.Lv(id.Name); ok {
+		if l, ok := x.lv(id.Name); ok {
 			return []ppt.LocID{l}
 		}
 		return nil
@@ -349,7 +343,8 @@ func (x *xform) havocReachable(l ppt.LocID) {
 }
 
 // havocWorstCase models a call with no contract: everything reachable from
-// pointer arguments and globals may change.
+// pointer arguments and globals may change. The PPT roots every global of a
+// procedure that makes such a call; one it lacks is a projection error.
 func (x *xform) havocWorstCase(c *cast.Call) {
 	for _, a := range c.Args {
 		av := x.atom(a)
@@ -364,7 +359,7 @@ func (x *xform) havocWorstCase(c *cast.Call) {
 	}
 	for _, d := range x.file.Decls {
 		if vd, ok := d.(*cast.VarDecl); ok {
-			if l, ok := x.pt.Lv(vd.Name); ok {
+			if l, ok := x.lv(vd.Name); ok {
 				x.havocReachable(l)
 			}
 		}

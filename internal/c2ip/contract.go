@@ -141,7 +141,7 @@ func (x *xform) addPath(e cast.Expr, out map[string][]cellRegion) {
 	// Array identifiers decay to their base address: the region is the
 	// array itself and the offset is zero.
 	if id, ok := e.(*cast.Ident); ok && id.Type() != nil && ctypes.IsArray(id.Type()) {
-		if l, ok := x.pt.Lv(id.Name); ok {
+		if l, ok := x.lv(id.Name); ok {
 			out[key] = []cellRegion{{region: l, ok: true, arrayBase: true}}
 			return
 		}
@@ -164,7 +164,7 @@ func (x *xform) addPath(e cast.Expr, out map[string][]cellRegion) {
 func (x *xform) cellsOfPath(e cast.Expr) []ppt.LocID {
 	switch e := e.(type) {
 	case *cast.Ident:
-		if l, ok := x.pt.Lv(e.Name); ok {
+		if l, ok := x.lv(e.Name); ok {
 			return []ppt.LocID{l}
 		}
 	case *cast.Unary:
@@ -376,7 +376,7 @@ func (x *xform) termExpr(e cast.Expr, ev env) (linear.Expr, bool) {
 	case *cast.SizeofType:
 		return linear.ConstExpr(int64(x.engine().SizeOf(t.Of))), true
 	case *cast.Ident:
-		if l, ok := x.pt.Lv(t.Name); ok {
+		if l, ok := x.lv(t.Name); ok {
 			return linear.VarExpr(x.valV(l)), true
 		}
 		return linear.Expr{}, false

@@ -61,7 +61,7 @@ func (x *xform) assignStmt(a *cast.Assign) error {
 	}
 	dst := x.atom(lhs)
 	if !dst.hasCell {
-		return nil // variable invisible to the PPT: no tracked state
+		return x.err // unknown to the pointer analysis, or an unprojected global
 	}
 	weak := x.pt.Loc(dst.cell).Summary
 

@@ -1,6 +1,8 @@
 package c2ip
 
 import (
+	"fmt"
+
 	"repro/internal/cast"
 	"repro/internal/ctypes"
 	"repro/internal/ip"
@@ -26,13 +28,27 @@ func (x *xform) atom(e cast.Expr) aval {
 		return aval{lit: e.Value, isLit: true, typ: e.Type()}
 	case *cast.Ident:
 		v := aval{name: e.Name, typ: e.Type()}
-		if l, ok := x.pt.Lv(e.Name); ok {
+		if l, ok := x.lv(e.Name); ok {
 			v.cell = l
 			v.hasCell = true
 		}
 		return v
 	}
 	return aval{typ: e.Type()}
+}
+
+// lv returns the cell of a variable the program or a contract names. A
+// file-scope variable the PPT projected out must never be named: the
+// projection and C2IP's call dispatch have drifted apart, and skipping the
+// name would silently drop its reads and writes. lv records the first such
+// name as the transformation's error.
+func (x *xform) lv(name string) (ppt.LocID, bool) {
+	l, ok := x.pt.Lv(name)
+	if !ok && x.err == nil && x.pt.Unprojected(name) {
+		x.err = fmt.Errorf("c2ip: %s: %s needs global %s, which its PPT does not project",
+			x.fd.Body.Stmts[x.curIdx].Pos(), x.fd.Name, name)
+	}
+	return l, ok
 }
 
 // isRegionValued reports whether the atom denotes a region whose address is

@@ -165,6 +165,14 @@ type builder struct {
 // AllocFuncs are the allocation routines recognized per paper Table 4.
 var AllocFuncs = map[string]bool{"malloc": true, "alloca": true, "calloc": true}
 
+// FormatFuncs are the printf-family functions that get automatically
+// derived pre/postconditions per calling context (paper §3.4.2.3). C2IP
+// dispatches on them, and PPT construction must classify calls the same
+// way, so both read this one table.
+var FormatFuncs = map[string]bool{
+	"printf": true, "fprintf": true, "sprintf": true, "snprintf": true,
+}
+
 // Analyze runs the whole-program analysis over a normalized program.
 func Analyze(prog *corec.Program, mode Mode) *Result {
 	b := &builder{

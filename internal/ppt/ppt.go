@@ -56,6 +56,9 @@ type PPT struct {
 	// MergedFormals lists formals whose R-value set was merged into a
 	// single rv(f) node by the Fig. 7 algorithm.
 	MergedFormals []string
+	// unprojected holds the file-scope variables the pointer analysis
+	// knows but P cannot touch, so the PPT has no cell for them.
+	unprojected map[string]bool
 }
 
 // Lv returns the stack/global location of variable name, if visible.
@@ -63,6 +66,11 @@ func (p *PPT) Lv(name string) (LocID, bool) {
 	id, ok := p.locOf[name]
 	return id, ok
 }
+
+// Unprojected reports whether name is a file-scope variable the PPT left
+// out because P neither names it nor calls anything that could touch it.
+// A consumer that meets such a name has drifted from the projection rule.
+func (p *PPT) Unprojected(name string) bool { return p.unprojected[name] }
 
 // Pt returns the points-to set of location l.
 func (p *PPT) Pt(l LocID) []LocID { return p.pt[l] }
@@ -116,7 +124,7 @@ func Build(prog *corec.Program, fd *cast.FuncDecl, g *pointer.Result, opts Optio
 		prog: prog,
 		fd:   fd,
 		g:    g,
-		ppt:  &PPT{Proc: fd.Name, locOf: map[string]LocID{}},
+		ppt:  &PPT{Proc: fd.Name, locOf: map[string]LocID{}, unprojected: map[string]bool{}},
 		gid:  map[pointer.NodeID]LocID{},
 	}
 	b.build(opts)
@@ -132,7 +140,8 @@ type pptBuilder struct {
 }
 
 // visibleVars returns the names and types of P's visible variables:
-// formals, locals, and globals.
+// formals, locals, and the globals P can touch (touchedGlobals). The other
+// globals are recorded as unprojected.
 func (b *pptBuilder) visibleVars() []cast.Param {
 	var out []cast.Param
 	for _, p := range b.fd.Params {
@@ -145,12 +154,86 @@ func (b *pptBuilder) visibleVars() []cast.Param {
 			}
 		}
 	}
+	named, all := b.touchedGlobals()
 	for _, d := range b.prog.File.Decls {
-		if vd, ok := d.(*cast.VarDecl); ok {
+		vd, ok := d.(*cast.VarDecl)
+		if !ok {
+			continue
+		}
+		if all || named[vd.Name] {
 			out = append(out, cast.Param{Name: vd.Name, Type: vd.DeclType})
+		} else if _, known := b.g.Lookup(vd.Name); known {
+			b.ppt.unprojected[vd.Name] = true
 		}
 	}
 	return out
+}
+
+// touchedGlobals returns the identifiers that P's inlined body and its
+// own contract mention, plus the modifies entries of every contracted
+// callee (C2IP applies those itself, so they are not in the body). A global
+// outside this set can be reached only through points-to from a root. all
+// reports a statement-level call C2IP models by havocking everything
+// reachable from every global: a callee that is not an allocator or a
+// format function and has no contract or is no function at all (a call
+// through a function pointer). Attribute calls inside conditions are not
+// calls.
+func (b *pptBuilder) touchedGlobals() (named map[string]bool, all bool) {
+	named = map[string]bool{}
+	mention := func(e cast.Expr) {
+		cast.WalkExpr(e, func(x cast.Expr) bool {
+			if id, ok := x.(*cast.Ident); ok {
+				named[id.Name] = true
+			}
+			return true
+		})
+	}
+	if ct := b.fd.Contract; ct != nil {
+		mention(ct.Requires)
+		mention(ct.Ensures)
+		for _, m := range ct.Modifies {
+			mention(m)
+		}
+	}
+	if b.fd.Body == nil {
+		return named, false
+	}
+	// Same resolution as cast.File.Lookup: the first definition, else the
+	// last prototype.
+	funcs := map[string]*cast.FuncDecl{}
+	for _, d := range b.prog.File.Decls {
+		if fd, ok := d.(*cast.FuncDecl); ok {
+			if cur := funcs[fd.Name]; cur == nil || cur.Body == nil {
+				funcs[fd.Name] = fd
+			}
+		}
+	}
+	for _, s := range b.fd.Body.Stmts {
+		cast.ExprsOf(s, mention)
+		es, ok := s.(*cast.ExprStmt)
+		if !ok {
+			continue
+		}
+		c, ok := es.X.(*cast.Call)
+		if a, isAssign := es.X.(*cast.Assign); isAssign {
+			c, ok = a.RHS.(*cast.Call)
+		}
+		if !ok {
+			continue
+		}
+		name := c.FuncName()
+		if pointer.AllocFuncs[name] || pointer.FormatFuncs[name] {
+			continue
+		}
+		callee := funcs[name]
+		if callee == nil || callee.Contract == nil {
+			return named, true
+		}
+		for _, m := range callee.Contract.Modifies {
+			mention(m)
+		}
+	}
+	return named, false
 }
 
 func (b *pptBuilder) build(opts Options) {

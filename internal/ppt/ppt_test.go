@@ -107,9 +107,49 @@ func TestParameterizableDisabled(t *testing.T) {
 	}
 }
 
-// TestParameterizableRejectsVisibleTarget: a formal pointing at a global is
-// not parameterizable, because the global is reachable on its own.
+// TestParameterizableRejectsVisibleTarget: a formal pointing at globals is
+// not parameterizable when f can reach a global on its own: by naming it,
+// through an uncontracted call (which havocs everything reachable from
+// every global), or through a contracted callee whose modifies names it.
 func TestParameterizableRejectsVisibleTarget(t *testing.T) {
+	cases := []struct{ name, decls, stmt string }{
+		{"named", "", "gbuf[0] = 'y';"},
+		{"uncontracted call", "void h();", "h();"},
+		{"contracted call", "void h() modifies (gbuf);", "h();"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			src := `
+char gbuf[10];
+char other[10];
+` + c.decls + `
+void f(char *p) {
+    *p = 'x';
+    ` + c.stmt + `
+}
+void main() {
+    f(gbuf);
+    f(other);
+}
+`
+			p, _ := buildFor(t, src, "f", Options{})
+			lv, _ := p.Lv("p")
+			if len(p.Pt(lv)) != 2 {
+				t.Errorf("merge must be rejected when f reaches a target global; got %d targets\n%s", len(p.Pt(lv)), p)
+			}
+			for _, m := range p.MergedFormals {
+				if m == "p" {
+					t.Error("p wrongly recorded as merged")
+				}
+			}
+		})
+	}
+}
+
+// TestParameterizableMergesUnreachableGlobals: when f never names the
+// globals p may point to, they are reachable inside f only through p, so
+// the PPT projects them out as roots and the Fig. 7 merge succeeds.
+func TestParameterizableMergesUnreachableGlobals(t *testing.T) {
 	src := `
 char gbuf[10];
 char other[10];
@@ -123,12 +163,18 @@ void main() {
 `
 	p, _ := buildFor(t, src, "f", Options{})
 	lv, _ := p.Lv("p")
-	if len(p.Pt(lv)) != 2 {
-		t.Errorf("merge must be rejected when targets are globals; got %d targets", len(p.Pt(lv)))
+	if len(p.Pt(lv)) != 1 {
+		t.Errorf("p's targets should merge into rv(p); got %d targets\n%s", len(p.Pt(lv)), p)
 	}
-	for _, m := range p.MergedFormals {
-		if m == "p" {
-			t.Error("p wrongly recorded as merged")
+	if len(p.MergedFormals) != 1 || p.MergedFormals[0] != "p" {
+		t.Errorf("MergedFormals = %v, want [p]", p.MergedFormals)
+	}
+	for _, g := range []string{"gbuf", "other"} {
+		if _, ok := p.Lv(g); ok {
+			t.Errorf("%s should not be a root of f's PPT", g)
+		}
+		if !p.Unprojected(g) {
+			t.Errorf("%s should be recorded as unprojected", g)
 		}
 	}
 }
