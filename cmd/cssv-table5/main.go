@@ -64,9 +64,8 @@ func main() {
 	}
 	fmt.Print(table5.FormatSummary(table5.Summarize(rows)))
 	if *stats {
-		fmt.Printf("\nsubstrate: arena-recycled=%dB zone-repr sparse=%d dense=%d precision-drops=%d\n",
-			runStats.ArenaRecycledBytes, runStats.SparseZoneSelections,
-			runStats.DenseZoneSelections, runStats.PrecisionDrops)
+		fmt.Printf("\nsubstrate: arena-recycled=%dB precision-drops=%d\n",
+			runStats.ArenaRecycledBytes, runStats.PrecisionDrops)
 		fmt.Printf("substrate: target=%s member-accesses resolved=%d havocked=%d\n",
 			tgt, runStats.MemberResolved, runStats.MemberHavocked)
 	}

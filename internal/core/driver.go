@@ -229,10 +229,11 @@ type RunStats struct {
 	// of the garbage-collected heap. Recycling decisions depend only on
 	// each procedure's operation sequence, so the total is deterministic.
 	ArenaRecycledBytes int64
-	// SparseZoneSelections / DenseZoneSelections count the zone
-	// substrate's closure-boundary representation decisions across the
-	// run (the automatic density policy; forced policies count too).
-	// Content-only decisions, hence deterministic.
+	// SparseZoneSelections / DenseZoneSelections are always zero. They
+	// counted the zone substrate's choices between a dense and a sparse
+	// matrix; the zone now has one machine representation. The fields
+	// stay because the benchmark harness (cssvbench), which is kept
+	// unchanged, compares them against its own mirror's counts.
 	SparseZoneSelections, DenseZoneSelections int64
 	// CacheHits / CacheRevalidated / CacheMisses count, under
 	// Options.CacheDir, how each cacheable procedure was resolved: exact
@@ -326,7 +327,6 @@ type runCounters struct {
 	ptEvict               atomic.Int64
 	drops                 atomic.Int64
 	arenaBytes            atomic.Int64
-	selSparse, selDense   atomic.Int64
 	memResolved, memHavoc atomic.Int64
 	cacheHits, cacheReval atomic.Int64
 	cacheMiss             atomic.Int64
@@ -423,8 +423,6 @@ func AnalyzeSource(filename, src string, opts Options) (*Report, error) {
 	rep.Stats.LibcHeaderReused = libcCached
 	rep.Stats.PrecisionDrops = int(rc.drops.Load())
 	rep.Stats.ArenaRecycledBytes = rc.arenaBytes.Load()
-	rep.Stats.SparseZoneSelections = rc.selSparse.Load()
-	rep.Stats.DenseZoneSelections = rc.selDense.Load()
 	rep.Stats.MemberResolved = int(rc.memResolved.Load())
 	rep.Stats.MemberHavocked = int(rc.memHavoc.Load())
 	rep.Stats.CacheHits = int(rc.cacheHits.Load())
@@ -696,9 +694,6 @@ func analyzeProc(orig *cast.File, prog *corec.Program, name string, opts Options
 		// are timing-dependent and deliberately uncounted (determinism).
 		rc.drops.Add(pcfg.DroppedConstraints())
 		rc.arenaBytes.Add(ar.Recycled())
-		sparseSel, denseSel := zcfg.SparseSelections()
-		rc.selSparse.Add(sparseSel)
-		rc.selDense.Add(denseSel)
 		if exhausted != "" {
 			unresolved := 0
 			for _, v := range pr.Violations {

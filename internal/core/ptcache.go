@@ -2,9 +2,11 @@
 // flow-insensitive pointer analysis (paper §3.3.2) depends only on the
 // renormalized program text and the analysis mode, and its result is
 // treated as read-only by every consumer (ppt.Build copies what it
-// refines), so it can be memoized process-wide: procedures whose contract
-// inlining leaves the global points-to input unchanged — and repeated runs
-// over the same translation unit — share one pointer.Analyze result.
+// refines), so it can be memoized process-wide: repeated runs over the
+// same translation unit in one process (cssv-serve, the table5 loops)
+// share one pointer.Analyze result. Within a single run the memo does
+// not hit, because each procedure's contract inlining yields a distinct
+// program.
 package core
 
 import (

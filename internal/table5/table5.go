@@ -99,9 +99,9 @@ type Options struct {
 	// Procs restricts to specific functions.
 	Procs []string
 	// Stats, when non-nil, accumulates substrate statistics (arena
-	// recycling, zone representation selections, precision drops) across
-	// every analysis run the suite performs, including the per-procedure
-	// vacuous/auto derivation re-runs.
+	// recycling, precision drops, member accesses) across every analysis
+	// run the suite performs, including the per-procedure vacuous/auto
+	// derivation re-runs.
 	Stats *core.RunStats
 }
 
@@ -112,8 +112,6 @@ func (o Options) accumulate(s core.RunStats) {
 		return
 	}
 	o.Stats.ArenaRecycledBytes += s.ArenaRecycledBytes
-	o.Stats.SparseZoneSelections += s.SparseZoneSelections
-	o.Stats.DenseZoneSelections += s.DenseZoneSelections
 	o.Stats.PrecisionDrops += s.PrecisionDrops
 	o.Stats.DegradedProcs += s.DegradedProcs
 	o.Stats.UnresolvedChecks += s.UnresolvedChecks

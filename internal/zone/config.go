@@ -2,32 +2,16 @@ package zone
 
 import (
 	"math/big"
-	"sync/atomic"
 
 	"repro/internal/arena"
 	"repro/internal/budget"
 )
 
-// SparsePolicy selects the machine-tier DBM representation.
-type SparsePolicy int
-
-const (
-	// SparseAuto picks dense or sparse by finite-cell density at each
-	// closure boundary (the default).
-	SparseAuto SparsePolicy = iota
-	// SparseOff pins the dense matrix representation.
-	SparseOff
-	// SparseForce pins the sparse representation regardless of density
-	// (used by the differential tests to exercise every sparse path).
-	SparseForce
-)
-
 // Config carries per-run knobs for the zone domain. There is no mutable
 // package-level configuration: concurrent analyses each thread their own
 // Config, so they cannot race. A nil *Config is valid and means defaults
-// (hybrid kernel, automatic representation, no budget, no arena); DBMs
-// propagate the Config of the receiver (falling back to the other
-// operand) through all operations.
+// (hybrid kernel, no budget, no arena); DBMs propagate the Config of the
+// receiver (falling back to the other operand) through all operations.
 type Config struct {
 	// Token, when non-nil, is polled before each closure: once it is
 	// exhausted the closure is skipped, leaving a partially tightened
@@ -37,22 +21,13 @@ type Config struct {
 	// demotion. The differential tests use it to build a reference
 	// kernel; it must never be set in production code. The reference
 	// kernel also never reuses closures (no closed flag, no incremental
-	// repair) and never picks the sparse representation, so it
-	// maximizes divergence detection against the optimized paths.
+	// repair), so it maximizes divergence detection against the
+	// optimized paths.
 	PureBig bool
-	// Sparse selects the machine-tier representation policy; PureBig
-	// ignores it (the exact tier has a single, dense representation).
-	Sparse SparsePolicy
 	// Arena, when non-nil, recycles dense matrix rows and repair
 	// scratch buffers across the run. Arenas are not safe for
 	// concurrent use; the driver threads one per procedure.
 	Arena *arena.Arena
-
-	// selSparse/selDense count the automatic policy's representation
-	// decisions at closure boundaries. Decisions are content-only, so
-	// the counts are deterministic for a given procedure.
-	selSparse atomic.Int64
-	selDense  atomic.Int64
 }
 
 func (c *Config) pure() bool { return c != nil && c.PureBig }
@@ -71,32 +46,12 @@ func (c *Config) ar() *arena.Arena {
 	return c.Arena
 }
 
-func (c *Config) sparseMode() SparsePolicy {
-	if c == nil || c.PureBig {
-		return SparseOff
-	}
-	return c.Sparse
-}
-
-func (c *Config) noteSel(sparse bool) {
-	if c == nil {
-		return
-	}
-	if sparse {
-		c.selSparse.Add(1)
-	} else {
-		c.selDense.Add(1)
-	}
-}
-
-// SparseSelections returns how many closure-boundary representation
-// decisions picked the sparse and the dense representation under the
-// automatic policy. The counts feed the -stats surface.
+// SparseSelections always returns (0, 0). It once counted the closure
+// decisions between a dense and a sparse machine representation; the
+// sparse form is gone, and the method stays because the frozen benchmark
+// harness (cssvbench) still reads it for its zone.sparse_frac metric.
 func (c *Config) SparseSelections() (sparse, dense int64) {
-	if c == nil {
-		return 0, 0
-	}
-	return c.selSparse.Load(), c.selDense.Load()
+	return 0, 0
 }
 
 // Universe returns the unconstrained zone over n variables, governed by
@@ -105,12 +60,6 @@ func (c *Config) SparseSelections() (sparse, dense int64) {
 func (c *Config) Universe(n int) *DBM {
 	if c.pure() {
 		return c.newExact(n)
-	}
-	mode := c.sparseMode()
-	if mode == SparseForce || (mode == SparseAuto && n+1 >= sparseMinDim) {
-		d := c.newSparse(n)
-		d.closed = true
-		return d
 	}
 	d := c.newDense(n)
 	d.closed = true
@@ -138,11 +87,6 @@ func (c *Config) newDense(n int) *DBM {
 		d.mw[i] = r
 	}
 	return d
-}
-
-// newSparse returns a machine-tier sparse all-infinity matrix.
-func (c *Config) newSparse(n int) *DBM {
-	return &DBM{n: n, cfg: c, sp: newSparseMat(n + 1)}
 }
 
 // newExact returns an exact-tier all-infinity matrix.

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/arena"
 	"repro/internal/linear"
 )
 
@@ -24,17 +25,12 @@ func zoneCoef(b byte) int64 {
 	}
 }
 
-// runZoneScript interprets data as a small DBM program and returns the
-// observable transcript. cfg selects the kernel (nil = hybrid, PureBig =
-// exact reference).
-func runZoneScript(data []byte, cfg *Config) []string {
-	return runZoneScriptDim(data, cfg, 3)
-}
-
-// runZoneScriptDim is runZoneScript at an arbitrary dimension; the
-// representation-differential tests run it at dim 6 so the automatic
-// density policy actually reaches the sparse matrix (size 7 >=
-// sparseMinDim).
+// runZoneScriptDim interprets data as a small DBM program over dim
+// variables and returns the observable transcript. cfg selects the kernel
+// (nil = hybrid, PureBig = exact reference). The differential tests run
+// it at dim 3 and at dim 6, where variable pairs outnumber a script's
+// constraints and most cells stay +infinity, so incremental repair and
+// the arena see sparse, partly forgotten matrices.
 func runZoneScriptDim(data []byte, cfg *Config, dim int) []string {
 	pos := 0
 	next := func() byte {
@@ -106,17 +102,32 @@ func runZoneScriptDim(data []byte, cfg *Config, dim int) []string {
 }
 
 // diffZone runs the script on the hybrid DBM and on the pure-big.Int
-// reference and fails on the first transcript mismatch.
+// reference and fails on the first transcript mismatch. It covers dim 3
+// with the default config, and dim 6 both with the default config and
+// with an arena recycling matrix rows and repair scratch, so a
+// promotion, incremental-repair or arena aliasing bug all surface as a
+// transcript divergence.
 func diffZone(t *testing.T, data []byte) {
 	t.Helper()
-	got := runZoneScript(data, nil)
-	want := runZoneScript(data, &Config{PureBig: true})
-	if len(got) != len(want) {
-		t.Fatalf("transcript lengths differ: hybrid %d vs reference %d", len(got), len(want))
+	cases := []struct {
+		name string
+		dim  int
+		cfg  *Config
+	}{
+		{"dim3", 3, nil},
+		{"dim6", 6, nil},
+		{"dim6+arena", 6, &Config{Arena: arena.New()}},
 	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("transcripts diverge at step %d:\nhybrid:    %s\nreference: %s", i, got[i], want[i])
+	for _, c := range cases {
+		got := runZoneScriptDim(data, c.cfg, c.dim)
+		want := runZoneScriptDim(data, &Config{PureBig: true}, c.dim)
+		if len(got) != len(want) {
+			t.Fatalf("%s: transcript lengths differ: hybrid %d vs reference %d", c.name, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("%s: transcripts diverge at step %d:\nhybrid:    %s\nreference: %s", c.name, i, got[i], want[i])
+			}
 		}
 	}
 }
@@ -133,6 +144,14 @@ func FuzzHybridDBM(f *testing.F) {
 		rng.Read(seed)
 		f.Add(seed)
 	}
+	// Longer scripts, so the dim-6 cases run through more steps.
+	f.Add([]byte{1, 9, 0, 1, 2, 1, 9, 3, 4, 2, 9, 5, 0, 5, 9, 1, 2, 6, 9})
+	rng = rand.New(rand.NewSource(99))
+	for i := 0; i < 6; i++ {
+		seed := make([]byte, 12+rng.Intn(48))
+		rng.Read(seed)
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		diffZone(t, data)
 	})
@@ -144,6 +163,12 @@ func TestZoneHybridDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 200; trial++ {
 		data := make([]byte, 10+rng.Intn(50))
+		rng.Read(data)
+		diffZone(t, data)
+	}
+	rng = rand.New(rand.NewSource(31))
+	for trial := 0; trial < 150; trial++ {
+		data := make([]byte, 12+rng.Intn(50))
 		rng.Read(data)
 		diffZone(t, data)
 	}

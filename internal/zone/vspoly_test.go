@@ -16,9 +16,9 @@ import (
 // included in the zone: every constraint the zone claims must be entailed
 // by the polyhedron. A violation means the zone invented a bound —
 // unsoundness in the constraint encoding, the incremental closure, the
-// machine-tier overflow handling, or the sparse representation. The
-// script also feeds ±x±y sum constraints, which the zone must drop or
-// weaken soundly.
+// machine-tier overflow handling, or arena recycling. The script also
+// feeds ±x±y sum constraints, which the zone must drop or weaken
+// soundly.
 func runZonePolyScript(t *testing.T, data []byte, cfg *Config) {
 	t.Helper()
 	const dim = 3
@@ -116,10 +116,10 @@ func runZonePolyScript(t *testing.T, data []byte, cfg *Config) {
 }
 
 // vsPolyConfigs are the matrix configurations the cross-check covers:
-// the automatic representation policy, the forced sparse matrix, the
-// pure big.Int reference, and the automatic policy over an arena.
+// the default hybrid kernel, the pure big.Int reference, and the hybrid
+// kernel over an arena.
 func vsPolyConfigs() []*Config {
-	return []*Config{nil, {Sparse: SparseForce}, {PureBig: true}, {Arena: arena.New()}}
+	return []*Config{nil, {PureBig: true}, {Arena: arena.New()}}
 }
 
 // FuzzZoneVsPolyhedra: the zone must never claim a bound the polyhedra

@@ -12,15 +12,14 @@
 // computed on the exact tier demote back when every bound fits a machine
 // word again.
 //
-// The machine tier additionally has two interchangeable representations:
-// the dense matrix and an adjacency-style sparse form holding only the
-// finite cells, selected by density at closure boundaries (sparse.go).
-// Closure itself is incremental whenever possible: a closed matrix that
-// was tightened at a handful of cells is repaired in O(n²) per edge
-// instead of re-running the O(n³) Floyd–Warshall loop, and an
-// already-closed matrix is never re-closed. The PureBig reference kernel
-// opts out of every one of these optimizations, so the differential
-// fuzzers check them all against the plain dense full-closure semantics.
+// The machine tier has one representation, a dense (n+1)×(n+1) matrix:
+// zone programs have tens of variables at most, where a dense row is a
+// few cache lines and nothing cheaper exists. Closure is incremental
+// whenever possible: a closed matrix that was tightened at a handful of
+// cells is repaired in O(n²) per edge instead of re-running the O(n³)
+// Floyd–Warshall loop, and an already-closed matrix is never re-closed.
+// The PureBig reference kernel opts out of both optimizations, so the
+// differential fuzzers check them against plain full-closure semantics.
 package zone
 
 import (
@@ -43,22 +42,14 @@ const noBound = math.MaxInt64
 // will repair one by one; past it a full closure is cheaper.
 const maxDirty = 8
 
-// sparseMinDim is the smallest matrix size (n+1) the automatic policy
-// considers for the sparse representation; below it the dense matrix
-// fits in a cache line or two and adjacency bookkeeping cannot win.
-const sparseMinDim = 5
-
 // DBM is a difference-bound matrix over n variables plus the designated
 // zero variable (index 0): the matrix bounds x_i - x_j <= m[i][j], with x_0
-// identically 0. Exactly one representation is active: the machine-tier
-// dense matrix mw (noBound = +inf), the machine-tier sparse matrix sp
-// (absence = +inf), or the exact matrix mx (nil entry = +inf). cfg carries
-// per-run knobs (budget token, kernel tier, representation policy, arena);
-// nil means defaults.
+// identically 0. Exactly one tier is active: the machine-word matrix mw
+// (noBound = +inf) or the exact matrix mx (nil entry = +inf). cfg carries
+// per-run knobs (budget token, kernel tier, arena); nil means defaults.
 type DBM struct {
 	n     int // number of program variables
 	mw    [][]int64
-	sp    *sparseMat
 	mx    [][]*big.Int
 	empty bool
 	// closed marks the matrix as shortest-path closed (canonical), so
@@ -91,14 +82,6 @@ func (d *DBM) cfgOr(o *DBM) *Config {
 	return o.cfg
 }
 
-// wcell returns the machine-tier cell (i, j); only valid when mx == nil.
-func (d *DBM) wcell(i, j int) int64 {
-	if d.sp != nil {
-		return d.sp.cell(i, j)
-	}
-	return d.mw[i][j]
-}
-
 // promote moves d onto the exact tier (no-op if already there). Dense
 // rows are returned to the arena: the exact matrix copies their values.
 func (d *DBM) promote() {
@@ -110,23 +93,16 @@ func (d *DBM) promote() {
 	for i := range mx {
 		mx[i] = make([]*big.Int, size)
 	}
-	if d.sp != nil {
-		d.sp.each(func(i, j int, v int64) {
-			mx[i][j] = big.NewInt(v)
-		})
-		d.sp = nil
-	} else {
-		ar := d.cfg.ar()
-		for i, r := range d.mw {
-			for j, x := range r {
-				if x != noBound {
-					mx[i][j] = big.NewInt(x)
-				}
+	ar := d.cfg.ar()
+	for i, r := range d.mw {
+		for j, x := range r {
+			if x != noBound {
+				mx[i][j] = big.NewInt(x)
 			}
-			ar.PutInt64s(r)
 		}
-		d.mw = nil
+		ar.PutInt64s(r)
 	}
+	d.mw = nil
 	d.mx = mx
 }
 
@@ -160,113 +136,13 @@ func (d *DBM) demote() {
 	d.mx = nil
 }
 
-// densify converts the sparse representation to the dense matrix.
-func (d *DBM) densify() {
-	if d.sp == nil {
-		return
-	}
-	size := d.sp.n
-	ar := d.cfg.ar()
-	mw := make([][]int64, size)
-	for i := 0; i < size; i++ {
-		r := ar.Int64s(size)
-		for j := range r {
-			r[j] = noBound
-		}
-		mw[i] = r
-	}
-	d.sp.each(func(i, j int, v int64) {
-		mw[i][j] = v
-	})
-	d.mw, d.sp = mw, nil
-}
-
-// sparsify converts the dense matrix to the sparse representation,
-// recycling the dense rows through the arena.
-func (d *DBM) sparsify() {
-	if d.mw == nil {
-		return
-	}
-	size := len(d.mw)
-	sp := newSparseMat(size)
-	for i, r := range d.mw {
-		cnt := 0
-		for _, x := range r {
-			if x != noBound {
-				cnt++
-			}
-		}
-		row := &sp.rows[i]
-		row.cols = make([]int32, 0, cnt)
-		row.vals = make([]int64, 0, cnt)
-		for j, x := range r {
-			if x != noBound {
-				row.cols = append(row.cols, int32(j))
-				row.vals = append(row.vals, x)
-			}
-		}
-	}
-	ar := d.cfg.ar()
-	for _, r := range d.mw {
-		ar.PutInt64s(r)
-	}
-	d.mw, d.sp = nil, sp
-}
-
-// chooseRep picks the machine-tier representation after a closure
-// completes. Decisions are content-only (finite-cell density with
-// hysteresis), so they are deterministic; each automatic decision is
-// counted in the Config's selection stats.
-func (d *DBM) chooseRep() {
-	if d.mx != nil || d.cfg.pure() {
-		return
-	}
-	size := d.n + 1
-	switch d.cfg.sparseMode() {
-	case SparseOff:
-		d.densify()
-		return
-	case SparseForce:
-		d.sparsify()
-		return
-	}
-	if d.sp != nil {
-		// Hysteresis: densify only once half the matrix is finite, so
-		// borderline matrices do not flap between representations.
-		if size < sparseMinDim || 2*d.sp.count() > size*size {
-			d.densify()
-			d.cfg.noteSel(false)
-		} else {
-			d.cfg.noteSel(true)
-		}
-		return
-	}
-	finite := 0
-	for _, r := range d.mw {
-		for _, x := range r {
-			if x != noBound {
-				finite++
-			}
-		}
-	}
-	if size >= sparseMinDim && 4*finite < size*size {
-		d.sparsify()
-		d.cfg.noteSel(true)
-	} else {
-		d.cfg.noteSel(false)
-	}
-}
-
 // Clone returns a deep copy.
 func (d *DBM) Clone() *DBM {
 	c := &DBM{n: d.n, empty: d.empty, closed: d.closed, cfg: d.cfg}
 	if d.dirty != nil {
 		c.dirty = append(make([][2]int32, 0, len(d.dirty)), d.dirty...)
 	}
-	switch {
-	case d.sp != nil:
-		c.sp = d.sp.clone()
-	case d.mw != nil:
+	if d.mw != nil {
 		ar := d.cfg.ar()
 		c.mw = make([][]int64, len(d.mw))
 		for i, r := range d.mw {
@@ -274,7 +150,7 @@ func (d *DBM) Clone() *DBM {
 			copy(nr, r)
 			c.mw[i] = nr
 		}
-	default:
+	} else {
 		c.mx = make([][]*big.Int, len(d.mx))
 		for i, r := range d.mx {
 			br := make([]*big.Int, len(r))
@@ -361,14 +237,7 @@ func (d *DBM) repairAll(tok *budget.Token) bool {
 			d.dirty = d.dirty[k:]
 			return true
 		}
-		a, b := int(d.dirty[k][0]), int(d.dirty[k][1])
-		var ok bool
-		if d.sp != nil {
-			ok = d.repairSparse(a, b)
-		} else {
-			ok = d.repairDense(a, b)
-		}
-		if !ok {
+		if !d.repairDense(int(d.dirty[k][0]), int(d.dirty[k][1])) {
 			return false
 		}
 		if d.empty {
@@ -378,7 +247,6 @@ func (d *DBM) repairAll(tok *budget.Token) bool {
 	}
 	d.dirty = nil
 	d.closed = true
-	d.chooseRep()
 	return true
 }
 
@@ -453,81 +321,9 @@ func (d *DBM) repairDense(a, b int) bool {
 	return ok
 }
 
-// repairSparse is repairDense on the adjacency representation: only the
-// finite column of a and the finite row of b participate, so the repair
-// cost is the product of the two degrees, not n².
-func (d *DBM) repairSparse(a, b int) bool {
-	sp := d.sp
-	c := sp.cell(a, b)
-	if c == noBound {
-		return true
-	}
-	ba := int64(0)
-	if a != b {
-		ba = sp.cell(b, a)
-	}
-	if ba != noBound {
-		s, ok := numkernel.AddOK(c, ba)
-		if !ok {
-			return false
-		}
-		if s < 0 {
-			d.empty = true
-			return true
-		}
-	}
-	type ent struct {
-		idx int
-		v   int64
-	}
-	// Snapshot the sources (finite column a, plus the implicit d(a,a)=0)
-	// and sinks (finite row b, plus d(b,b)=0) before mutating.
-	srcs := make([]ent, 0, len(sp.rows)/4+1)
-	for i := 0; i < sp.n; i++ {
-		if i == a {
-			srcs = append(srcs, ent{a, 0})
-			continue
-		}
-		if v := sp.cell(i, a); v != noBound {
-			srcs = append(srcs, ent{i, v})
-		}
-	}
-	rb := sp.rows[b]
-	snks := make([]ent, 0, len(rb.cols)+1)
-	seenB := false
-	for k, col := range rb.cols {
-		if int(col) == b {
-			snks = append(snks, ent{b, 0})
-			seenB = true
-			continue
-		}
-		snks = append(snks, ent{int(col), rb.vals[k]})
-	}
-	if !seenB {
-		snks = append(snks, ent{b, 0})
-	}
-	for _, s := range srcs {
-		via, ok := numkernel.AddOK(s.v, c)
-		if !ok {
-			return false
-		}
-		for _, t := range snks {
-			sum, ok := numkernel.AddOK(via, t.v)
-			if !ok || sum == noBound {
-				return false
-			}
-			sp.tighten(s.idx, t.idx, sum)
-		}
-	}
-	return true
-}
-
 // closeFull runs the complete Floyd–Warshall closure on whichever tier
 // holds the matrix, promoting on overflow and demoting afterwards.
 func (d *DBM) closeFull() {
-	if d.sp != nil {
-		d.densify()
-	}
 	if d.mw != nil {
 		if d.closeFast() {
 			for i := range d.mw {
@@ -537,7 +333,6 @@ func (d *DBM) closeFull() {
 				}
 			}
 			d.closed = true
-			d.chooseRep()
 			return
 		}
 		// An intermediate sum overflowed the machine tier. The partial
@@ -572,7 +367,6 @@ func (d *DBM) closeFull() {
 	d.demote()
 	if !d.cfg.pure() {
 		d.closed = true
-		d.chooseRep()
 	}
 }
 
@@ -615,11 +409,7 @@ func (d *DBM) setBound(i, j int, c *big.Int) {
 	if d.mx == nil {
 		if c.IsInt64() {
 			if cv := c.Int64(); cv != noBound {
-				if d.sp != nil {
-					if d.sp.tighten(i, j, cv) {
-						d.noteTighten(i, j)
-					}
-				} else if cv < d.mw[i][j] {
+				if cv < d.mw[i][j] {
 					d.mw[i][j] = cv
 					d.noteTighten(i, j)
 				}
@@ -628,7 +418,7 @@ func (d *DBM) setBound(i, j int, c *big.Int) {
 		} else if c.Sign() > 0 {
 			// Looser than any machine bound: only tightens if the cell is
 			// +infinity, and then it cannot be stored exactly.
-			if d.wcell(i, j) != noBound {
+			if d.mw[i][j] != noBound {
 				return
 			}
 		}
@@ -644,7 +434,7 @@ func (d *DBM) setBound(i, j int, c *big.Int) {
 // result must be treated as read-only; machine-tier reads allocate.
 func (d *DBM) cellBig(i, j int) *big.Int {
 	if d.mx == nil {
-		x := d.wcell(i, j)
+		x := d.mw[i][j]
 		if x == noBound {
 			return nil
 		}
@@ -656,7 +446,7 @@ func (d *DBM) cellBig(i, j int) *big.Int {
 // cellLE reports whether the cell is a finite bound <= c.
 func (d *DBM) cellLE(i, j int, c *big.Int) bool {
 	if d.mx == nil {
-		x := d.wcell(i, j)
+		x := d.mw[i][j]
 		if x == noBound {
 			return false
 		}
@@ -730,17 +520,7 @@ func (d *DBM) Join(o *DBM) *DBM {
 	d.close()
 	o.close()
 	cfg := d.cfgOr(o)
-	if d.sp != nil && o.sp != nil {
-		// The sparse max only visits cells finite on both sides — joins
-		// never grow the support. Pointwise max of closed forms is
-		// closed.
-		out := &DBM{n: d.n, cfg: cfg, sp: d.sp.joinMax(o.sp), closed: true}
-		out.chooseRep()
-		return out
-	}
 	if d.mx == nil && o.mx == nil {
-		d.densify()
-		o.densify()
 		out := cfg.newDense(d.n)
 		for i := range out.mw {
 			dr, or, outr := d.mw[i], o.mw[i], out.mw[i]
@@ -754,7 +534,6 @@ func (d *DBM) Join(o *DBM) *DBM {
 			}
 		}
 		out.closed = true
-		out.chooseRep()
 		return out
 	}
 	d.promote()
@@ -774,7 +553,6 @@ func (d *DBM) Join(o *DBM) *DBM {
 	out.demote()
 	if !cfg.pure() {
 		out.closed = true
-		out.chooseRep()
 	}
 	return out
 }
@@ -791,12 +569,7 @@ func (d *DBM) Widen(o *DBM) *DBM {
 	}
 	o.close()
 	cfg := d.cfgOr(o)
-	if d.sp != nil && o.sp != nil {
-		return &DBM{n: d.n, cfg: cfg, sp: d.sp.widen(o.sp)}
-	}
 	if d.mx == nil && o.mx == nil {
-		d.densify()
-		o.densify()
 		out := cfg.newDense(d.n)
 		for i := range out.mw {
 			dr, or, outr := d.mw[i], o.mw[i], out.mw[i]
@@ -834,12 +607,7 @@ func (d *DBM) Includes(o *DBM) bool {
 	}
 	d.close()
 	o.close()
-	if d.sp != nil && o.sp != nil {
-		return d.sp.includes(o.sp)
-	}
 	if d.mx == nil && o.mx == nil {
-		d.densify()
-		o.densify()
 		for i := range d.mw {
 			dr, or := d.mw[i], o.mw[i]
 			for j := range dr {
@@ -871,19 +639,16 @@ func (d *DBM) Includes(o *DBM) bool {
 // of a closed matrix leaves it closed: the remaining direct bounds still
 // dominate every remaining path.
 func (d *DBM) dropNode(i int) {
-	switch {
-	case d.sp != nil:
-		d.sp.dropNode(i)
-	case d.mw != nil:
+	if d.mw != nil {
 		for j := range d.mw {
 			d.mw[i][j] = noBound
 			d.mw[j][i] = noBound
 		}
-	default:
-		for j := range d.mx {
-			d.mx[i][j] = nil
-			d.mx[j][i] = nil
-		}
+		return
+	}
+	for j := range d.mx {
+		d.mx[i][j] = nil
+		d.mx[j][i] = nil
 	}
 }
 
@@ -905,9 +670,6 @@ func (d *DBM) Havoc(v int) *DBM {
 // column -c, diagonal untouched), verifying first that no cell overflows
 // so a failed attempt leaves the matrix untouched for the exact replay.
 func (d *DBM) shiftNodeW(i int, c int64) bool {
-	if d.sp != nil {
-		return d.sp.shiftNode(i, c)
-	}
 	m := d.mw
 	for j := range m {
 		if j == i {
@@ -1041,29 +803,14 @@ func (d *DBM) Entails(c linear.Constraint) bool {
 
 // Key returns a canonical byte-string encoding of d's current matrix and
 // whether one is available. Encodings are value-based and independent of
-// both the tier and the machine representation (a sparse matrix encodes
-// exactly like its dense form, cell by cell), so equal keys imply
-// identical bound matrices and a memoized answer keyed by them is exact.
+// the tier (a machine-word cell encodes exactly like the same value on
+// the exact tier), so equal keys imply identical bound matrices and a
+// memoized answer keyed by them is exact.
 func (d *DBM) Key() (string, bool) {
 	if d.empty {
 		return "empty", true
 	}
 	key := numkernel.AppendKeyInt64(nil, int64(d.n))
-	if d.sp != nil {
-		for i := range d.sp.rows {
-			row := &d.sp.rows[i]
-			k := 0
-			for j := 0; j < d.sp.n; j++ {
-				if k < len(row.cols) && int(row.cols[k]) == j {
-					key = numkernel.AppendKeyInt64(key, row.vals[k])
-					k++
-				} else {
-					key = append(key, 0x01)
-				}
-			}
-		}
-		return string(key), true
-	}
 	if d.mw != nil {
 		for _, r := range d.mw {
 			for _, x := range r {

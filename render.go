@@ -44,8 +44,7 @@ func Render(w io.Writer, rep *Report, o RenderOptions) (messages, certFailed int
 			s.Workers, s.Wall.Round(1e6), s.SequentialCPU.Round(1e6), speedup,
 			s.PointerCacheHits, s.PointerCacheHits+s.PointerCacheMisses, s.LibcHeaderReused,
 			s.PrecisionDrops, s.DegradedProcs, s.UnresolvedChecks)
-		fmt.Fprintf(w, "run: arena-recycled=%dB zone-repr sparse=%d dense=%d\n",
-			s.ArenaRecycledBytes, s.SparseZoneSelections, s.DenseZoneSelections)
+		fmt.Fprintf(w, "run: arena-recycled=%dB\n", s.ArenaRecycledBytes)
 		fmt.Fprintf(w, "run: target=%s member-accesses resolved=%d havocked=%d\n",
 			o.Target, s.MemberResolved, s.MemberHavocked)
 		fmt.Fprintf(w, "run: cache hits=%d revalidated=%d misses=%d stores=%d bad=%d cert-rejected=%d ptcache-evicted=%d fixpoint-iterations=%d\n",
