@@ -101,35 +101,38 @@ func runZoneScriptDim(data []byte, cfg *Config, dim int) []string {
 	return trace
 }
 
-// diffZone runs the script on the hybrid DBM and on the pure-big.Int
-// reference and fails on the first transcript mismatch. It covers dim 3
-// with the default config, and dim 6 both with the default config and
-// with an arena recycling matrix rows and repair scratch, so a
-// promotion, incremental-repair or arena aliasing bug all surface as a
-// transcript divergence.
+// diffZoneAt runs the script at dimension dim under cfg and under the
+// pure-big.Int reference and fails on the first transcript mismatch.
+func diffZoneAt(t *testing.T, data []byte, name string, cfg *Config, dim int) {
+	t.Helper()
+	got := runZoneScriptDim(data, cfg, dim)
+	want := runZoneScriptDim(data, &Config{PureBig: true}, dim)
+	if len(got) != len(want) {
+		t.Fatalf("%s: transcript lengths differ: hybrid %d vs reference %d", name, len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("%s: transcripts diverge at step %d:\nhybrid:    %s\nreference: %s", name, i, got[i], want[i])
+		}
+	}
+}
+
+// diffZone runs the script on the hybrid DBM at dim 3 and on the
+// pure-big.Int reference and fails on the first transcript mismatch.
 func diffZone(t *testing.T, data []byte) {
 	t.Helper()
-	cases := []struct {
-		name string
-		dim  int
-		cfg  *Config
-	}{
-		{"dim3", 3, nil},
-		{"dim6", 6, nil},
-		{"dim6+arena", 6, &Config{Arena: arena.New()}},
-	}
-	for _, c := range cases {
-		got := runZoneScriptDim(data, c.cfg, c.dim)
-		want := runZoneScriptDim(data, &Config{PureBig: true}, c.dim)
-		if len(got) != len(want) {
-			t.Fatalf("%s: transcript lengths differ: hybrid %d vs reference %d", c.name, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("%s: transcripts diverge at step %d:\nhybrid:    %s\nreference: %s", c.name, i, got[i], want[i])
-			}
-		}
-	}
+	diffZoneAt(t, data, "dim3", nil, 3)
+}
+
+// diffZoneSparse runs the script at dim 6, where variable pairs outnumber
+// a script's constraints and most cells stay +infinity, both with the
+// default config and with an arena recycling matrix rows and repair
+// scratch. An incremental-repair bug on a sparsely constrained matrix or
+// an arena aliasing bug surfaces as a transcript divergence.
+func diffZoneSparse(t *testing.T, data []byte) {
+	t.Helper()
+	diffZoneAt(t, data, "dim6", nil, 6)
+	diffZoneAt(t, data, "dim6+arena", &Config{Arena: arena.New()}, 6)
 }
 
 // FuzzHybridDBM: randomized DBM op sequences must be bit-identical between
@@ -141,14 +144,6 @@ func FuzzHybridDBM(f *testing.F) {
 	rng := rand.New(rand.NewSource(42))
 	for i := 0; i < 6; i++ {
 		seed := make([]byte, 8+rng.Intn(40))
-		rng.Read(seed)
-		f.Add(seed)
-	}
-	// Longer scripts, so the dim-6 cases run through more steps.
-	f.Add([]byte{1, 9, 0, 1, 2, 1, 9, 3, 4, 2, 9, 5, 0, 5, 9, 1, 2, 6, 9})
-	rng = rand.New(rand.NewSource(99))
-	for i := 0; i < 6; i++ {
-		seed := make([]byte, 12+rng.Intn(48))
 		rng.Read(seed)
 		f.Add(seed)
 	}
@@ -166,11 +161,34 @@ func TestZoneHybridDifferential(t *testing.T) {
 		rng.Read(data)
 		diffZone(t, data)
 	}
-	rng = rand.New(rand.NewSource(31))
+}
+
+// FuzzSparseDBM: randomized op sequences over sparsely constrained dim-6
+// matrices, with and without an arena, must be bit-identical to the
+// pure-big.Int reference.
+func FuzzSparseDBM(f *testing.F) {
+	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
+	f.Add([]byte{3, 255, 254, 3, 253, 252, 3, 251, 250, 5, 249, 6, 248})
+	f.Add([]byte{1, 9, 0, 1, 2, 1, 9, 3, 4, 2, 9, 5, 0, 5, 9, 1, 2, 6, 9})
+	rng := rand.New(rand.NewSource(99))
+	for i := 0; i < 6; i++ {
+		seed := make([]byte, 12+rng.Intn(48))
+		rng.Read(seed)
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		diffZoneSparse(t, data)
+	})
+}
+
+// TestZoneRepDifferential is the deterministic always-on slice of
+// FuzzSparseDBM.
+func TestZoneRepDifferential(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 150; trial++ {
 		data := make([]byte, 12+rng.Intn(50))
 		rng.Read(data)
-		diffZone(t, data)
+		diffZoneSparse(t, data)
 	}
 }
 
