@@ -16,7 +16,7 @@ import (
 	"repro/internal/zone"
 )
 
-var updateInvariants = flag.Bool("update", false, "rewrite testdata/goldens/invariants from the current analyzer")
+var updateInvariants = flag.Bool("update", false, "rewrite testdata/goldens/invariants and testdata/goldens/replay.txt from the current analyzer")
 
 // invariantSuites are the corpus files whose per-procedure invariants the
 // representation golden pins.
