@@ -186,7 +186,7 @@ func seedValues(values []int64, hints map[int]*big.Int) []int64 {
 		return values
 	}
 	if values == nil {
-		values = []int64{0, 1, -1, 2} // ip.DirectedOptions default
+		values = ip.DefaultDirectedValues()
 	}
 	out := append([]int64(nil), values...)
 	seen := map[int64]bool{}

@@ -45,7 +45,7 @@ func replayHints(p *ip.Program, v analysis.Violation) (map[int]*big.Int, []int64
 	if len(hints) == 0 {
 		return hints, nil
 	}
-	values := []int64{0, 1, -1, 2}
+	values := ip.DefaultDirectedValues()
 	seen := map[int64]bool{}
 	for _, x := range values {
 		seen[x] = true
@@ -168,4 +168,34 @@ func TestReplayOutcomesGolden(t *testing.T) {
 		}
 		t.Fatalf("replay outcomes drifted: %d lines, want %d", len(gl), len(wl))
 	}
+}
+
+// BenchmarkExecDirected replays fixwrites' two join_lines violations, each
+// of which spends the directed search's whole 200,000-step budget, and
+// reports the cost per executed statement.
+func BenchmarkExecDirected(b *testing.B) {
+	const path = "../../testdata/fixwrites/fixwrites.c"
+	src, err := os.ReadFile(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rep, err := AnalyzeSource(path, string(src), Options{
+		Workers: 1, Domain: analysis.PolyDomain{}, Procs: []string{"join_lines"}, NoSideEffectCheck: true,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if len(rep.Procs) != 1 || len(rep.Procs[0].Violations) != 2 {
+		b.Fatalf("want join_lines with 2 violations, got %d procedures", len(rep.Procs))
+	}
+	pr := &rep.Procs[0]
+	b.ResetTimer()
+	steps := 0
+	for i := 0; i < b.N; i++ {
+		for _, v := range pr.Violations {
+			hints, values := replayHints(pr.IP, v)
+			steps += pr.IP.ExecDirected(v.Index, hints, ip.DirectedOptions{Values: values}).Steps
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(steps), "ns/step")
 }

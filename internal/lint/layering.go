@@ -33,6 +33,18 @@ var LayerRules = []LayerRule{
 		Why: "the certificate checker must share no code with the engine it checks, or agreement stops being evidence",
 	},
 	{
+		Pkg: ModulePath + "/internal/ip",
+		Deny: []string{
+			ModulePath + "/internal/numkernel",
+			ModulePath + "/internal/polyhedra",
+			ModulePath + "/internal/zone",
+			ModulePath + "/internal/interval",
+			ModulePath + "/internal/analysis",
+			ModulePath + "/internal/arena",
+		},
+		Why: "certify replays counter-examples through ip, so engine arithmetic reached through ip would reach the independent checker too",
+	},
+	{
 		Pkg:  ModulePath + "/internal/budget",
 		Deny: []string{ModulePath + "/"},
 		Why:  "budget sits at the bottom of the DAG so every layer can poll it; importing anything above it would cycle the governance story",

@@ -36,6 +36,7 @@ func TestGlobalmutFixture(t *testing.T) {
 
 func TestLayeringFixtures(t *testing.T) {
 	t.Run("certify", func(t *testing.T) { fixture(t, Layering, "repro/internal/certify", 0) })
+	t.Run("ip", func(t *testing.T) { fixture(t, Layering, "repro/internal/ip", 0) })
 	t.Run("budget", func(t *testing.T) { fixture(t, Layering, "repro/internal/budget", 0) })
 	t.Run("substrate", func(t *testing.T) { fixture(t, Layering, "repro/internal/zone", 0) })
 	t.Run("cache", func(t *testing.T) { fixture(t, Layering, "repro/internal/cache", 0) })
