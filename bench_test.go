@@ -192,20 +192,11 @@ func BenchmarkLibcPrelude(b *testing.B) {
 			}
 		}
 	})
-	// End-to-end: repeated single-procedure runs, the workload the header
-	// cache and pointer-analysis memo were built for (contrast with a
-	// cold-cache run of the same workload).
+	// End-to-end: repeated single-procedure runs, the workload the parsed
+	// libc header cache was built for.
 	src := mustRead(b, "testdata/running/skipline.c")
-	b.Run("repeated-single-proc/warm", func(b *testing.B) {
+	b.Run("repeated-single-proc", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := Analyze("skipline.c", src, Config{Procedures: []string{"SkipLine"}}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("repeated-single-proc/cold", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			core.FlushCaches()
 			if _, err := Analyze("skipline.c", src, Config{Procedures: []string{"SkipLine"}}); err != nil {
 				b.Fatal(err)
 			}

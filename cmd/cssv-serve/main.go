@@ -1,8 +1,8 @@
 // Command cssv-serve runs the C String Static Verifier as a long-lived
-// daemon with a small HTTP batch API. One warm process (in-memory
-// pointer memo, parsed libc header) and one on-disk analysis cache are
-// shared across every request, so re-verifying a slowly changing code
-// base pays the fixpoint cost only for procedures that actually changed.
+// daemon with a small HTTP batch API. One warm process (parsed libc
+// header) and one on-disk analysis cache are shared across every
+// request, so re-verifying a slowly changing code base pays the fixpoint
+// cost only for procedures that actually changed.
 //
 // Daemon:
 //
@@ -32,7 +32,7 @@ import (
 func main() {
 	var (
 		addr        = flag.String("addr", "127.0.0.1:7996", "listen (or, with -submit, connect) address")
-		cacheDir    = flag.String("cache-dir", "", "directory for the shared on-disk analysis cache (default: in-process warmth only)")
+		cacheDir    = flag.String("cache-dir", "", "directory for the shared on-disk analysis cache (default: no cache)")
 		cacheVerify = flag.Bool("cache-verify", false, "re-verify stored certificates before trusting exact cache hits")
 		jobs        = flag.Int("j", 0, "procedures analyzed in parallel per request (0 = all CPUs)")
 		maxBody     = flag.Int64("max-request-bytes", 0, "largest accepted request body in bytes (0 = 64 MiB default, negative = unbounded); larger bodies get 413")

@@ -143,7 +143,6 @@ func AnalyzeCascade(p *ip.Program, opts Options) (*CascadeResult, error) {
 		start := time.Now()
 		res, err := Analyze(sliced, Options{
 			Domain:          dom,
-			WideningDelay:   opts.WideningDelay,
 			NarrowingPasses: opts.NarrowingPasses,
 			CheckOnly:       checkOnly,
 			Token:           opts.Token,

@@ -28,9 +28,6 @@ var debugIterEvery = sync.OnceValue(func() int {
 type Options struct {
 	// Domain selects the numeric domain (default PolyDomain).
 	Domain Domain
-	// WideningDelay is the number of joins at a loop head before widening
-	// kicks in.
-	WideningDelay int
 	// NarrowingPasses is the number of decreasing passes after
 	// stabilization.
 	NarrowingPasses int
@@ -58,9 +55,6 @@ type Options struct {
 func (o *Options) fill() {
 	if o.Domain == nil {
 		o.Domain = PolyDomain{}
-	}
-	if o.WideningDelay == 0 {
-		o.WideningDelay = 1
 	}
 	if o.NarrowingPasses == 0 {
 		o.NarrowingPasses = 2
@@ -185,6 +179,9 @@ func Analyze(p *ip.Program, opts Options) (*Result, error) {
 	}
 
 	const maxIterations = 2_000_000
+	// wideningDelay is the number of joins at a loop head before widening
+	// kicks in.
+	const wideningDelay = 1
 	const wideningEscalation = 12
 	debugEvery := debugIterEvery()
 	memo := includesMemo{}
@@ -217,11 +214,11 @@ func Analyze(p *ip.Program, opts Options) (*Result, error) {
 			if isHead[e.to] {
 				visits[e.to]++
 				switch {
-				case visits[e.to] > opts.WideningDelay+wideningEscalation:
+				case visits[e.to] > wideningDelay+wideningEscalation:
 					// The refined widening did not stabilize: escalate to
 					// the simple widening, whose chains are finite.
 					joined = in[e.to].WidenSimple(joined)
-				case visits[e.to] > opts.WideningDelay:
+				case visits[e.to] > wideningDelay:
 					joined = in[e.to].Widen(joined)
 				}
 			}

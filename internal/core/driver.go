@@ -206,8 +206,13 @@ type RunStats struct {
 	// the estimate (and the speedup derived from it) reads high.
 	Wall          time.Duration
 	SequentialCPU time.Duration
-	// PointerCacheHits / PointerCacheMisses count the memoized
-	// whole-program pointer analyses consumed by this run.
+	// PointerCacheMisses counts the whole-program pointer analyses this
+	// run performed: one per procedure that ran the front end (cache hits
+	// run none). PointerCacheHits is always zero. It counted hits in a
+	// process-wide pointer-analysis memo that never hit within a run and
+	// whose key cost more than the analysis it saved; the field stays
+	// because the benchmark harness (cssvbench), which is kept
+	// unchanged, reads it.
 	PointerCacheHits, PointerCacheMisses int
 	// LibcHeaderReused reports whether the parsed libc contract header was
 	// already cached when this run started.
@@ -248,9 +253,6 @@ type RunStats struct {
 	CacheHits, CacheRevalidated, CacheMisses int
 	CacheStores                              int
 	CacheBadEntries, CacheCertRejected       int
-	// PtCacheEvictions counts pointer-analysis memo entries evicted
-	// (oldest first) because the memo reached its configured bound.
-	PtCacheEvictions int
 	// FixpointIterations sums the fixpoint worklist iterations actually
 	// executed this run. Cached procedures contribute nothing — a fully
 	// warm run reports 0, which is the deterministic witness that the
@@ -319,12 +321,18 @@ func Prepare(filename, src string) (*corec.Program, error) {
 	return prog, err
 }
 
+// FlushCaches does nothing. It emptied a process-wide pointer-analysis
+// memo; no process-wide analysis memo remains (the parsed libc header is
+// a handful of prototypes and stays shared). The function stays because
+// the benchmark harness (cssvbench), which is kept unchanged, calls it
+// before every op.
+func FlushCaches() {}
+
 // runCounters aggregates per-worker cache statistics and the run's
 // precision-drop count (replacing the former process-global counter in
 // internal/polyhedra).
 type runCounters struct {
-	ptHits, ptMisses      atomic.Int64
-	ptEvict               atomic.Int64
+	pointerRuns           atomic.Int64
 	drops                 atomic.Int64
 	arenaBytes            atomic.Int64
 	memResolved, memHavoc atomic.Int64
@@ -418,8 +426,7 @@ func AnalyzeSource(filename, src string, opts Options) (*Report, error) {
 	}
 	rep.Stats.Workers = workers
 	rep.Stats.Wall = time.Since(start)
-	rep.Stats.PointerCacheHits = int(rc.ptHits.Load())
-	rep.Stats.PointerCacheMisses = int(rc.ptMisses.Load())
+	rep.Stats.PointerCacheMisses = int(rc.pointerRuns.Load())
 	rep.Stats.LibcHeaderReused = libcCached
 	rep.Stats.PrecisionDrops = int(rc.drops.Load())
 	rep.Stats.ArenaRecycledBytes = rc.arenaBytes.Load()
@@ -431,7 +438,6 @@ func AnalyzeSource(filename, src string, opts Options) (*Report, error) {
 	rep.Stats.CacheStores = int(rc.cacheStores.Load())
 	rep.Stats.CacheBadEntries = int(rc.cacheBad.Load())
 	rep.Stats.CacheCertRejected = int(rc.cacheRej.Load())
-	rep.Stats.PtCacheEvictions = int(rc.ptEvict.Load())
 	rep.Stats.FixpointIterations = int(rc.fixIters.Load())
 	return rep, nil
 }
@@ -583,19 +589,10 @@ func analyzeProc(orig *cast.File, prog *corec.Program, name string, opts Options
 		return nil, errCancelled
 	}
 
-	// Phase 2: whole-program flow-insensitive pointer analysis + PPT. The
-	// pointer result is memoized process-wide (read-only for all
-	// consumers), so procedures whose inlining leaves the global points-to
-	// input unchanged — and repeated runs — share one analysis.
-	g, hit, evicted := cachedPointerAnalyze(nprog, opts.PointerMode, 0)
-	if hit {
-		rc.ptHits.Add(1)
-	} else {
-		rc.ptMisses.Add(1)
-	}
-	if evicted > 0 {
-		rc.ptEvict.Add(int64(evicted))
-	}
+	// Phase 2: whole-program flow-insensitive pointer analysis of this
+	// procedure's inlined program + PPT.
+	g := pointer.Analyze(nprog, opts.PointerMode)
+	rc.pointerRuns.Add(1)
 	pt := ppt.Build(nprog, fd, g, opts.PPT)
 	pr.PPT = pt
 

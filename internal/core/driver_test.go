@@ -95,3 +95,136 @@ func TestRunningExampleMain(t *testing.T) {
 		t.Errorf("expected exactly one message, got %d", len(pr.Violations))
 	}
 }
+
+const statsSrc = `
+char g[8];
+void f(char *s) requires (is_nullt(s)) { char *p; p = g; }
+void h(void) { char *q; q = g; }
+`
+
+func TestRunStatsAccounting(t *testing.T) {
+	// Sequential run: Space measured, stats filled in.
+	rep, err := AnalyzeSource("t.c", statsSrc, Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Stats.Workers != 1 {
+		t.Errorf("Workers = %d, want 1", rep.Stats.Workers)
+	}
+	if rep.Stats.Wall <= 0 || rep.Stats.SequentialCPU <= 0 {
+		t.Errorf("timings not measured: %+v", rep.Stats)
+	}
+	if rep.Stats.PointerCacheHits != 0 {
+		t.Errorf("PointerCacheHits = %d, want 0", rep.Stats.PointerCacheHits)
+	}
+	if rep.Stats.PointerCacheMisses != len(rep.Procs) {
+		t.Errorf("PointerCacheMisses = %d, want one pointer analysis per procedure (%d)",
+			rep.Stats.PointerCacheMisses, len(rep.Procs))
+	}
+	for i := range rep.Procs {
+		if rep.Procs[i].Space == 0 {
+			t.Errorf("%s: Space not measured under Workers=1", rep.Procs[i].Name)
+		}
+	}
+	// Concurrent run: Space reported as 0 (documented fallback).
+	rep2, err := AnalyzeSource("t.c", statsSrc, Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep2.Stats.Workers != 2 {
+		t.Errorf("Workers = %d, want 2", rep2.Stats.Workers)
+	}
+	for i := range rep2.Procs {
+		if rep2.Procs[i].Space != 0 {
+			t.Errorf("%s: Space = %d under Workers=2, want 0", rep2.Procs[i].Name, rep2.Procs[i].Space)
+		}
+	}
+	// The libc header is certainly cached by now.
+	if !rep2.Stats.LibcHeaderReused {
+		t.Errorf("LibcHeaderReused = false on a repeated run")
+	}
+}
+
+// TestPointerAnalysesCountFrontEndRuns pins PointerCacheMisses to one
+// pointer analysis per procedure that ran the front end: every procedure
+// on a cold cache, none on an exact rerun, and exactly the revalidated
+// and stored ones after an edit that leaves every body unchanged. The
+// benchmark harness checks its own mirror's pointer-analysis count
+// against this field.
+func TestPointerAnalysesCountFrontEndRuns(t *testing.T) {
+	src := readAirbus(t)
+	opts := Options{Cascade: true, CacheDir: t.TempDir()}
+	run := func(src string) *Report {
+		t.Helper()
+		rep, err := AnalyzeSource("airbus.c", src, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Stats.PointerCacheHits != 0 {
+			t.Errorf("PointerCacheHits = %d, want 0", rep.Stats.PointerCacheHits)
+		}
+		return rep
+	}
+	if got := run(src).Stats.PointerCacheMisses; got != 11 {
+		t.Errorf("cold run: PointerCacheMisses = %d, want 11", got)
+	}
+	rerun := run(src)
+	for i := range rerun.Procs {
+		if st := rerun.Procs[i].CacheStatus; st != "hit" {
+			t.Errorf("rerun: %s CacheStatus = %q, want \"hit\"", rerun.Procs[i].Name, st)
+		}
+	}
+	if got := rerun.Stats.PointerCacheMisses; got != 0 {
+		t.Errorf("rerun: PointerCacheMisses = %d, want 0", got)
+	}
+	edited := run(src + "\nvoid cssv_appended(void) { int x; x = 0; }\n")
+	frontEnd := 0
+	for i := range edited.Procs {
+		switch edited.Procs[i].CacheStatus {
+		case "revalidated", "stored":
+			frontEnd++
+		}
+	}
+	if frontEnd == 0 {
+		t.Fatal("edited run: no procedure revalidated or stored")
+	}
+	if got := edited.Stats.PointerCacheMisses; got != frontEnd {
+		t.Errorf("edited run: PointerCacheMisses = %d, want %d (revalidated + stored)", got, frontEnd)
+	}
+}
+
+// precisionDropSrc reaches a state whose polyhedron is a 3-cube over the
+// parameters: converting it to generators under a ray cap of 1 must drop
+// constraints.
+const precisionDropSrc = `
+void f(int a, int b, int c) {
+    int s;
+    if (a < 0) goto done;
+    if (a > 5) goto done;
+    if (b < 0) goto done;
+    if (b > 5) goto done;
+    if (c < 0) goto done;
+    if (c > 5) goto done;
+    s = a + b;
+    s = s + c;
+done:
+    s = 0;
+}
+`
+
+func TestPrecisionDropsSurfaced(t *testing.T) {
+	rep, err := AnalyzeSource("t.c", precisionDropSrc, Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Stats.PrecisionDrops != 0 {
+		t.Errorf("uncapped run reported %d precision drops, want 0", rep.Stats.PrecisionDrops)
+	}
+	rep2, err := AnalyzeSource("t.c", precisionDropSrc, Options{Workers: 1, MaxRays: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep2.Stats.PrecisionDrops == 0 {
+		t.Errorf("capped run reported no precision drops; the cap must be surfaced in Stats")
+	}
+}

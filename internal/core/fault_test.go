@@ -75,7 +75,6 @@ func readAirbus(t *testing.T) string {
 func TestFaultPanicIsolation(t *testing.T) {
 	run := func(workers int) *Report {
 		t.Helper()
-		FlushCaches()
 		rep, err := AnalyzeSource("t.c", faultSrc, Options{
 			Workers: workers,
 			Domain:  panicDomain{},
@@ -127,7 +126,6 @@ func TestFaultStepBudgetDeterministic(t *testing.T) {
 	src := readAirbus(t)
 	run := func(workers int) *Report {
 		t.Helper()
-		FlushCaches()
 		rep, err := AnalyzeSource("airbus.c", src, Options{
 			Workers:    workers,
 			StepBudget: 5,
@@ -173,7 +171,6 @@ func TestFaultDeadlineExpired(t *testing.T) {
 	src := readAirbus(t)
 	run := func(workers int) *Report {
 		t.Helper()
-		FlushCaches()
 		rep, err := AnalyzeSource("airbus.c", src, Options{
 			Workers:      workers,
 			ProcDeadline: time.Nanosecond,
@@ -235,7 +232,6 @@ func TestFaultDeadlineMillisecond(t *testing.T) {
 // the same violation or as an unresolved one.
 func TestFaultDegradationSound(t *testing.T) {
 	src := readAirbus(t)
-	FlushCaches()
 	full, err := AnalyzeSource("airbus.c", src, Options{Workers: 1, Cascade: true})
 	if err != nil {
 		t.Fatal(err)
@@ -258,7 +254,6 @@ func TestFaultDegradationSound(t *testing.T) {
 	if budget <= lo {
 		t.Skipf("iteration counts too uniform (lo=%d hi=%d)", lo, hi)
 	}
-	FlushCaches()
 	capped, err := AnalyzeSource("airbus.c", src, Options{
 		Workers: 1, Cascade: true, StepBudget: budget,
 	})

@@ -36,10 +36,6 @@ import (
 // Options configures derivation.
 type Options struct {
 	PointerMode pointer.Mode
-	// KeepManualModifies uses the procedure's declared modifies clause; when
-	// false (or absent) a side-effect analysis synthesizes one (§4 step 1,
-	// following [34]).
-	KeepManualModifies bool
 }
 
 // Result is a derived contract.
@@ -229,15 +225,11 @@ func preludePoly(res *analysis.Result, preludeEnd int) *polyhedra.Poly {
 // ---------------------------------------------------------------------------
 // Side-effect synthesis
 
-// synthesizeModifies computes a modifies clause. With KeepManualModifies
-// and a declared clause, that clause is used; otherwise the body's stores
-// and calls are scanned and mapped to access paths over the formals and
-// globals (a simple mod analysis in the spirit of [34]).
+// synthesizeModifies computes a modifies clause (§4 step 1): the body's
+// stores and calls are scanned and mapped to access paths over the formals
+// and globals (a simple mod analysis in the spirit of [34]). A declared
+// modifies clause is not consulted.
 func synthesizeModifies(prog *corec.Program, fd *cast.FuncDecl, opts Options) []cast.Expr {
-	if opts.KeepManualModifies && fd.Contract != nil && len(fd.Contract.Modifies) > 0 {
-		return fd.Contract.Modifies
-	}
-
 	g := pointer.Analyze(prog, opts.PointerMode)
 	pt := ppt.Build(prog, fd, g, ppt.Options{})
 

@@ -1,8 +1,8 @@
 // Package serve implements the cssv-serve batch API: a long-running
-// daemon that keeps one warm process (in-memory pointer memo, parsed libc
-// header) and one on-disk analysis cache across many analysis requests,
-// so repeated verification of a slowly changing code base pays the
-// fixpoint cost only for procedures that actually changed.
+// daemon that keeps one warm process (parsed libc header) and one on-disk
+// analysis cache across many analysis requests, so repeated verification
+// of a slowly changing code base pays the fixpoint cost only for
+// procedures that actually changed.
 //
 // The HTTP surface is deliberately small:
 //

@@ -40,17 +40,15 @@ func Render(w io.Writer, rep *Report, o RenderOptions) (messages, certFailed int
 		if s.Wall > 0 {
 			speedup = float64(s.SequentialCPU) / float64(s.Wall)
 		}
-		fmt.Fprintf(w, "run: workers=%d wall=%s cpu=%s speedup=%.1fx ptcache=%d/%d libc-header-cached=%v precision-drops=%d degraded=%d unresolved=%d\n",
-			s.Workers, s.Wall.Round(1e6), s.SequentialCPU.Round(1e6), speedup,
-			s.PointerCacheHits, s.PointerCacheHits+s.PointerCacheMisses, s.LibcHeaderReused,
+		fmt.Fprintf(w, "run: workers=%d wall=%s cpu=%s speedup=%.1fx libc-header-cached=%v precision-drops=%d degraded=%d unresolved=%d\n",
+			s.Workers, s.Wall.Round(1e6), s.SequentialCPU.Round(1e6), speedup, s.LibcHeaderReused,
 			s.PrecisionDrops, s.DegradedProcs, s.UnresolvedChecks)
 		fmt.Fprintf(w, "run: arena-recycled=%dB\n", s.ArenaRecycledBytes)
 		fmt.Fprintf(w, "run: target=%s member-accesses resolved=%d havocked=%d\n",
 			o.Target, s.MemberResolved, s.MemberHavocked)
-		fmt.Fprintf(w, "run: cache hits=%d revalidated=%d misses=%d stores=%d bad=%d cert-rejected=%d ptcache-evicted=%d fixpoint-iterations=%d\n",
+		fmt.Fprintf(w, "run: cache hits=%d revalidated=%d misses=%d stores=%d bad=%d cert-rejected=%d fixpoint-iterations=%d\n",
 			s.CacheHits, s.CacheRevalidated, s.CacheMisses, s.CacheStores,
-			s.CacheBadEntries, s.CacheCertRejected, s.PtCacheEvictions,
-			s.FixpointIterations)
+			s.CacheBadEntries, s.CacheCertRejected, s.FixpointIterations)
 		if s.TierDischarged != nil {
 			fmt.Fprintf(w, "run: cascade discharged=%s\n", formatTierDischarged(s.TierDischarged))
 		}
