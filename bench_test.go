@@ -4,6 +4,8 @@
 //
 //	BenchmarkTable5/*          — Table 5 rows (per-procedure pipeline cost)
 //	BenchmarkHeadline          — §1.3/§5 headline (suite totals)
+//	BenchmarkRevalidate        — §3 procedure modularity: cache reuse of
+//	                             certified verdicts after an edit
 //	BenchmarkC2IPScaling/*     — §3.4.2.4: IP size, this tool vs the
 //	                             O(S*V^2) translation of [13]
 //	BenchmarkDomainAblation/*  — §3.5 design choice: polyhedra vs zone vs
@@ -17,6 +19,7 @@ package cssv
 import (
 	"fmt"
 	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
@@ -225,6 +228,63 @@ func BenchmarkHeadline(b *testing.B) {
 			b.ReportMetric(float64(total), "messages")
 		})
 	}
+}
+
+// BenchmarkRevalidate times the certificate-revalidation path: airbus is
+// analyzed once into a warm cache, and every iteration analyzes it again
+// with a fresh procedure appended, so all 11 original procedures
+// revalidate (front end, stored certificates decoded and re-proved, entry
+// refreshed under the new key) and only the appended one is analyzed.
+// Each iteration starts from a copy of the warm cache, so stale entries
+// never pile up. certKB/op is the certificate payload one op decodes.
+func BenchmarkRevalidate(b *testing.B) {
+	const path = "testdata/airbus/airbus.c"
+	src := mustRead(b, path)
+	warm := b.TempDir()
+	cfg := Config{Workers: 1, Cascade: true, CacheDir: warm}
+	if _, err := Analyze(path, src, cfg); err != nil {
+		b.Fatal(err)
+	}
+	entries, err := filepath.Glob(filepath.Join(warm, "*"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	files := map[string][]byte{}
+	certBytes := 0
+	for _, f := range entries {
+		data, err := os.ReadFile(f)
+		if err != nil {
+			b.Fatal(err)
+		}
+		files[filepath.Base(f)] = data
+		if strings.HasSuffix(f, ".cert") {
+			certBytes += len(data)
+		}
+	}
+	if certBytes == 0 {
+		b.Fatal("warm cache holds no certificate files")
+	}
+	edited := src + "\nvoid cssv_bench_append(void){int x; x=0;}\n"
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		cfg.CacheDir = b.TempDir()
+		for name, data := range files {
+			if err := os.WriteFile(filepath.Join(cfg.CacheDir, name), data, 0o644); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StartTimer()
+		rep, err := Analyze(path, edited, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if rep.Stats.CacheRevalidated != 11 || rep.Stats.CacheMisses != 1 {
+			b.Fatalf("revalidated %d, missed %d; want 11 and 1",
+				rep.Stats.CacheRevalidated, rep.Stats.CacheMisses)
+		}
+	}
+	b.ReportMetric(float64(certBytes)/1024, "certKB/op")
 }
 
 // genScaling builds a procedure with V cross-aliased pointers over V

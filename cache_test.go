@@ -7,6 +7,7 @@
 package cssv
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -168,6 +169,100 @@ func TestCacheRevalidationOnContractChange(t *testing.T) {
 	stripTimings(ref)
 	if !reflect.DeepEqual(v2, ref) {
 		t.Errorf("incremental report differs from a fresh uncached run of the modified source")
+	}
+}
+
+// TestCacheRefreshCopiesCertificateBytes checks the refresh after a
+// revalidation: the entry stored under the new key carries the
+// certificate file it was revalidated from, byte for byte.
+func TestCacheRefreshCopiesCertificateBytes(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{Workers: 1, Cascade: true, CacheDir: dir}
+	if _, err := Analyze("reval.c", revalSrcV1, cfg); err != nil {
+		t.Fatal(err)
+	}
+	before, err := filepath.Glob(filepath.Join(dir, "zero_head-*.cert"))
+	if err != nil || len(before) != 1 {
+		t.Fatalf("cold run left %d zero_head certificate files (err=%v), want 1", len(before), err)
+	}
+	v2, err := Analyze("reval.c", revalSrcV2, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v2.Stats.CacheRevalidated < 1 {
+		t.Fatalf("CacheRevalidated = %d, want >= 1", v2.Stats.CacheRevalidated)
+	}
+	after, err := filepath.Glob(filepath.Join(dir, "zero_head-*.cert"))
+	if err != nil || len(after) != 2 {
+		t.Fatalf("after revalidation %d zero_head certificate files (err=%v), want 2", len(after), err)
+	}
+	src, err := os.ReadFile(before[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range after {
+		got, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, src) {
+			t.Errorf("%s differs from the certificate file it was revalidated from", filepath.Base(f))
+		}
+	}
+}
+
+// TestCacheFormat1EntryRejected stamps every entry of a warm cache with
+// the format-1 header (digests kept valid, as a format-1 writer would
+// leave them). The next run must reject each entry by its header, count
+// it, analyze afresh, and report exactly what an uncached run reports.
+func TestCacheFormat1EntryRejected(t *testing.T) {
+	const path = "testdata/airbus/airbus.c"
+	ref, err := AnalyzeFile(path, Config{Workers: 1, Cascade: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	cfg := Config{Workers: 1, Cascade: true, CacheDir: dir}
+	if _, err := AnalyzeFile(path, cfg); err != nil {
+		t.Fatal(err)
+	}
+	reps := repFiles(t, dir)
+	files, err := filepath.Glob(filepath.Join(dir, "*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur := fmt.Sprintf("cssv-cache %d ", cache.FormatVersion)
+	for _, f := range files {
+		data, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasPrefix(data, []byte(cur)) {
+			t.Fatalf("%s does not start with %q", f, cur)
+		}
+		old := append([]byte("cssv-cache 1 "), data[len(cur):]...)
+		if err := os.WriteFile(f, old, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	warm, err := AnalyzeFile(path, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if warm.Stats.CacheBadEntries < len(reps) {
+		t.Errorf("CacheBadEntries = %d, want >= %d (one per format-1 entry)", warm.Stats.CacheBadEntries, len(reps))
+	}
+	if warm.Stats.CacheHits != 0 || warm.Stats.CacheRevalidated != 0 {
+		t.Errorf("hits=%d revalidated=%d, want 0: no format-1 entry may be read",
+			warm.Stats.CacheHits, warm.Stats.CacheRevalidated)
+	}
+	if warm.Stats.FixpointIterations == 0 {
+		t.Error("no fixpoint ran: the procedures were not analyzed afresh")
+	}
+	stripTimings(ref)
+	stripTimings(warm)
+	if !reflect.DeepEqual(ref, warm) {
+		t.Errorf("report after rejecting format-1 entries differs from the uncached reference")
 	}
 }
 

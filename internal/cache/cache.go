@@ -51,8 +51,9 @@ import (
 
 // FormatVersion is the on-disk format generation; it participates in the
 // file header, so a format change invalidates (rather than misreads) old
-// entries.
-const FormatVersion = 1
+// entries. Format 2 stores linear expressions and constraints as exact
+// text (codec.go) instead of nested JSON objects.
+const FormatVersion = 2
 
 const magic = "cssv-cache"
 
@@ -204,21 +205,13 @@ func (s *Store) Certificates(e *Entry) ([]*certify.Certificate, error) {
 		}
 		return nil, nil
 	}
-	k := Key{Proc: e.Proc, Body: e.BodyHash, Conf: e.ConfHash, Env: e.EnvHash}
-	path := filepath.Join(s.dir, k.base()+".cert")
-	payload, err := readPayload(path)
+	payload, err := s.certPayload(e)
 	if err != nil {
 		return nil, err
 	}
-	if payload == nil {
-		return nil, fmt.Errorf("cache: certificate file missing for %s", e.Proc)
-	}
-	if digest(payload) != e.CertDigest {
-		return nil, fmt.Errorf("cache: certificate file for %s does not match the digest its report pinned", e.Proc)
-	}
 	var batch CertBatch
 	if err := json.Unmarshal(payload, &batch); err != nil {
-		return nil, fmt.Errorf("cache: %s: %w", path, err)
+		return nil, fmt.Errorf("cache: certificate file for %s: %w", e.Proc, err)
 	}
 	certs, err := DecodeCertificates(&batch)
 	if err != nil {
@@ -230,25 +223,67 @@ func (s *Store) Certificates(e *Entry) ([]*certify.Certificate, error) {
 	return certs, nil
 }
 
+// certPayload reads the certificate file of an entry that pins one and
+// checks it against the pinned digest.
+func (s *Store) certPayload(e *Entry) ([]byte, error) {
+	k := Key{Proc: e.Proc, Body: e.BodyHash, Conf: e.ConfHash, Env: e.EnvHash}
+	payload, err := readPayload(filepath.Join(s.dir, k.base()+".cert"))
+	if err != nil {
+		return nil, err
+	}
+	if payload == nil {
+		return nil, fmt.Errorf("cache: certificate file missing for %s", e.Proc)
+	}
+	if digest(payload) != e.CertDigest {
+		return nil, fmt.Errorf("cache: certificate file for %s does not match the digest its report pinned", e.Proc)
+	}
+	return payload, nil
+}
+
 // Put writes an entry and its certificates under the key. The entry's
 // hash fields, NumCerts, and CertDigest are filled in from k and certs.
 // Writes are temp-file-plus-rename, certificate half first, so a reader
 // that sees the report always finds the matching certificates.
 func (s *Store) Put(k Key, e *Entry, certs []*certify.Certificate) error {
+	var payload []byte
+	if len(certs) > 0 {
+		var err error
+		if payload, err = json.Marshal(EncodeCertificates(certs)); err != nil {
+			return fmt.Errorf("cache: %w", err)
+		}
+	}
+	return s.write(k, e, len(certs), payload)
+}
+
+// Refresh is Put for a revalidated entry whose certificates were just read
+// from src and re-proved: src's certificate file is copied byte for byte
+// instead of re-encoded, since re-encoding could only reproduce it. The
+// file is read again and held to the digest src pinned, so the bytes
+// written are the bytes that were verified.
+func (s *Store) Refresh(k Key, e *Entry, src *Entry) error {
+	var payload []byte
+	if src.CertDigest != "" {
+		var err error
+		if payload, err = s.certPayload(src); err != nil {
+			return err
+		}
+	}
+	return s.write(k, e, src.NumCerts, payload)
+}
+
+// write fills e's hash fields and certificate binding and writes both
+// halves of the entry, the certificate half (if any) first.
+func (s *Store) write(k Key, e *Entry, numCerts int, certPayload []byte) error {
 	e.Proc = k.Proc
 	e.BodyHash = k.Body
 	e.ConfHash = k.Conf
 	e.EnvHash = k.Env
-	e.NumCerts = len(certs)
+	e.NumCerts = numCerts
 	e.CertDigest = ""
 	base := k.base()
-	if len(certs) > 0 {
-		payload, err := json.Marshal(EncodeCertificates(certs))
-		if err != nil {
-			return fmt.Errorf("cache: %w", err)
-		}
-		e.CertDigest = digest(payload)
-		if err := s.writeFile(base+".cert", payload); err != nil {
+	if certPayload != nil {
+		e.CertDigest = digest(certPayload)
+		if err := s.writeFile(base+".cert", certPayload); err != nil {
 			return err
 		}
 	}

@@ -1,6 +1,9 @@
 package cache
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
 	"math/big"
 	"os"
 	"path/filepath"
@@ -243,6 +246,71 @@ func TestStoreRoundTrip(t *testing.T) {
 	}
 }
 
+// TestStoreRefreshCopiesCertificateBytes stores a certificate payload in a
+// layout Put never writes (indented JSON), then refreshes the entry under
+// a new key: the new certificate file must carry the source bytes, not a
+// re-encoding. A source file that no longer matches its pinned digest must
+// refuse the refresh and leave nothing under the new key.
+func TestStoreRefreshCopiesCertificateBytes(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var indented bytes.Buffer
+	compact, err := json.Marshal(EncodeCertificates(sampleCerts(t)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Indent(&indented, compact, "", "  "); err != nil {
+		t.Fatal(err)
+	}
+	k := testKey("sample")
+	src := sampleEntry(t)
+	src.Proc, src.BodyHash, src.ConfHash, src.EnvHash = k.Proc, k.Body, k.Conf, k.Env
+	src.NumCerts, src.CertDigest = 3, digest(indented.Bytes())
+	if err := s.writeFile(k.base()+".cert", indented.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+
+	k2 := testKey("sample")
+	k2.Env = strings.Repeat("d", 64)
+	if err := s.Refresh(k2, sampleEntry(t), src); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join(dir, k.base()+".cert"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(filepath.Join(dir, k2.base()+".cert"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("refreshed certificate file is not a byte copy of its source")
+	}
+	e2, err := s.Get(k2)
+	if err != nil || e2 == nil {
+		t.Fatalf("refreshed entry does not read back: %v", err)
+	}
+	if certs, err := s.Certificates(e2); err != nil || len(certs) != 3 {
+		t.Fatalf("refreshed certificates: %d, %v", len(certs), err)
+	}
+
+	// The source changes after it was verified: the refresh must refuse.
+	if err := s.writeFile(k.base()+".cert", compact); err != nil {
+		t.Fatal(err)
+	}
+	k3 := testKey("sample")
+	k3.Env = strings.Repeat("e", 64)
+	if err := s.Refresh(k3, sampleEntry(t), src); err == nil {
+		t.Fatal("refresh copied a certificate file that no longer matches its pinned digest")
+	}
+	if e3, err := s.Get(k3); e3 != nil || err != nil {
+		t.Fatalf("a refused refresh left an entry behind: %v, %v", e3, err)
+	}
+}
+
 func TestStoreCandidates(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {
@@ -300,7 +368,12 @@ func TestStoreCorruptionDetected(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			restore()
 			t.Cleanup(restore)
-			if err := os.WriteFile(path, mutate(append([]byte(nil), pristine(path, pristineRep, pristineCert)...)), 0o644); err != nil {
+			orig := pristine(path, pristineRep, pristineCert)
+			mutated := mutate(append([]byte(nil), orig...))
+			if bytes.Equal(mutated, orig) {
+				t.Fatal("the mutation left the file unchanged; the case would pass vacuously")
+			}
+			if err := os.WriteFile(path, mutated, 0o644); err != nil {
 				t.Fatal(err)
 			}
 			if path == rep {
@@ -323,7 +396,8 @@ func TestStoreCorruptionDetected(t *testing.T) {
 	corrupt("report-truncated", rep, func(b []byte) []byte { return b[:len(b)/2] })
 	corrupt("report-bad-header", rep, func(b []byte) []byte { return append([]byte("not-a-cache-file\n"), b...) })
 	corrupt("report-version-skew", rep, func(b []byte) []byte {
-		return []byte(strings.Replace(string(b), "cssv-cache 1 ", "cssv-cache 999 ", 1))
+		cur := fmt.Sprintf("%s %d ", magic, FormatVersion)
+		return []byte(strings.Replace(string(b), cur, magic+" 999 ", 1))
 	})
 	corrupt("cert-bit-flip", cert, func(b []byte) []byte { b[len(b)-3] ^= 0x01; return b })
 	corrupt("cert-truncated", cert, func(b []byte) []byte { return b[:len(b)-10] })

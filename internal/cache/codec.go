@@ -1,9 +1,21 @@
 // DTO codecs for the on-disk analysis cache. Every analysis type that a
 // cache entry carries — integer programs, linear systems, violations,
 // cascade statistics, certificates — is mirrored by a plain JSON-friendly
-// struct here, with exact integers rendered as decimal strings (no float
-// round-trip) and the DNF true/false distinction (nil vs empty slice)
+// struct here, and the DNF true/false distinction (nil vs empty slice) is
 // preserved through encoding/json's null vs [].
+//
+// Linear expressions and constraints, the bulk of every payload, are one
+// JSON string each in an exact text form (format 2; DESIGN.md §11):
+//
+//	expr       = int { " " var ":" coef }
+//	constraint = ("eq" | "ge") " " expr
+//
+// The leading int is the constant; each term is a variable index and its
+// coefficient, variables strictly ascending. Integers are canonical
+// decimal (optional "-", no "+", no leading zeros, no "-0") of any size;
+// coefficients are nonzero and indices are non-negative. The decoder
+// rejects everything else, so a string that decodes re-encodes to itself
+// byte for byte and no expression has two spellings.
 //
 // The decoder restores the pointer sharing the certificate verifier relies
 // on: certificates exported by one tier run share their carrier program and
@@ -16,6 +28,8 @@ package cache
 import (
 	"fmt"
 	"math/big"
+	"strconv"
+	"strings"
 
 	"repro/internal/certify"
 	"repro/internal/clex"
@@ -23,23 +37,13 @@ import (
 	"repro/internal/linear"
 )
 
-// Term is one variable coefficient of a linear expression.
-type Term struct {
-	V int    `json:"v"`
-	C string `json:"c"` // decimal big.Int
-}
+// Expr is a linear expression in the exact text form above, e.g.
+// "-3 0:1 4:-2" for x0 - 2·x4 - 3.
+type Expr string
 
-// Expr is a linear expression: sum of terms plus a constant.
-type Expr struct {
-	K     string `json:"k"` // decimal big.Int constant
-	Terms []Term `json:"t,omitempty"`
-}
-
-// Constraint is one linear constraint (E = 0 or E >= 0).
-type Constraint struct {
-	Rel string `json:"rel"` // "eq" or "ge"
-	E   Expr   `json:"e"`
-}
+// Constraint is one linear constraint, "eq <expr>" (E = 0) or
+// "ge <expr>" (E >= 0).
+type Constraint string
 
 // System is a conjunction of constraints. JSON null/[] round-trips the
 // nil/empty distinction.
@@ -191,14 +195,35 @@ type CertBatch struct {
 
 // EncodeExpr renders a linear expression exactly.
 func EncodeExpr(e linear.Expr) Expr {
-	out := Expr{K: "0"}
-	if e.Const != nil {
-		out.K = e.Const.String()
+	return Expr(appendExpr(nil, e))
+}
+
+// appendExpr appends the text form of e; a zero coefficient (absent by
+// linear.Expr's own invariant) is skipped, so the output always decodes.
+func appendExpr(buf []byte, e linear.Expr) []byte {
+	if e.Const == nil {
+		buf = append(buf, '0')
+	} else {
+		buf = appendInt(buf, e.Const)
 	}
 	for _, v := range e.Vars() {
-		out.Terms = append(out.Terms, Term{V: v, C: e.Coef(v).String()})
+		c := e.Coef(v)
+		if c.Sign() == 0 {
+			continue
+		}
+		buf = append(buf, ' ')
+		buf = strconv.AppendInt(buf, int64(v), 10)
+		buf = append(buf, ':')
+		buf = appendInt(buf, c)
 	}
-	return out
+	return buf
+}
+
+func appendInt(buf []byte, x *big.Int) []byte {
+	if x.IsInt64() {
+		return strconv.AppendInt(buf, x.Int64(), 10)
+	}
+	return x.Append(buf, 10)
 }
 
 // EncodeSystem renders a constraint system exactly (nil stays nil).
@@ -207,12 +232,14 @@ func EncodeSystem(s linear.System) System {
 		return nil
 	}
 	out := make(System, len(s))
+	var buf []byte
 	for i, c := range s {
-		rel := "ge"
 		if c.Rel == linear.Eq {
-			rel = "eq"
+			buf = append(buf[:0], "eq "...)
+		} else {
+			buf = append(buf[:0], "ge "...)
 		}
-		out[i] = Constraint{Rel: rel, E: EncodeExpr(c.E)}
+		out[i] = Constraint(appendExpr(buf, c.E))
 	}
 	return out
 }
@@ -325,26 +352,102 @@ func EncodeCertificates(certs []*certify.Certificate) *CertBatch {
 // ---------------------------------------------------------------------------
 // Decoding
 
-// DecodeExpr rebuilds a linear expression; it fails on malformed integers
-// rather than guessing.
+// DecodeExpr parses the text form strictly (see the package comment): any
+// other spelling of an integer, a zero coefficient, or a variable out of
+// ascending order is an error rather than a guess.
 func DecodeExpr(d Expr) (linear.Expr, error) {
+	s := string(d)
 	e := linear.NewExpr()
-	if d.K != "" {
-		if _, ok := e.Const.SetString(d.K, 10); !ok {
-			return e, fmt.Errorf("cache: bad integer constant %q", d.K)
-		}
+	i := strings.IndexByte(s, ' ')
+	if i < 0 {
+		i = len(s)
 	}
-	for _, t := range d.Terms {
-		c := new(big.Int)
-		if _, ok := c.SetString(t.C, 10); !ok {
-			return e, fmt.Errorf("cache: bad coefficient %q", t.C)
+	if !parseInt(s[:i], e.Const) {
+		return e, fmt.Errorf("cache: bad integer constant in %q", d)
+	}
+	var c big.Int
+	last := -1
+	for i < len(s) {
+		s = s[i+1:] // past the separating space
+		if i = strings.IndexByte(s, ' '); i < 0 {
+			i = len(s)
 		}
-		if t.V < 0 {
-			return e, fmt.Errorf("cache: negative variable index %d", t.V)
+		term := s[:i]
+		colon := strings.IndexByte(term, ':')
+		if colon < 0 {
+			return e, fmt.Errorf("cache: bad term %q in %q", term, d)
 		}
-		e.SetCoef(t.V, c)
+		v, ok := parseIndex(term[:colon])
+		if !ok || v <= last {
+			return e, fmt.Errorf("cache: bad or unordered variable in %q", d)
+		}
+		if !parseInt(term[colon+1:], &c) || c.Sign() == 0 {
+			return e, fmt.Errorf("cache: bad coefficient in %q", d)
+		}
+		e.SetCoef(v, &c)
+		last = v
 	}
 	return e, nil
+}
+
+// parseInt sets dst to the canonical decimal integer tok: "0", or an
+// optional "-" followed by digits without a leading zero.
+func parseInt(tok string, dst *big.Int) bool {
+	digits := strings.TrimPrefix(tok, "-")
+	if digits == "0" {
+		if len(tok) != 1 {
+			return false // "-0"
+		}
+		dst.SetInt64(0)
+		return true
+	}
+	if !canonicalDigits(digits) {
+		return false
+	}
+	if n, err := strconv.ParseInt(tok, 10, 64); err == nil {
+		dst.SetInt64(n)
+		return true
+	}
+	_, ok := dst.SetString(tok, 10)
+	return ok
+}
+
+// parseIndex parses a canonical non-negative variable index.
+func parseIndex(tok string) (int, bool) {
+	if tok != "0" && !canonicalDigits(tok) {
+		return 0, false
+	}
+	v, err := strconv.Atoi(tok)
+	return v, err == nil
+}
+
+// canonicalDigits reports whether s is a non-empty digit string without a
+// leading zero.
+func canonicalDigits(s string) bool {
+	if s == "" || s[0] == '0' {
+		return false
+	}
+	for i := 0; i < len(s); i++ {
+		if s[i] < '0' || s[i] > '9' {
+			return false
+		}
+	}
+	return true
+}
+
+// decodeConstraint parses "eq <expr>" or "ge <expr>".
+func decodeConstraint(d Constraint) (linear.Constraint, error) {
+	var rel linear.Rel
+	switch {
+	case strings.HasPrefix(string(d), "eq "):
+		rel = linear.Eq
+	case strings.HasPrefix(string(d), "ge "):
+		rel = linear.Ge
+	default:
+		return linear.Constraint{}, fmt.Errorf("cache: unknown relation in %q", d)
+	}
+	e, err := DecodeExpr(Expr(d[3:]))
+	return linear.Constraint{E: e, Rel: rel}, err
 }
 
 // DecodeSystem rebuilds a constraint system (nil stays nil).
@@ -354,17 +457,9 @@ func DecodeSystem(d System) (linear.System, error) {
 	}
 	out := make(linear.System, len(d))
 	for i, c := range d {
-		e, err := DecodeExpr(c.E)
-		if err != nil {
+		var err error
+		if out[i], err = decodeConstraint(c); err != nil {
 			return nil, err
-		}
-		switch c.Rel {
-		case "eq":
-			out[i] = linear.Constraint{E: e, Rel: linear.Eq}
-		case "ge":
-			out[i] = linear.Constraint{E: e, Rel: linear.Ge}
-		default:
-			return nil, fmt.Errorf("cache: unknown relation %q", c.Rel)
 		}
 	}
 	return out, nil

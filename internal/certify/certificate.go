@@ -82,10 +82,11 @@ func (cert *Certificate) InvariantAt(origIdx int) (linear.System, bool) {
 // integer state violating the condition). A nil error means the check is
 // certified.
 func (cert *Certificate) Verify() error {
-	if err := cert.verifyShared(); err != nil {
+	cr := compileCarrier(cert)
+	if err := cert.verifyShared(cr); err != nil {
 		return err
 	}
-	return cert.verifyAssert()
+	return cert.verifyAssert(cr)
 }
 
 // verifyShared establishes the obligations that do not depend on which
@@ -94,7 +95,9 @@ func (cert *Certificate) Verify() error {
 // run share their carrier program and invariant map by pointer, so
 // VerifyAll discharges this part once per shared group — the result is
 // identical because the obligations are a pure function of (Prog, Inv).
-func (cert *Certificate) verifyShared() error {
+// cr holds the group's compiled invariant rows; with a nil cr every
+// obligation takes the reference path.
+func (cert *Certificate) verifyShared(cr *carrierRows) error {
 	if cert.Prog == nil {
 		return fmt.Errorf("certify: certificate has no program")
 	}
@@ -106,14 +109,13 @@ func (cert *Certificate) verifyShared() error {
 	}
 	p := cert.Prog
 	n := p.Size()
-	nv := p.NumVars()
 	if len(cert.Inv) != n+1 {
 		return fmt.Errorf("certify: invariant map has %d points, program has %d", len(cert.Inv), n+1)
 	}
 
 	// Initiation: the entry invariant must hold of every initial state,
 	// i.e. be entailed by the empty premise.
-	if c, bad := FirstUnentailed(nil, cert.Inv[0], nv); bad {
+	if c, bad := cert.initiation(cr); bad {
 		return fmt.Errorf("certify: initiation: entry invariant %q is not trivial",
 			constraintString(c, cert.VarNames))
 	}
@@ -124,7 +126,7 @@ func (cert *Certificate) verifyShared() error {
 	succ := p.CFG()
 	for i := range p.Stmts {
 		for _, e := range succ[i] {
-			if err := cert.checkEdge(i, e); err != nil {
+			if err := cert.checkEdge(cr, i, e); err != nil {
 				return err
 			}
 		}
@@ -132,16 +134,29 @@ func (cert *Certificate) verifyShared() error {
 	return nil
 }
 
+// initiation returns the first entry-invariant constraint that the empty
+// premise does not entail.
+func (cert *Certificate) initiation(cr *carrierRows) (linear.Constraint, bool) {
+	if cr != nil {
+		if j, ok := cr.initiation(); ok {
+			if j < 0 {
+				return linear.Constraint{}, false
+			}
+			return cert.Inv[0][j], true
+		}
+	}
+	return FirstUnentailed(nil, cert.Inv[0], cert.Prog.NumVars())
+}
+
 // verifyAssert establishes the per-assert obligations on top of a
 // verified shared part: the certified statement is a verifiable assert
 // and the invariant at it excludes every violating integer state.
-func (cert *Certificate) verifyAssert() error {
+func (cert *Certificate) verifyAssert(cr *carrierRows) error {
 	if cert.Unreachable {
 		return cert.verifyUnreachable()
 	}
 	p := cert.Prog
 	n := p.Size()
-	nv := p.NumVars()
 	if cert.AssertIdx < 0 || cert.AssertIdx >= n {
 		return fmt.Errorf("certify: assert index %d out of range", cert.AssertIdx)
 	}
@@ -157,15 +172,28 @@ func (cert *Certificate) verifyAssert() error {
 	// the condition. The integer negation (ip.DNF.Negate) is exact over
 	// integer states; rational infeasibility of each negated disjunct is
 	// therefore sound.
-	inv := cert.Inv[cert.AssertIdx]
-	for _, nd := range a.C.Negate() {
-		sys := append(inv.Clone(), nd...)
-		if !Unsat(sys, nv) {
-			return fmt.Errorf("certify: implication: invariant at %d does not exclude violation of %q",
-				cert.AssertIdx, a.Msg)
-		}
+	if !cert.excludes(cr, a.C.Negate()) {
+		return fmt.Errorf("certify: implication: invariant at %d does not exclude violation of %q",
+			cert.AssertIdx, a.Msg)
 	}
 	return nil
+}
+
+// excludes reports whether the invariant at the assert is infeasible
+// together with each disjunct of the negated condition.
+func (cert *Certificate) excludes(cr *carrierRows, negated ip.DNF) bool {
+	if cr != nil {
+		if excluded, ok := cr.excludes(cert.AssertIdx, negated); ok {
+			return excluded
+		}
+	}
+	inv := cert.Inv[cert.AssertIdx]
+	for _, nd := range negated {
+		if !Unsat(append(inv.Clone(), nd...), cert.Prog.NumVars()) {
+			return false
+		}
+	}
+	return true
 }
 
 // verifyUnreachable re-derives, by plain graph search, that the assert is
@@ -211,36 +239,24 @@ func (cert *Certificate) verifyUnreachable() error {
 // edge-disjunct) pair yields one premise whose exact rational post must
 // entail the successor invariant. Since every sound abstract transfer
 // over-approximates this exact post, a correct fixpoint always passes.
-func (cert *Certificate) checkEdge(i int, e ip.Edge) error {
+// The compiled rows decide the edge when they can; otherwise (cr == nil, or
+// the int64 engine cannot) the reference path below does.
+func (cert *Certificate) checkEdge(cr *carrierRows, i int, e ip.Edge) error {
 	p := cert.Prog
 	nv := p.NumVars()
 	pre := cert.Inv[i]
 	post := cert.Inv[e.To]
-
-	// The assigned/havocked variable, if any, is modeled with a primed
-	// variable at index nv; the successor invariant is rewritten over it.
-	primed := -1 // variable replaced by index nv in the target
-	var extra linear.System
-	transferDisjuncts := ip.DNF{nil} // one trivially-true disjunct
-
-	switch s := p.Stmts[i].(type) {
-	case *ip.Assign:
-		primed = s.V
-		// x' = e  (over the unprimed pre-state).
-		d := linear.NewExpr()
-		d = d.Add(s.E)
-		d.AddTerm(nv, -1) // e - x' == 0
-		extra = linear.System{linear.NewEq(d)}
-	case *ip.Havoc:
-		primed = s.V
-	case *ip.Assume:
-		transferDisjuncts = normDNF(s.C)
-	case *ip.Assert:
-		// Downstream of an assert the instrumented semantics guarantees the
-		// condition (execution halts at the first error), so the condition
-		// joins the premise. Unverifiable asserts contribute nothing.
-		if !s.Unverifiable {
-			transferDisjuncts = normDNF(s.C)
+	primed, extra, transferDisjuncts := transfer(p.Stmts[i], nv)
+	if cr != nil {
+		if j, ok := cr.edge(primed, extra, transferDisjuncts, i, e); ok {
+			if j < 0 {
+				return nil
+			}
+			target := post[j : j+1]
+			if primed >= 0 {
+				target = renameVar(target, primed, nv)
+			}
+			return consecutionError(i, e, target[0], cert.VarNames)
 		}
 	}
 
@@ -263,12 +279,46 @@ func (cert *Certificate) checkEdge(i int, e ip.Edge) error {
 			premise = append(premise, td...)
 			premise = append(premise, ed...)
 			if c, bad := FirstUnentailed(premise, target, dim); bad {
-				return fmt.Errorf("certify: consecution: edge %d->%d does not preserve %q",
-					i, e.To, constraintString(c, cert.VarNames))
+				return consecutionError(i, e, c, cert.VarNames)
 			}
 		}
 	}
 	return nil
+}
+
+// transfer decomposes a statement for its consecution obligations. The
+// variable an assignment or havoc overwrites (primed, -1 otherwise) is
+// modeled by a primed copy at index nv, over which the successor invariant
+// is rewritten; an assignment relates the two by the equation extra. The
+// transfer disjuncts each join the premise.
+func transfer(s ip.Stmt, nv int) (primed int, extra linear.System, disjuncts ip.DNF) {
+	primed, disjuncts = -1, ip.DNF{nil} // one trivially-true disjunct
+	switch s := s.(type) {
+	case *ip.Assign:
+		primed = s.V
+		// x' = e  (over the unprimed pre-state).
+		d := linear.NewExpr()
+		d = d.Add(s.E)
+		d.AddTerm(nv, -1) // e - x' == 0
+		extra = linear.System{linear.NewEq(d)}
+	case *ip.Havoc:
+		primed = s.V
+	case *ip.Assume:
+		disjuncts = normDNF(s.C)
+	case *ip.Assert:
+		// Downstream of an assert the instrumented semantics guarantees the
+		// condition (execution halts at the first error), so the condition
+		// joins the premise. Unverifiable asserts contribute nothing.
+		if !s.Unverifiable {
+			disjuncts = normDNF(s.C)
+		}
+	}
+	return primed, extra, disjuncts
+}
+
+func consecutionError(i int, e ip.Edge, c linear.Constraint, names []string) error {
+	return fmt.Errorf("certify: consecution: edge %d->%d does not preserve %q",
+		i, e.To, constraintString(c, names))
 }
 
 // normDNF normalizes a condition for obligation enumeration: nil (true)

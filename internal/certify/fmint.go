@@ -75,12 +75,14 @@ func newIRow(n int) *irow {
 }
 
 // iRowFromExpr builds expr + 0 >= 0 in dimension n; it panics fmOverflow
-// when a coefficient does not fit in int64 (the caller falls back).
+// when a coefficient does not fit in int64 (the caller falls back). A
+// variable outside the dimension is left to the big engine the same way;
+// rowFromExpr rejects it there, as it always has.
 func iRowFromExpr(e linear.Expr, n int, negate, strict bool) *irow {
 	r := newIRow(n)
 	for _, v := range e.Vars() {
 		c := e.Coef(v)
-		if !c.IsInt64() {
+		if v >= n || !c.IsInt64() {
 			panic(fmOverflow{})
 		}
 		cv := c.Int64()
@@ -92,11 +94,12 @@ func iRowFromExpr(e linear.Expr, n int, negate, strict bool) *irow {
 		}
 		r.c[v] = cv
 	}
-	k := e.Eval(nil)
-	if !k.IsInt64() {
-		panic(fmOverflow{})
+	if e.Const != nil { // a nil constant is 0
+		if !e.Const.IsInt64() {
+			panic(fmOverflow{})
+		}
+		r.k = e.Const.Int64()
 	}
-	r.k = k.Int64()
 	if negate {
 		if r.k == math.MinInt64 {
 			panic(fmOverflow{})
@@ -352,7 +355,6 @@ func iNeg(a int64) int64 {
 // iPrepSystem mirrors the big engine's equality elimination; it panics
 // fmOverflow when the int64 range is exceeded.
 func iPrepSystem(sys linear.System, n int) *iprep {
-	p := &iprep{n: n}
 	var eqs, ges []*irow
 	for _, c := range sys {
 		r := iRowFromExpr(c.E, n, false, false)
@@ -362,6 +364,14 @@ func iPrepSystem(sys linear.System, n int) *iprep {
 			ges = append(ges, r)
 		}
 	}
+	return iPrepRows(eqs, ges, n)
+}
+
+// iPrepRows prepares a premise given as its equality and inequality rows,
+// each list in constraint order. The rows themselves are never mutated, so
+// they may be shared with other premises; the two slices are reused.
+func iPrepRows(eqs, ges []*irow, n int) *iprep {
+	p := &iprep{n: n}
 	for len(eqs) > 0 {
 		kept := eqs[:0]
 		for _, e := range eqs {
@@ -412,6 +422,14 @@ func (p *iprep) entails(c linear.Constraint) bool {
 	if c.IsTautology() {
 		return true
 	}
+	return p.entailsRow(iRowFromExpr(c.E, p.n, false, false), c.Rel == linear.Eq)
+}
+
+// entailsRow decides entailment of the target whose expression row is r
+// (reduced and non-strict, as iRowFromExpr builds it): r == 0 when eq,
+// r >= 0 otherwise. A constant target is decided by the row alone, so no
+// separate tautology test is needed. r is not mutated.
+func (p *iprep) entailsRow(r *irow, eq bool) bool {
 	if p.unsat {
 		return true
 	}
@@ -433,12 +451,11 @@ func (p *iprep) entails(c linear.Constraint) bool {
 	// Subsumption shortcut: substitute the target itself and look it up in
 	// the premise index; a hit proves entailment without elimination. A
 	// miss falls through to the exact check.
-	rt := iRowFromExpr(c.E, p.n, false, false)
+	rt := r
 	for _, s := range p.subs {
 		rt = iElimVar(rt, s.e, s.v)
 	}
-	switch c.Rel {
-	case linear.Eq:
+	if eq {
 		if rt.isConst() {
 			if rt.k == 0 {
 				return true
@@ -446,16 +463,31 @@ func (p *iprep) entails(c linear.Constraint) bool {
 		} else if p.subsumes(rt) && p.subsumes(rt.negated()) {
 			return true
 		}
-		return check(iRowFromExpr(c.E, p.n, true, true)) &&
-			check(iRowFromExpr(c.E, p.n, false, true))
-	default:
-		if rt.isConst() {
-			if !rt.constFails() {
-				return true
-			}
-		} else if p.subsumes(rt) {
+		return check(r.negated().asStrict()) && check(r.clone().asStrict())
+	}
+	if rt.isConst() {
+		if !rt.constFails() {
 			return true
 		}
-		return check(iRowFromExpr(c.E, p.n, true, true))
+	} else if p.subsumes(rt) {
+		return true
 	}
+	return check(r.negated().asStrict())
+}
+
+// clone returns a copy of r without its cached dedup key.
+func (r *irow) clone() *irow {
+	return &irow{
+		c:      append([]int64(nil), r.c...),
+		k:      r.k,
+		strict: r.strict,
+		nz:     append([]int32(nil), r.nz...),
+	}
+}
+
+// asStrict marks a freshly built row strict (before its dedup key is
+// cached) and returns it.
+func (r *irow) asStrict() *irow {
+	r.strict = true
+	return r
 }

@@ -72,16 +72,22 @@ func (o *Outcome) Add(r CheckResult) {
 // Certificates sharing their carrier program and invariant map by pointer
 // (as one tier run exports them) have the shared obligations — initiation
 // and consecution — established once for the group; the per-assert
-// implication always runs per certificate. The outcome is identical to
-// calling Verify on each certificate, because the shared obligations are
-// a pure function of the pointer-identical (Prog, Inv) pair.
+// implication always runs per certificate. The group's invariant map is
+// compiled to int64 rows once (carrierRows) and every obligation of the
+// group reads it. The outcome is identical to calling Verify on each
+// certificate, because the shared obligations are a pure function of the
+// pointer-identical (Prog, Inv) pair.
 func VerifyAll(certs []*Certificate) []CheckResult {
 	type gkey struct {
 		prog *ip.Program
 		inv0 *linear.System
 		n    int
 	}
-	shared := make(map[gkey]error)
+	type group struct {
+		rows *carrierRows
+		err  error
+	}
+	shared := make(map[gkey]*group)
 	out := make([]CheckResult, 0, len(certs))
 	for _, cert := range certs {
 		r := CheckResult{
@@ -95,15 +101,16 @@ func VerifyAll(certs []*Certificate) []CheckResult {
 			err = cert.Verify()
 		} else {
 			k := gkey{cert.Prog, &cert.Inv[0], len(cert.Inv)}
-			serr, ok := shared[k]
+			g, ok := shared[k]
 			if !ok {
-				serr = cert.verifyShared()
-				shared[k] = serr
+				g = &group{rows: compileCarrier(cert)}
+				g.err = cert.verifyShared(g.rows)
+				shared[k] = g
 			}
-			if serr != nil {
-				err = serr
+			if g.err != nil {
+				err = g.err
 			} else {
-				err = cert.verifyAssert()
+				err = cert.verifyAssert(g.rows)
 			}
 		}
 		if err != nil {

@@ -423,21 +423,21 @@ func (cc *cacheCtx) tryHit(k cache.Key, opts Options, rc *runCounters) *ProcRepo
 // front end has run: same procedure body and configuration, different
 // environment. On success pr is filled with the stored verdict (fresh
 // front-end fields — warnings, sizes, the integer program — are kept), and
-// the decoded certificates and stored certification outcome are returned
-// so the caller can refresh the entry under the new key. No fixpoint runs.
+// the accepted entry is returned so the caller can refresh it under the new
+// key; nil means no candidate was accepted. No fixpoint runs.
 func (cc *cacheCtx) tryRevalidate(k cache.Key, pr *ProcReport, fresh *ip.Program,
-	opts Options, rc *runCounters) (revalidated bool, certs []*certify.Certificate, stored *certify.Outcome) {
+	opts Options, rc *runCounters) *cache.Entry {
 	cands, errs := cc.store.Candidates(k.Proc, k.Body, k.Conf, k.Env)
 	for _, err := range errs {
 		rc.cacheBad.Add(1)
 		cacheLog("%s: unusable candidate: %v", k.Proc, err)
 	}
 	if len(cands) == 0 {
-		return false, nil, nil
+		return nil
 	}
 	freshIP, err := json.Marshal(cache.EncodeProgram(fresh))
 	if err != nil {
-		return false, nil, nil
+		return nil
 	}
 	for _, e := range cands {
 		if opts.Certify && e.Report.Certification == nil {
@@ -480,17 +480,31 @@ func (cc *cacheCtx) tryRevalidate(k cache.Key, pr *ProcReport, fresh *ip.Program
 		}
 		pr.CacheStatus = "revalidated"
 		rc.cacheReval.Add(1)
-		return true, ecerts, e.Report.Certification
+		return e
 	}
-	return false, nil, nil
+	return nil
 }
 
-// put stores a completed result (or refreshes a revalidated one under its
-// new key). Store failures are logged, never fatal.
+// put stores a completed result under its key. Store failures are logged,
+// never fatal.
 func (cc *cacheCtx) put(k cache.Key, pr *ProcReport, nAnalysis, memResolved, memHavocked int,
 	certs []*certify.Certificate, certification *certify.Outcome, rc *runCounters) {
 	e := encodeEntry(pr, nAnalysis, memResolved, memHavocked, certification)
 	if err := cc.store.Put(k, e, certs); err != nil {
+		cacheLog("%s: store failed: %v", k.Proc, err)
+		return
+	}
+	rc.cacheStores.Add(1)
+}
+
+// refresh stores a revalidated result under its new key. The stored
+// certification outcome is kept even when this run did not request
+// certification, so the refreshed entry stays usable for certifying runs,
+// and the certificate file src was revalidated from is copied verbatim.
+func (cc *cacheCtx) refresh(k cache.Key, pr *ProcReport, nAnalysis, memResolved, memHavocked int,
+	src *cache.Entry, rc *runCounters) {
+	e := encodeEntry(pr, nAnalysis, memResolved, memHavocked, src.Report.Certification)
+	if err := cc.store.Refresh(k, e, src); err != nil {
 		cacheLog("%s: store failed: %v", k.Proc, err)
 		return
 	}

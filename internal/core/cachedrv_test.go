@@ -12,8 +12,8 @@ func TestConfFingerprintBytes(t *testing.T) {
 		opts Options
 		want string
 	}{
-		{"default", Options{}, "5c3d601e2d3f64e8073cbb0d2cb403d9dfc0ecaf26b5f35e9ab9b0edd973e4f4"},
-		{"cascade", Options{Cascade: true}, "45ce888beb9e8787dcab689ea072f7c0e7076e6fc61cb6b0aa80264a3234fa73"},
+		{"default", Options{}, "3d8daf7fe953bae075efbe52a5358fdde2af7d7cdd559072226e00805cc0eccb"},
+		{"cascade", Options{Cascade: true}, "41ba9452cd623b49ee569489420357d1a49ab441e55370209b4f0e8bc847a29b"},
 	} {
 		if got := confFingerprint(tc.opts); got != tc.want {
 			t.Errorf("%s: confFingerprint = %s, want %s", tc.name, got, tc.want)

@@ -623,15 +623,13 @@ func analyzeProc(orig *cast.File, prog *corec.Program, name string, opts Options
 	// independent checker — no fixpoint runs. The side-effect check below
 	// still runs fresh: the procedure's own contract may be exactly what
 	// changed.
-	revalidated := false
-	var cachedCerts []*certify.Certificate
-	var cachedOutcome *certify.Outcome
+	var revalidatedFrom *cache.Entry
 	if cacheable {
-		revalidated, cachedCerts, cachedOutcome = cc.tryRevalidate(ckey, pr, res.Prog, opts, rc)
-		if !revalidated {
+		if revalidatedFrom = cc.tryRevalidate(ckey, pr, res.Prog, opts, rc); revalidatedFrom == nil {
 			rc.cacheMiss.Add(1)
 		}
 	}
+	revalidated := revalidatedFrom != nil
 
 	var certs []*certify.Certificate
 	if !revalidated {
@@ -759,17 +757,10 @@ func analyzeProc(orig *cast.File, prog *corec.Program, name string, opts Options
 	// next identical run exact-hits). Degraded results are never cached:
 	// they depend on budgets and timing, and their checks are unresolved.
 	if cacheable && pr.Degraded == nil {
-		outcome := pr.Certification
-		storeCerts := certs
 		if revalidated {
-			// Preserve the stored certification outcome even when this run
-			// did not request certification, so the refreshed entry stays
-			// usable for certifying runs.
-			outcome = cachedOutcome
-			storeCerts = cachedCerts
-		}
-		cc.put(ckey, pr, nAnalysis, res.MemberResolved, res.MemberHavocked, storeCerts, outcome, rc)
-		if !revalidated {
+			cc.refresh(ckey, pr, nAnalysis, res.MemberResolved, res.MemberHavocked, revalidatedFrom, rc)
+		} else {
+			cc.put(ckey, pr, nAnalysis, res.MemberResolved, res.MemberHavocked, certs, pr.Certification, rc)
 			pr.CacheStatus = "stored"
 		}
 	} else if cc != nil && pr.CacheStatus == "" {
