@@ -453,3 +453,136 @@ func TestCacheTamperedCertificateRejected(t *testing.T) {
 		t.Errorf("report after certificate tampering differs from the trusted reference")
 	}
 }
+
+// TestCacheMalformedCertificateRejected re-signs one stored certificate
+// file, and the digest its report pins, with the term 99999:1 added to an
+// invariant constraint: a well-signed certificate naming a variable far
+// beyond its carrier's dimension. Read as an exact hit under -cache-verify
+// and as a revalidation candidate after an edit, the entry must be
+// rejected and counted, no procedure may degrade, and the report must be
+// byte-identical to an uncached run's.
+func TestCacheMalformedCertificateRejected(t *testing.T) {
+	const path = "testdata/airbus/airbus.c"
+	src, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edited := string(src) + "\nvoid cssv_appended(void) { int x; x = 0; }\n"
+	warm := t.TempDir()
+	if _, err := AnalyzeFile(path, Config{Workers: 1, Cascade: true, CacheDir: warm}); err != nil {
+		t.Fatal(err)
+	}
+	malformCertificate(t, warm)
+	for _, tc := range []struct {
+		name, src string
+		verify    bool
+	}{
+		{"exact-hit", string(src), true},
+		{"revalidation", edited, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			copyDir(t, warm, dir)
+			rep, err := Analyze(path, tc.src, Config{Workers: 1, Cascade: true, CacheDir: dir, CacheVerify: tc.verify})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := Analyze(path, tc.src, Config{Workers: 1, Cascade: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Stats.CacheCertRejected != 1 || rep.Stats.CacheBadEntries != 0 {
+				t.Errorf("CacheCertRejected = %d, CacheBadEntries = %d; want 1 and 0",
+					rep.Stats.CacheCertRejected, rep.Stats.CacheBadEntries)
+			}
+			if rep.Stats.DegradedProcs != 0 {
+				t.Errorf("%d procedures degraded", rep.Stats.DegradedProcs)
+			}
+			var got, want bytes.Buffer
+			Render(&got, rep, RenderOptions{})
+			Render(&want, ref, RenderOptions{})
+			if got.String() != want.String() {
+				t.Errorf("report differs from the uncached run:\n%s\nwant:\n%s", got.String(), want.String())
+			}
+			stripTimings(rep)
+			stripTimings(ref)
+			if !reflect.DeepEqual(rep, ref) {
+				t.Errorf("report after rejecting the malformed certificate differs from the uncached run")
+			}
+		})
+	}
+}
+
+// malformCertificate adds the term 99999:1 to the first invariant
+// constraint of the first certificate file in dir that has one, and
+// re-signs both the file and the digest its report pins.
+func malformCertificate(t *testing.T, dir string) {
+	t.Helper()
+	certs, err := filepath.Glob(filepath.Join(dir, "*.cert"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cf := range certs {
+		data, err := os.ReadFile(cf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nl := bytes.IndexByte(data, '\n')
+		if nl < 0 {
+			t.Fatalf("%s: no header line", cf)
+		}
+		var batch cache.CertBatch
+		if err := json.Unmarshal(data[nl+1:], &batch); err != nil {
+			t.Fatal(err)
+		}
+		if !addFarTerm(&batch) {
+			continue
+		}
+		payload, err := json.Marshal(&batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(payload)
+		header := fmt.Sprintf("cssv-cache %d %s\n", cache.FormatVersion, hex.EncodeToString(sum[:]))
+		if err := os.WriteFile(cf, append([]byte(header), payload...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		resign(t, strings.TrimSuffix(cf, ".cert")+".rep", func(e *cache.Entry) {
+			e.CertDigest = hex.EncodeToString(sum[:])
+		})
+		return
+	}
+	t.Fatal("fixture bug: no certificate file has an invariant constraint")
+}
+
+// addFarTerm appends the term 99999:1 to the first invariant constraint of
+// the batch, reporting whether there was one.
+func addFarTerm(batch *cache.CertBatch) bool {
+	for _, c := range batch.Carriers {
+		for _, sys := range c.Inv {
+			if len(sys) > 0 {
+				sys[0] += " 99999:1"
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// copyDir copies the regular files of one directory into another.
+func copyDir(t *testing.T, from, to string) {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(from, "*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		data, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(to, filepath.Base(f)), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

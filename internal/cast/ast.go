@@ -398,15 +398,6 @@ type FuncDecl struct {
 	Contract *Contract
 }
 
-// FuncType returns the ctypes representation of the declared signature.
-func (f *FuncDecl) FuncType() *ctypes.Func {
-	ps := make([]ctypes.Type, len(f.Params))
-	for i, p := range f.Params {
-		ps[i] = p.Type
-	}
-	return &ctypes.Func{Ret: f.Ret, Params: ps, Variadic: f.Variadic}
-}
-
 // StructDecl declares a struct or union type.
 type StructDecl struct {
 	declBase

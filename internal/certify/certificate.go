@@ -82,41 +82,48 @@ func (cert *Certificate) InvariantAt(origIdx int) (linear.System, bool) {
 // integer state violating the condition). A nil error means the check is
 // certified.
 func (cert *Certificate) Verify() error {
-	cr := compileCarrier(cert)
-	if err := cert.verifyShared(cr); err != nil {
+	cr, err := cert.verifyShared(true)
+	if err != nil {
 		return err
 	}
 	return cert.verifyAssert(cr)
 }
 
 // verifyShared establishes the obligations that do not depend on which
-// assert is certified: carrier resolution, invariant shape, initiation,
+// assert is certified: carrier resolution, certificate shape, initiation,
 // and consecution along every CFG edge. Certificates exported by one tier
 // run share their carrier program and invariant map by pointer, so
 // VerifyAll discharges this part once per shared group — the result is
 // identical because the obligations are a pure function of (Prog, Inv).
-// cr holds the group's compiled invariant rows; with a nil cr every
-// obligation takes the reference path.
-func (cert *Certificate) verifyShared(cr *carrierRows) error {
+// The shape check compiles the invariant map to int64 rows on the way
+// (compileCarrier), and verifyShared returns them for the per-assert
+// implication. With compiled false every obligation takes the big.Int
+// reference path instead, and the returned rows are nil.
+func (cert *Certificate) verifyShared(compiled bool) (*carrierRows, error) {
 	if cert.Prog == nil {
-		return fmt.Errorf("certify: certificate has no program")
+		return nil, fmt.Errorf("certify: certificate has no program")
 	}
 	if err := cert.Prog.Resolve(); err != nil {
-		return fmt.Errorf("certify: carrier program: %w", err)
-	}
-	if cert.Unreachable {
-		return nil // the whole claim is per-assert graph reachability
+		return nil, fmt.Errorf("certify: carrier program: %w", err)
 	}
 	p := cert.Prog
 	n := p.Size()
-	if len(cert.Inv) != n+1 {
-		return fmt.Errorf("certify: invariant map has %d points, program has %d", len(cert.Inv), n+1)
+	if !cert.Unreachable && len(cert.Inv) != n+1 {
+		return nil, fmt.Errorf("certify: invariant map has %d points, program has %d", len(cert.Inv), n+1)
+	}
+	cr, err := compileCarrier(cert)
+	if err != nil || cert.Unreachable {
+		// An unreachability claim is per-assert graph reachability.
+		return nil, err
+	}
+	if !compiled {
+		cr = nil
 	}
 
 	// Initiation: the entry invariant must hold of every initial state,
 	// i.e. be entailed by the empty premise.
 	if c, bad := cert.initiation(cr); bad {
-		return fmt.Errorf("certify: initiation: entry invariant %q is not trivial",
+		return nil, fmt.Errorf("certify: initiation: entry invariant %q is not trivial",
 			constraintString(c, cert.VarNames))
 	}
 
@@ -127,11 +134,11 @@ func (cert *Certificate) verifyShared(cr *carrierRows) error {
 	for i := range p.Stmts {
 		for _, e := range succ[i] {
 			if err := cert.checkEdge(cr, i, e); err != nil {
-				return err
+				return nil, err
 			}
 		}
 	}
-	return nil
+	return cr, nil
 }
 
 // initiation returns the first entry-invariant constraint that the empty

@@ -1,6 +1,8 @@
 package certify
 
 import (
+	"fmt"
+
 	"repro/internal/ip"
 	"repro/internal/linear"
 )
@@ -16,15 +18,15 @@ import (
 // The compiled checks run on the int64 engine only. Whenever one cannot —
 // a point whose coefficients do not fit int64, or checked arithmetic
 // overflowing anywhere in the obligation — it reports !ok, and the caller
-// redoes that one obligation on the reference path (FirstUnentailed and
-// Unsat over the linear systems), which promotes to the big.Int engine on
-// overflow exactly as before. Both paths therefore give the same answer
-// and the same first unentailed constraint; TestCompiledCheckerMatchesReference
-// holds them to it.
+// redoes that one obligation on the big.Int reference path
+// (FirstUnentailed and Unsat over the linear systems). Both engines are
+// exact, so the two paths give the same answer and the same first
+// unentailed constraint; TestCompiledCheckerMatchesReference holds them to
+// it.
 type carrierRows struct {
 	n int
 	// pts[i] compiles Inv[i] constraint by constraint; nil when Inv[i] has
-	// a coefficient beyond int64 or mentions column nv itself.
+	// a coefficient beyond int64.
 	pts [][]crow
 }
 
@@ -35,35 +37,91 @@ type crow struct {
 	eq bool
 }
 
-// compileCarrier compiles a certificate's invariant map; nil when the
-// certificate has no invariant obligations to share.
-func compileCarrier(cert *Certificate) *carrierRows {
-	if cert.Prog == nil || cert.Unreachable || len(cert.Inv) == 0 {
-		return nil
+// compileCarrier checks the certificate's shape and compiles its invariant
+// map, reading each invariant expression once. Every variable the carrier's statements and invariants
+// name must be one of its own, in [0, nv): both engines build rows of a
+// fixed dimension and index them by variable, so a certificate naming any
+// other index is malformed and rejected here, before any obligation runs.
+// The rows are nil for an unreachability certificate, which has no
+// invariant map.
+func compileCarrier(cert *Certificate) (*carrierRows, error) {
+	nv := cert.Prog.NumVars()
+	for i, s := range cert.Prog.Stmts {
+		if v, bad := stmtOutside(s, nv); bad {
+			return nil, fmt.Errorf("certify: statement %d names variable %d, carrier has %d", i, v, nv)
+		}
 	}
-	cr := &carrierRows{n: cert.Prog.NumVars() + 1, pts: make([][]crow, len(cert.Inv))}
+	if cert.Unreachable {
+		return nil, nil
+	}
+	cr := &carrierRows{n: nv + 1, pts: make([][]crow, len(cert.Inv))}
 	for i, sys := range cert.Inv {
 		rows := make([]crow, len(sys))
-		if int64Only(func() {
-			for j, c := range sys {
-				rows[j] = crow{compileRow(c, cr.n), c.Rel == linear.Eq}
+		fits := true
+		for j, c := range sys {
+			vs := c.E.Vars()
+			if v, bad := outside(vs, nv); bad {
+				return nil, fmt.Errorf("certify: invariant at %d names variable %d, carrier has %d", i, v, nv)
 			}
-		}) {
+			fits = fits && int64Only(func() {
+				rows[j] = crow{iRowFromExpr(c.E, vs, cr.n), c.Rel == linear.Eq}
+			})
+		}
+		if fits {
 			cr.pts[i] = rows
 		}
 	}
-	return cr
+	return cr, nil
 }
 
-// compileRow lowers a constraint over the carrier's own variables. A
-// constraint that already mentions the primed column is left to the
-// reference path (reported like an overflow), which treats it as before.
-func compileRow(c linear.Constraint, n int) *irow {
-	r := iRowFromExpr(c.E, n, false, false)
-	if r.c[n-1] != 0 {
-		panic(fmOverflow{})
+// outside returns a variable of the sorted list vs that lies outside
+// [0, nv), if any.
+func outside(vs []int, nv int) (int, bool) {
+	switch {
+	case len(vs) == 0:
+		return 0, false
+	case vs[0] < 0:
+		return vs[0], true
+	case vs[len(vs)-1] >= nv:
+		return vs[len(vs)-1], true
 	}
-	return r
+	return 0, false
+}
+
+// stmtOutside returns a variable that s assigns or whose expressions and
+// conditions name outside [0, nv), if any.
+func stmtOutside(s ip.Stmt, nv int) (int, bool) {
+	switch s := s.(type) {
+	case *ip.Assign:
+		if s.V < 0 || s.V >= nv {
+			return s.V, true
+		}
+		return outside(s.E.Vars(), nv)
+	case *ip.Havoc:
+		return s.V, s.V < 0 || s.V >= nv
+	case *ip.Assume:
+		return dnfOutside(s.C, nv)
+	case *ip.Assert:
+		return dnfOutside(s.C, nv)
+	case *ip.IfGoto:
+		if v, bad := dnfOutside(s.C, nv); bad {
+			return v, true
+		}
+		return dnfOutside(s.FalseC, nv)
+	}
+	return 0, false
+}
+
+// dnfOutside is stmtOutside for one condition.
+func dnfOutside(d ip.DNF, nv int) (int, bool) {
+	for _, conj := range d {
+		for _, c := range conj {
+			if v, bad := outside(c.E.Vars(), nv); bad {
+				return v, true
+			}
+		}
+	}
+	return 0, false
 }
 
 // int64Only runs f, reporting false when it left the int64 engine by an
@@ -82,7 +140,7 @@ func int64Only(f func()) (ok bool) {
 }
 
 // premise collects the rows of a premise in constraint order, equalities
-// and inequalities apart, as iPrepSystem would split them.
+// and inequalities apart, as bPrepSystem splits them.
 type premise struct {
 	eqs, ges []*irow
 }
@@ -103,7 +161,7 @@ func (p *premise) add(r *irow, eq bool) {
 
 func (p *premise) addSystem(sys []linear.Constraint, n int) {
 	for _, c := range sys {
-		p.add(compileRow(c, n), c.Rel == linear.Eq)
+		p.add(iRowFromExpr(c.E, c.E.Vars(), n), c.Rel == linear.Eq)
 	}
 }
 
@@ -147,7 +205,7 @@ func (cr *carrierRows) edge(primed int, extra linear.System, transferDisjuncts i
 		// primed column, so it is lowered directly.
 		var extraRows []*irow
 		for _, c := range extra {
-			extraRows = append(extraRows, iRowFromExpr(c.E, cr.n, false, false))
+			extraRows = append(extraRows, iRowFromExpr(c.E, c.E.Vars(), cr.n))
 		}
 		// Renaming the overwritten variable to its primed copy moves one
 		// column of each successor row; the gcd, and so the reduced form,

@@ -73,17 +73,18 @@ func TestEntailsAgreesWithPolyhedra(t *testing.T) {
 	}
 }
 
-func TestEntailsSystemAgreesWithIncludes(t *testing.T) {
+func TestFirstUnentailedAgreesWithIncludes(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 300; i++ {
 		n := 1 + rng.Intn(3)
 		q := randomSystem(rng, n, 4)
 		p := randomSystem(rng, n, 4)
 		// q |= p  iff  points(q) ⊆ points(p)  iff  poly(p).Includes(poly(q)).
-		fm := certify.EntailsSystem(q, p, n)
+		_, notEntailed := certify.FirstUnentailed(q, p, n)
+		fm := !notEntailed
 		ch := polyhedra.FromSystem(p, n).Includes(polyhedra.FromSystem(q, n))
 		if fm != ch {
-			t.Fatalf("case %d: EntailsSystem=%v, Includes=%v\n  q: %s\n  p: %s",
+			t.Fatalf("case %d: entailed=%v, Includes=%v\n  q: %s\n  p: %s",
 				i, fm, ch, certify.FormatSystem(q, nil), certify.FormatSystem(p, nil))
 		}
 	}
@@ -171,9 +172,9 @@ func FuzzEntails(f *testing.F) {
 
 // TestOverflowDemotionAgreesWithPolyhedra checks systems whose coefficients
 // lie near 2^62. Fourier–Motzkin combination multiplies two of them, which
-// overflows the int64 engine's checked arithmetic, so Unsat and every
-// prepared premise fall back to the big.Int engine. The polyhedra package
-// promotes on overflow too and stays exact, so the answers must agree.
+// would overflow int64 arithmetic; Unsat and Entails run on the big.Int
+// engine. The polyhedra package promotes on overflow and stays exact, so
+// the answers must agree.
 func TestOverflowDemotionAgreesWithPolyhedra(t *testing.T) {
 	const a, b = 1<<62 - 1, 1<<62 - 3
 	ge := func(k int64, terms ...int64) linear.Constraint {

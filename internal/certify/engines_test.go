@@ -50,11 +50,12 @@ func engineTarget(rng *rand.Rand, sys linear.System, n int) linear.Constraint {
 	return linear.NewGe(linear.ConstExpr(0))
 }
 
-// TestEnginesAgree runs the int64 engine (iPrepSystem, iUnsatRows,
-// iprep.entails) and the big.Int engine (bPrepSystem, unsatRows,
-// bprep.entails) on one seeded corpus and requires identical Unsat and
-// Entails answers. The big engine is the trusted core of DESIGN.md §5.3;
-// the public entry points reach it only when int64 arithmetic overflows.
+// TestEnginesAgree runs the int64 engine (iPrepRows, iUnsatRows,
+// iprep.entailsRow over iRowFromExpr rows, as the compiled checker drives
+// it) and the big.Int engine (bPrepSystem, unsatRows, bprep.entails) on one
+// seeded corpus and requires identical Unsat and Entails answers. The big
+// engine is the trusted core of DESIGN.md §5.3; the checker reaches it only
+// when int64 arithmetic overflows.
 func TestEnginesAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	// entailed and refuted count targets of satisfiable premises only (an
@@ -64,7 +65,9 @@ func TestEnginesAgree(t *testing.T) {
 		n := 1 + rng.Intn(5)
 		sys := engineSystem(rng, n, 7)
 
-		ip, bp := iPrepSystem(sys, n), bPrepSystem(sys, n)
+		var pm premise
+		pm.addSystem(sys, n)
+		ip, bp := iPrepRows(pm.eqs, pm.ges, n), bPrepSystem(sys, n)
 		iu := ip.unsat || iUnsatRows(ip.rows, n)
 		bu := bp.unsat || unsatRows(bp.rows, n)
 		if iu != bu {
@@ -77,7 +80,8 @@ func TestEnginesAgree(t *testing.T) {
 
 		for j := 0; j < 4; j++ {
 			c := engineTarget(rng, sys, n)
-			ie, be := ip.entails(c), bp.entails(c)
+			ie := ip.entailsRow(iRowFromExpr(c.E, c.E.Vars(), n), c.Rel == linear.Eq)
+			be := bp.entails(c)
 			if ie != be {
 				t.Fatalf("case %d.%d: int64 entails=%v, big.Int entails=%v for %s |= %s",
 					i, j, ie, be, FormatSystem(sys, nil), c.String(nil))
@@ -96,27 +100,5 @@ func TestEnginesAgree(t *testing.T) {
 	// of each decision.
 	if unsats < 200 || unsats > 1800 || entailed < 500 || refuted < 500 {
 		t.Fatalf("degenerate corpus: %d unsat premises, %d entailed, %d not entailed", unsats, entailed, refuted)
-	}
-}
-
-// TestPrepDemotesOnOverflow pins the promote-on-overflow boundary: a premise
-// whose elimination multiplies coefficients near 2^62 overflows the int64
-// engine, so prep drops to the big.Int engine and answers there.
-func TestPrepDemotesOnOverflow(t *testing.T) {
-	const a, b = 1<<62 - 1, 1<<62 - 3
-	// a·x + 3y - 5 >= 0 and -b·x + 7y + 1 >= 0 imply y >= (5b-a)/(3b+7a) ≈ 0.4.
-	sys := linear.System{ge(-5, a, 3), ge(1, -b, 7)}
-	p := prepSystem(sys, 2)
-	if p.fast == nil {
-		t.Fatal("int64 prep overflowed already; the case must overflow during elimination")
-	}
-	if !p.entails(ge(0, 0, 1)) {
-		t.Error("premise should entail y >= 0")
-	}
-	if p.fast != nil || p.slow == nil {
-		t.Fatal("prep did not demote to the big.Int engine on overflow")
-	}
-	if p.entails(ge(-1, 0, 1)) {
-		t.Error("premise should not entail y >= 1")
 	}
 }

@@ -14,7 +14,7 @@ func VerifyReference(certs []*Certificate) []CheckResult {
 			Msg:   cert.Check.Msg,
 			Tier:  cert.Check.Tier,
 		}
-		err := cert.verifyShared(nil)
+		_, err := cert.verifyShared(false)
 		if err == nil {
 			err = cert.verifyAssert(nil)
 		}
@@ -32,7 +32,10 @@ func VerifyReference(certs []*Certificate) []CheckResult {
 // CompiledFallbacks counts the consecution edges and the implication of
 // cert that its compiled rows hand back to the reference path.
 func CompiledFallbacks(cert *Certificate) (edges, implications int) {
-	cr := compileCarrier(cert)
+	cr, err := compileCarrier(cert)
+	if err != nil {
+		panic(err)
+	}
 	p := cert.Prog
 	for i, succ := range p.CFG() {
 		if i >= p.Size() {

@@ -52,7 +52,8 @@ func newRow(n int) *row {
 var intOne = big.NewInt(1)
 
 // rowFromExpr builds expr + 0 >= 0 in dimension n, dropping nothing:
-// variables beyond n are a caller bug and panic via index.
+// variables beyond n are a caller bug and panic via index (Verify rejects
+// a certificate naming one before building any row).
 func rowFromExpr(e linear.Expr, n int, negate, strict bool) *row {
 	r := newRow(n)
 	for _, v := range e.Vars() {
@@ -333,7 +334,7 @@ type eqSub struct {
 	v int
 }
 
-// prep is a premise system prepared for repeated entailment checks: every
+// bprep is a premise system prepared for repeated entailment checks: every
 // equality has been eliminated by exact Gaussian substitution (each step
 // removes one variable, so the inequality count never grows), and the
 // remaining inequality rows are sifted. Preparing once and sharing the
@@ -447,98 +448,12 @@ func (p *bprep) entails(c linear.Constraint) bool {
 	}
 }
 
-// prep is a premise prepared for repeated entailment checks. It starts on
-// the int64 engine and demotes itself to the arbitrary-precision engine
-// the first time checked arithmetic overflows (keeping the original
-// system around for the rebuild); answers are identical on both.
-type prep struct {
-	sys  linear.System
-	n    int
-	fast *iprep
-	slow *bprep
-}
-
-func prepSystem(sys linear.System, n int) *prep {
-	p := &prep{sys: sys, n: n}
-	p.fast = tryIPrep(sys, n)
-	return p
-}
-
-func (p *prep) entails(c linear.Constraint) bool {
-	if p.fast != nil {
-		if r, ok := tryIEntails(p.fast, c); ok {
-			return r
-		}
-		p.fast = nil
-	}
-	if p.slow == nil {
-		p.slow = bPrepSystem(p.sys, p.n)
-	}
-	return p.slow.entails(c)
-}
-
-// tryIPrep runs the int64 premise preparation, reporting nil when it
-// overflowed machine range.
-func tryIPrep(sys linear.System, n int) (p *iprep) {
-	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := r.(fmOverflow); !ok {
-				panic(r)
-			}
-			p = nil
-		}
-	}()
-	return iPrepSystem(sys, n)
-}
-
-// tryIEntails runs one entailment on the int64 engine; ok is false when
-// the check overflowed and must be redone on the big engine.
-func tryIEntails(p *iprep, c linear.Constraint) (res, ok bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			if _, ok2 := r.(fmOverflow); !ok2 {
-				panic(r)
-			}
-			res, ok = false, false
-		}
-	}()
-	return p.entails(c), true
-}
-
-// tryIUnsat decides Unsat on the int64 engine; ok is false on overflow.
-func tryIUnsat(sys linear.System, n int) (res, ok bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			if _, ok2 := r.(fmOverflow); !ok2 {
-				panic(r)
-			}
-			res, ok = false, false
-		}
-	}()
-	p := iPrepSystem(sys, n)
-	if p.unsat {
-		return true, true
-	}
-	return iUnsatRows(p.rows, p.n), true
-}
-
 // Unsat reports whether the conjunction of constraints has no rational
 // solution (which implies it has no integer solution either).
 func Unsat(sys linear.System, n int) bool {
-	if r, ok := tryIUnsat(sys, n); ok {
-		return r
-	}
 	p := bPrepSystem(sys, n)
-	if p.unsat {
-		return true
-	}
-	return unsatRows(p.rows, p.n)
+	return p.unsat || unsatRows(p.rows, p.n)
 }
-
-// Sat reports whether the conjunction has a rational solution. It is the
-// exact complement of Unsat except at the maxRows cap, where both report
-// the unproven direction.
-func Sat(sys linear.System, n int) bool { return !Unsat(sys, n) }
 
 // Entails reports whether every rational point satisfying sys satisfies c:
 // sys ∧ ¬c is infeasible, with the negation taken over the rationals
@@ -546,26 +461,14 @@ func Sat(sys linear.System, n int) bool { return !Unsat(sys, n) }
 // Entailment over the rationals implies entailment over the integers, so a
 // "true" answer is sound for the integer IP semantics.
 func Entails(sys linear.System, c linear.Constraint, n int) bool {
-	return prepSystem(sys, n).entails(c)
-}
-
-// EntailsSystem reports whether sys entails every constraint of target.
-// The premise is prepared once and shared across the targets.
-func EntailsSystem(sys, target linear.System, n int) bool {
-	p := prepSystem(sys, n)
-	for _, c := range target {
-		if !p.entails(c) {
-			return false
-		}
-	}
-	return true
+	return bPrepSystem(sys, n).entails(c)
 }
 
 // FirstUnentailed returns the first constraint of target that sys does not
 // entail, for error reporting; ok is false when every constraint is
 // entailed.
 func FirstUnentailed(sys, target linear.System, n int) (linear.Constraint, bool) {
-	p := prepSystem(sys, n)
+	p := bPrepSystem(sys, n)
 	for _, c := range target {
 		if !p.entails(c) {
 			return c, true

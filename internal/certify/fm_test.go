@@ -96,16 +96,13 @@ func TestEntailsBasics(t *testing.T) {
 	}
 }
 
-func TestEntailsSystemAndFirstUnentailed(t *testing.T) {
+func TestFirstUnentailed(t *testing.T) {
 	sys := linear.System{ge(-1, 1), ge(0, 0, 1)} // x >= 1, y >= 0
 	target := linear.System{ge(0, 1), ge(-1, 1, 1)}
-	if !EntailsSystem(sys, target, 2) {
-		t.Errorf("expected entailment of %s", FormatSystem(target, nil))
+	if c, notEntailed := FirstUnentailed(sys, target, 2); notEntailed {
+		t.Errorf("expected entailment of %s, %s is not entailed", FormatSystem(target, nil), c.String(nil))
 	}
 	bad := linear.System{ge(0, 1), ge(-5, 0, 1)} // y >= 5 is not implied
-	if EntailsSystem(sys, bad, 2) {
-		t.Errorf("unexpected entailment of %s", FormatSystem(bad, nil))
-	}
 	c, notEntailed := FirstUnentailed(sys, bad, 2)
 	if !notEntailed {
 		t.Fatalf("FirstUnentailed found nothing")

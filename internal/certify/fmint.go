@@ -1,14 +1,14 @@
-// The int64 fast path of the Fourier–Motzkin engine: a twin of the big.Int
-// implementation in fm.go operating on machine integers with checked
-// arithmetic. Every operation that could wrap panics with the fmOverflow
-// sentinel, which the boundary wrappers recover to fall back to the
-// arbitrary-precision engine — the same promote-on-overflow discipline as
-// the numeric substrate kernel (DESIGN.md §6), applied to the checker.
-// Both engines use the same equality pivots, sift, elimination order and
-// maxRows cap. Only this engine has the premise-subsumption shortcut
-// (iprep.subsumes), which answers "entailed" only when a premise row
-// implies the target outright, so the engines can disagree only where the
-// big engine gives up at maxRows on an entailment the shortcut proves.
+// The int64 engine of the certificate checker: Fourier–Motzkin over
+// machine integers with checked arithmetic, mirroring the big.Int engine in
+// fm.go. Every operation that could wrap panics with the fmOverflow
+// sentinel; int64Only (compiled.go) recovers it, and the obligation is
+// redone on the big.Int reference path — the same promote-on-overflow
+// discipline as the numeric substrate kernel (DESIGN.md §6), applied to the
+// checker. Both engines use the same equality pivots, sift, elimination
+// order and maxRows cap. Only this engine has the premise-subsumption
+// shortcut (iprep.subsumes), which answers "entailed" only when a premise
+// row implies the target outright, so the engines can disagree only where
+// the big engine gives up at maxRows on an entailment the shortcut proves.
 // TestEnginesAgree holds both to identical answers on a seeded corpus.
 package certify
 
@@ -74,25 +74,18 @@ func newIRow(n int) *irow {
 	return &irow{c: make([]int64, n)}
 }
 
-// iRowFromExpr builds expr + 0 >= 0 in dimension n; it panics fmOverflow
-// when a coefficient does not fit in int64 (the caller falls back). A
-// variable outside the dimension is left to the big engine the same way;
-// rowFromExpr rejects it there, as it always has.
-func iRowFromExpr(e linear.Expr, n int, negate, strict bool) *irow {
+// iRowFromExpr builds the reduced row of e >= 0 in dimension n from vs,
+// e's variables (e.Vars()), every one of which the caller has checked to
+// be in [0, n). It panics fmOverflow when a coefficient does not fit in
+// int64.
+func iRowFromExpr(e linear.Expr, vs []int, n int) *irow {
 	r := newIRow(n)
-	for _, v := range e.Vars() {
+	for _, v := range vs {
 		c := e.Coef(v)
-		if v >= n || !c.IsInt64() {
+		if !c.IsInt64() {
 			panic(fmOverflow{})
 		}
-		cv := c.Int64()
-		if negate {
-			if cv == math.MinInt64 {
-				panic(fmOverflow{})
-			}
-			cv = -cv
-		}
-		r.c[v] = cv
+		r.c[v] = c.Int64()
 	}
 	if e.Const != nil { // a nil constant is 0
 		if !e.Const.IsInt64() {
@@ -100,13 +93,6 @@ func iRowFromExpr(e linear.Expr, n int, negate, strict bool) *irow {
 		}
 		r.k = e.Const.Int64()
 	}
-	if negate {
-		if r.k == math.MinInt64 {
-			panic(fmOverflow{})
-		}
-		r.k = -r.k
-	}
-	r.strict = strict
 	r.reduce()
 	return r
 }
@@ -352,21 +338,6 @@ func iNeg(a int64) int64 {
 	return -a
 }
 
-// iPrepSystem mirrors the big engine's equality elimination; it panics
-// fmOverflow when the int64 range is exceeded.
-func iPrepSystem(sys linear.System, n int) *iprep {
-	var eqs, ges []*irow
-	for _, c := range sys {
-		r := iRowFromExpr(c.E, n, false, false)
-		if c.Rel == linear.Eq {
-			eqs = append(eqs, r)
-		} else {
-			ges = append(ges, r)
-		}
-	}
-	return iPrepRows(eqs, ges, n)
-}
-
 // iPrepRows prepares a premise given as its equality and inequality rows,
 // each list in constraint order. The rows themselves are never mutated, so
 // they may be shared with other premises; the two slices are reused.
@@ -414,15 +385,6 @@ func iPrepRows(eqs, ges []*irow, n int) *iprep {
 	}
 	p.rows, p.unsat = iSift(ges)
 	return p
-}
-
-// entails mirrors bprep.entails. The fmOverflow panic propagates to the
-// caller (the prep wrapper), which demotes to the big engine.
-func (p *iprep) entails(c linear.Constraint) bool {
-	if c.IsTautology() {
-		return true
-	}
-	return p.entailsRow(iRowFromExpr(c.E, p.n, false, false), c.Rel == linear.Eq)
 }
 
 // entailsRow decides entailment of the target whose expression row is r

@@ -103,8 +103,8 @@ func VerifyAll(certs []*Certificate) []CheckResult {
 			k := gkey{cert.Prog, &cert.Inv[0], len(cert.Inv)}
 			g, ok := shared[k]
 			if !ok {
-				g = &group{rows: compileCarrier(cert)}
-				g.err = cert.verifyShared(g.rows)
+				g = &group{}
+				g.rows, g.err = cert.verifyShared(true)
 				shared[k] = g
 			}
 			if g.err != nil {

@@ -321,26 +321,44 @@ func decodeEntry(e *cache.Entry, includeSideEffects bool) (*ProcReport, error) {
 }
 
 // ---------------------------------------------------------------------------
-// Verification obligations shared by the paranoid-hit and revalidation paths
+// Accepting a stored result: the paranoid-hit and revalidation paths
 
-// verifyCachedCerts re-proves every stored certificate with the
-// independent Fourier–Motzkin checker; any non-certified outcome rejects
-// the entry.
-func verifyCachedCerts(certs []*certify.Certificate) error {
-	for _, r := range certify.VerifyAll(certs) {
-		if r.Status != certify.StatusCertified {
-			return fmt.Errorf("check %d (%s): %s", r.Index, r.Msg, r.Detail)
-		}
+// accept re-proves a stored entry before a cache path trusts it: its
+// certificates are read and re-verified (verifyEntry) against p, the
+// stored integer program on a paranoid hit and the fresh one on a
+// revalidation. A failure is logged and counted — an unreadable
+// certificate file as a bad entry, a failed proof as a rejected one — and
+// reported as false.
+func (cc *cacheCtx) accept(k cache.Key, e *cache.Entry, p *ip.Program, rc *runCounters) bool {
+	certs, err := cc.store.Certificates(e)
+	if err != nil {
+		rc.cacheBad.Add(1)
+		cacheLog("%s: unusable certificates: %v", k.Proc, err)
+		return false
 	}
-	return nil
+	if err := verifyEntry(p, certs, &e.Report); err != nil {
+		rc.cacheRej.Add(1)
+		cacheLog("%s: %v", k.Proc, err)
+		return false
+	}
+	return true
 }
 
-// cacheAccounting enforces never-silently-safe on a cache entry: every
-// assert of the integer program must be covered by a certificate or a
-// reported violation. An entry that dropped a violation (tampering, a
-// partial write that slipped past the digests) fails here and falls back
-// to full analysis.
-func cacheAccounting(p *ip.Program, certs []*certify.Certificate, d *cache.ProcReport) error {
+// verifyEntry re-proves every stored certificate with the independent
+// Fourier–Motzkin checker — any non-certified outcome rejects the entry —
+// and then enforces never-silently-safe: every assert of p must be covered
+// by a certificate or a reported violation. An entry that dropped a
+// violation (tampering, a partial write that slipped past the digests)
+// fails here and falls back to full analysis.
+func verifyEntry(p *ip.Program, certs []*certify.Certificate, d *cache.ProcReport) error {
+	for _, r := range certify.VerifyAll(certs) {
+		if r.Status != certify.StatusCertified {
+			return fmt.Errorf("certificate failed re-verification: check %d (%s): %s", r.Index, r.Msg, r.Detail)
+		}
+	}
+	if p == nil {
+		return fmt.Errorf("entry has no integer program to account against")
+	}
 	covered := map[int]bool{}
 	for _, c := range certs {
 		covered[c.Check.OrigIndex] = true
@@ -350,7 +368,7 @@ func cacheAccounting(p *ip.Program, certs []*certify.Certificate, d *cache.ProcR
 	}
 	for _, idx := range p.Asserts() {
 		if !covered[idx] {
-			return fmt.Errorf("assert %d has neither a certificate nor a violation", idx)
+			return fmt.Errorf("assert accounting failed: assert %d has neither a certificate nor a violation", idx)
 		}
 	}
 	return nil
@@ -386,28 +404,8 @@ func (cc *cacheCtx) tryHit(k cache.Key, opts Options, rc *runCounters) *ProcRepo
 		cacheLog("%s: undecodable entry: %v", k.Proc, err)
 		return nil
 	}
-	if cc.verify {
-		certs, err := cc.store.Certificates(e)
-		if err != nil {
-			rc.cacheBad.Add(1)
-			cacheLog("%s: unusable certificates: %v", k.Proc, err)
-			return nil
-		}
-		if err := verifyCachedCerts(certs); err != nil {
-			rc.cacheRej.Add(1)
-			cacheLog("%s: certificate failed re-verification: %v", k.Proc, err)
-			return nil
-		}
-		if pr.IP == nil {
-			rc.cacheRej.Add(1)
-			cacheLog("%s: entry has no integer program to account against", k.Proc)
-			return nil
-		}
-		if err := cacheAccounting(pr.IP, certs, &e.Report); err != nil {
-			rc.cacheRej.Add(1)
-			cacheLog("%s: assert accounting failed: %v", k.Proc, err)
-			return nil
-		}
+	if cc.verify && !cc.accept(k, e, pr.IP, rc) {
+		return nil
 	}
 	if !opts.Certify {
 		pr.Certification = nil
@@ -450,20 +448,7 @@ func (cc *cacheCtx) tryRevalidate(k cache.Key, pr *ProcReport, fresh *ip.Program
 		if err != nil || !bytes.Equal(storedIP, freshIP) {
 			continue
 		}
-		ecerts, err := cc.store.Certificates(e)
-		if err != nil {
-			rc.cacheBad.Add(1)
-			cacheLog("%s: unusable certificates: %v", k.Proc, err)
-			continue
-		}
-		if err := verifyCachedCerts(ecerts); err != nil {
-			rc.cacheRej.Add(1)
-			cacheLog("%s: certificate failed re-verification: %v", k.Proc, err)
-			continue
-		}
-		if err := cacheAccounting(fresh, ecerts, &e.Report); err != nil {
-			rc.cacheRej.Add(1)
-			cacheLog("%s: assert accounting failed: %v", k.Proc, err)
+		if !cc.accept(k, e, fresh, rc) {
 			continue
 		}
 		dec, err := decodeEntry(e, false)
@@ -485,16 +470,17 @@ func (cc *cacheCtx) tryRevalidate(k cache.Key, pr *ProcReport, fresh *ip.Program
 	return nil
 }
 
-// put stores a completed result under its key. Store failures are logged,
-// never fatal.
+// put stores a completed result under its key and reports whether it was
+// stored. Store failures are logged, never fatal.
 func (cc *cacheCtx) put(k cache.Key, pr *ProcReport, nAnalysis, memResolved, memHavocked int,
-	certs []*certify.Certificate, certification *certify.Outcome, rc *runCounters) {
+	certs []*certify.Certificate, certification *certify.Outcome, rc *runCounters) bool {
 	e := encodeEntry(pr, nAnalysis, memResolved, memHavocked, certification)
 	if err := cc.store.Put(k, e, certs); err != nil {
 		cacheLog("%s: store failed: %v", k.Proc, err)
-		return
+		return false
 	}
 	rc.cacheStores.Add(1)
+	return true
 }
 
 // refresh stores a revalidated result under its new key. The stored

@@ -1,6 +1,10 @@
 package core
 
-import "testing"
+import (
+	"os"
+	"path/filepath"
+	"testing"
+)
 
 // TestConfFingerprintBytes pins the cache-key configuration fingerprint.
 // Deleting or renaming an Options field must not re-key existing cache
@@ -17,6 +21,45 @@ func TestConfFingerprintBytes(t *testing.T) {
 	} {
 		if got := confFingerprint(tc.opts); got != tc.want {
 			t.Errorf("%s: confFingerprint = %s, want %s", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestCacheFailedWriteNotStored puts a directory where each procedure's
+// report file goes, so every store's rename fails (even for root). The run
+// must still analyze the procedures, but report them "uncached", not
+// "stored", and count no store.
+func TestCacheFailedWriteNotStored(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{Workers: 1, CacheDir: dir}
+	if _, err := AnalyzeSource("t.c", statsSrc, opts); err != nil {
+		t.Fatal(err)
+	}
+	reps, err := filepath.Glob(filepath.Join(dir, "*.rep"))
+	if err != nil || len(reps) == 0 {
+		t.Fatalf("cold run left no report files (err=%v)", err)
+	}
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range reps {
+		if err := os.MkdirAll(r, 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rep, err := AnalyzeSource("t.c", statsSrc, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Stats.CacheStores != 0 {
+		t.Errorf("CacheStores = %d, want 0", rep.Stats.CacheStores)
+	}
+	if rep.Stats.CacheMisses != len(rep.Procs) {
+		t.Errorf("CacheMisses = %d, want %d: every procedure is analyzed", rep.Stats.CacheMisses, len(rep.Procs))
+	}
+	for _, pr := range rep.Procs {
+		if pr.CacheStatus != "uncached" {
+			t.Errorf("%s: CacheStatus = %q, want \"uncached\"", pr.Name, pr.CacheStatus)
 		}
 	}
 }

@@ -161,7 +161,8 @@ type ProcReport struct {
 	// replay, no front end or fixpoint), "revalidated" (front end re-run,
 	// certificates re-proved, no fixpoint), "stored" (fresh analysis,
 	// result written to the cache), "uncached" (caching enabled but this
-	// result was not storable — e.g. degraded), or "" (caching disabled).
+	// result was not stored — degraded, or the write failed), or ""
+	// (caching disabled).
 	// On "hit" the AST-level intermediates (Inlined, PPT) are nil and
 	// Space reflects the hit path, not the original analysis.
 	CacheStatus string
@@ -759,11 +760,11 @@ func analyzeProc(orig *cast.File, prog *corec.Program, name string, opts Options
 	if cacheable && pr.Degraded == nil {
 		if revalidated {
 			cc.refresh(ckey, pr, nAnalysis, res.MemberResolved, res.MemberHavocked, revalidatedFrom, rc)
-		} else {
-			cc.put(ckey, pr, nAnalysis, res.MemberResolved, res.MemberHavocked, certs, pr.Certification, rc)
+		} else if cc.put(ckey, pr, nAnalysis, res.MemberResolved, res.MemberHavocked, certs, pr.Certification, rc) {
 			pr.CacheStatus = "stored"
 		}
-	} else if cc != nil && pr.CacheStatus == "" {
+	}
+	if cc != nil && pr.CacheStatus == "" {
 		pr.CacheStatus = "uncached"
 	}
 

@@ -327,16 +327,6 @@ func (p *Poly) Entails(c linear.Constraint) bool {
 	return ok
 }
 
-// EntailsAll reports whether p entails every constraint in sys.
-func (p *Poly) EntailsAll(sys linear.System) bool {
-	for _, c := range sys {
-		if !p.Entails(c) {
-			return false
-		}
-	}
-	return true
-}
-
 // evalHom evaluates e homogeneously on generator g: e.Const*g[0] +
 // Σ e.Coef(u)*g[u+1], on the machine tier when everything fits.
 func evalHom(e linear.Expr, g vec) scalar {

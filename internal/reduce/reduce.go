@@ -34,15 +34,6 @@ func (m StmtMap) Compose(outer StmtMap) StmtMap {
 	return out
 }
 
-// Identity returns the identity map over n statements.
-func Identity(n int) StmtMap {
-	m := make(StmtMap, n)
-	for i := range m {
-		m[i] = i
-	}
-	return m
-}
-
 // ---------------------------------------------------------------------------
 // Unreachable-node pruning
 
