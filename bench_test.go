@@ -498,4 +498,43 @@ func BenchmarkPolyhedra(b *testing.B) {
 			}
 		})
 	}
+	// Corpus-shaped: the corpus IPs have tens of variables, but each row
+	// names at most five (one buffer's offset, length and allocation
+	// size, or a link between buffers), so inner products walk mostly
+	// zeros unless they skip them.
+	const dim = 24
+	sparse := func(shift int64) linear.System {
+		var sys linear.System
+		for k := 0; k < dim/3; k++ {
+			off, length, alloc := linear.VarExpr(3*k), linear.VarExpr(3*k+1), linear.VarExpr(3*k+2)
+			sys = append(sys,
+				linear.NewGe(off.Sub(linear.ConstExpr(shift))),                 // off >= shift
+				linear.NewGe(length.Sub(off).Sub(linear.ConstExpr(shift))),     // len >= off + shift
+				linear.NewGe(alloc.Sub(length).Sub(linear.ConstExpr(1-shift)))) // alloc >= len + 1 - shift
+		}
+		for k := 0; k < dim/3; k += 4 {
+			e := linear.VarExpr(3*((k+4)%(dim/3)) + 1) // len_{k+4} >= off_k + ... + off_{k+3}
+			for j := k; j < k+4; j++ {
+				e = e.Sub(linear.VarExpr(3 * j))
+			}
+			sys = append(sys, linear.NewGe(e))
+		}
+		return sys
+	}
+	sysA, sysB := sparse(0), sparse(1)
+	q := polyhedra.FromSystem(sysB, dim)
+	q.IsEmpty() // generators once, outside the loop
+	b.Run(fmt.Sprintf("join/sparse-dim=%d", dim), func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			polyhedra.FromSystem(sysA, dim).Join(q)
+		}
+	})
+	hull := polyhedra.FromSystem(sysA, dim).Join(q)
+	b.Run(fmt.Sprintf("includes/sparse-dim=%d", dim), func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if !hull.Includes(polyhedra.FromSystem(sysB, dim)) {
+				b.Fatal("the hull must include its operand")
+			}
+		}
+	})
 }

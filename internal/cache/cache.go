@@ -162,9 +162,13 @@ func (s *Store) Get(k Key) (*Entry, error) {
 // Candidates returns, sorted by file name, every decodable entry with the
 // same procedure, body hash, and configuration fingerprint but a different
 // environment hash — the revalidation candidates. Corrupt candidate files
-// are returned as errors alongside the good entries.
+// are returned as errors alongside the good entries. The file named by the
+// notEnv key itself is skipped unread: Get reads that one, and reports it
+// when it is unusable. An entry whose environment hash only shares that
+// key's 64-bit prefix is skipped with it, which costs a re-analysis.
 func (s *Store) Candidates(proc, body, conf, notEnv string) ([]*Entry, []error) {
 	pre := fmt.Sprintf("%s-%s-%s-", sanitize(proc), prefix(body), prefix(conf))
+	own := pre + prefix(notEnv) + ".rep"
 	des, err := os.ReadDir(s.dir)
 	if err != nil {
 		return nil, []error{fmt.Errorf("cache: %w", err)}
@@ -172,7 +176,7 @@ func (s *Store) Candidates(proc, body, conf, notEnv string) ([]*Entry, []error) 
 	var names []string
 	for _, de := range des {
 		name := de.Name()
-		if strings.HasPrefix(name, pre) && strings.HasSuffix(name, ".rep") {
+		if name != own && strings.HasPrefix(name, pre) && strings.HasSuffix(name, ".rep") {
 			names = append(names, name)
 		}
 	}
@@ -272,7 +276,9 @@ func (s *Store) Refresh(k Key, e *Entry, src *Entry) error {
 }
 
 // write fills e's hash fields and certificate binding and writes both
-// halves of the entry, the certificate half (if any) first.
+// halves of the entry, the certificate half (if any) first. When the
+// report half fails, the certificate half is removed again, so a failed
+// store leaves no file behind.
 func (s *Store) write(k Key, e *Entry, numCerts int, certPayload []byte) error {
 	e.Proc = k.Proc
 	e.BodyHash = k.Body
@@ -280,18 +286,28 @@ func (s *Store) write(k Key, e *Entry, numCerts int, certPayload []byte) error {
 	e.EnvHash = k.Env
 	e.NumCerts = numCerts
 	e.CertDigest = ""
-	base := k.base()
 	if certPayload != nil {
 		e.CertDigest = digest(certPayload)
-		if err := s.writeFile(base+".cert", certPayload); err != nil {
-			return err
-		}
 	}
 	payload, err := json.Marshal(e)
 	if err != nil {
 		return fmt.Errorf("cache: %w", err)
 	}
-	return s.writeFile(base+".rep", payload)
+	base := k.base()
+	if certPayload != nil {
+		if err := s.writeFile(base+".cert", certPayload); err != nil {
+			return err
+		}
+	}
+	if err := s.writeFile(base+".rep", payload); err != nil {
+		if certPayload != nil {
+			// The report's error is the one to return; a certificate that
+			// cannot be removed is an orphan no report's digest names.
+			_ = os.Remove(filepath.Join(s.dir, base+".cert"))
+		}
+		return err
+	}
+	return nil
 }
 
 // readEntry reads and validates one report file; (nil, nil) when absent.

@@ -25,19 +25,26 @@ func TestConfFingerprintBytes(t *testing.T) {
 	}
 }
 
+// certSrc is statsSrc plus a procedure with a discharged check, so a
+// cached run writes certificate files too.
+const certSrc = statsSrc + "void k(void) { char a[8]; a[3] = 0; }\n"
+
 // TestCacheFailedWriteNotStored puts a directory where each procedure's
 // report file goes, so every store's rename fails (even for root). The run
 // must still analyze the procedures, but report them "uncached", not
-// "stored", and count no store.
+// "stored", count no store, and leave no certificate file behind.
 func TestCacheFailedWriteNotStored(t *testing.T) {
 	dir := t.TempDir()
 	opts := Options{Workers: 1, CacheDir: dir}
-	if _, err := AnalyzeSource("t.c", statsSrc, opts); err != nil {
+	if _, err := AnalyzeSource("t.c", certSrc, opts); err != nil {
 		t.Fatal(err)
 	}
 	reps, err := filepath.Glob(filepath.Join(dir, "*.rep"))
 	if err != nil || len(reps) == 0 {
 		t.Fatalf("cold run left no report files (err=%v)", err)
+	}
+	if certs, _ := filepath.Glob(filepath.Join(dir, "*.cert")); len(certs) == 0 {
+		t.Fatal("cold run left no certificate files")
 	}
 	if err := os.RemoveAll(dir); err != nil {
 		t.Fatal(err)
@@ -47,7 +54,7 @@ func TestCacheFailedWriteNotStored(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	rep, err := AnalyzeSource("t.c", statsSrc, opts)
+	rep, err := AnalyzeSource("t.c", certSrc, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,5 +68,39 @@ func TestCacheFailedWriteNotStored(t *testing.T) {
 		if pr.CacheStatus != "uncached" {
 			t.Errorf("%s: CacheStatus = %q, want \"uncached\"", pr.Name, pr.CacheStatus)
 		}
+	}
+	if certs, _ := filepath.Glob(filepath.Join(dir, "*.cert")); len(certs) != 0 {
+		t.Errorf("failed stores left certificate files %v", certs)
+	}
+}
+
+// TestCacheDamagedEntryCountedOnce truncates every stored report. The
+// exact-key lookup reads each damaged file and counts it; the revalidation
+// scan for the same key must not read and count it again.
+func TestCacheDamagedEntryCountedOnce(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{Workers: 1, Cascade: true, CacheDir: dir}
+	if _, err := AnalyzeSource("t.c", statsSrc, opts); err != nil {
+		t.Fatal(err)
+	}
+	reps, err := filepath.Glob(filepath.Join(dir, "*.rep"))
+	if err != nil || len(reps) != 2 {
+		t.Fatalf("cold run left report files %v, want 2 (err=%v)", reps, err)
+	}
+	for _, r := range reps {
+		data, err := os.ReadFile(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(r, data[:len(data)/2], 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rep, err := AnalyzeSource("t.c", statsSrc, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Stats.CacheBadEntries != 2 {
+		t.Errorf("CacheBadEntries = %d, want 2: one per damaged entry", rep.Stats.CacheBadEntries)
 	}
 }

@@ -1,6 +1,8 @@
 package polyhedra
 
 import (
+	"sync"
+
 	"repro/internal/arena"
 	"repro/internal/budget"
 )
@@ -66,9 +68,8 @@ type satRay struct {
 // cone is the incremental double-description state used during
 // constraint-to-generator conversion.
 type cone struct {
+	*coneBufs
 	dim   int // vector length
-	lines []vec
-	rays  []satRay
 	ncons int
 	// maxRays caps intermediate ray counts; 0 means unlimited.
 	maxRays int
@@ -85,21 +86,42 @@ type cone struct {
 	// generator the conversion replaces or drops is returned to it at the
 	// point it becomes provably dead. Nil disables recycling.
 	ar *arena.Arena
-
-	// Per-cone scratch reused across add calls, so the classification and
-	// dedup steps stop allocating once warm. spare double-buffers the ray
-	// slice: each add builds its successor ray set in spare and swaps, so
-	// the old backing is recycled instead of reallocated.
-	spare             []satRay
-	plusBuf, minusBuf []classified
-	dedup             vecSet
 }
 
-// classified pairs a ray with its index and its product against the
-// constraint being added (the case-2 partition of cone.add).
+// coneBufs is a cone's working storage, drawn from a pool so that the
+// slices stop growing from empty in every conversion. spare double-buffers
+// the ray slice: each add builds its successor ray set in spare and swaps,
+// so the old backing is recycled instead of reallocated. nz holds the
+// nonzero index of the row being added.
+type coneBufs struct {
+	lines             []vec
+	rays, spare       []satRay
+	plusBuf, minusBuf []classified
+	dedup             vecSet
+	nz                []int
+}
+
+var coneBufPool = sync.Pool{New: func() any { return new(coneBufs) }}
+
+// newCone returns a cone with no generators, its working storage drawn
+// from the pool.
+func newCone(dim, maxRays int, pure bool, ar *arena.Arena) *cone {
+	b := coneBufPool.Get().(*coneBufs)
+	b.lines, b.rays = b.lines[:0], b.rays[:0]
+	return &cone{coneBufs: b, dim: dim, maxRays: maxRays, pure: pure, ar: ar}
+}
+
+// recycle returns the cone's working storage to the pool; the cone must
+// not be used afterwards.
+func (c *cone) recycle() {
+	coneBufPool.Put(c.coneBufs)
+	c.coneBufs = nil
+}
+
+// classified is one ray of the case-2 partition of cone.add: its index
+// into c.rays and its product against the constraint being added.
 type classified struct {
-	idx int // index into c.rays, for the adjacency test
-	ray satRay
+	idx int
 	p   scalar
 }
 
@@ -109,7 +131,8 @@ type classified struct {
 // saturation-based adjacency tests account for it: the initial ray e0 does
 // not saturate it, while every line (d = 0) does.
 func universePolyCone(n, maxRays int, pure bool, token *budget.Token, ar *arena.Arena) *cone {
-	c := &cone{dim: n + 1, maxRays: maxRays, ncons: 1, pure: pure, token: token, ar: ar}
+	c := newCone(n+1, maxRays, pure, ar)
+	c.ncons, c.token = 1, token
 	for i := 1; i <= n; i++ {
 		l := newVecAr(ar, n+1, pure)
 		l.setInt64(i, 1)
@@ -124,7 +147,7 @@ func universePolyCone(n, maxRays int, pure bool, token *budget.Token, ar *arena.
 // universeCone returns the full-space cone in dimension m (m lines, no
 // rays); used for the dual (generator-to-constraint) conversion.
 func universeCone(m, maxRays int, pure bool, ar *arena.Arena) *cone {
-	c := &cone{dim: m, maxRays: maxRays, pure: pure, ar: ar}
+	c := newCone(m, maxRays, pure, ar)
 	for i := 0; i < m; i++ {
 		l := newVecAr(ar, m, pure)
 		l.setInt64(i, 1)
@@ -148,11 +171,14 @@ func satAllPrev(ar *arena.Arena, n int) bitset {
 func (c *cone) add(r row) bool {
 	idx := c.ncons
 	c.ncons++
+	// r takes part in every inner product of this step.
+	nz := r.v.nonzeros(c.nz)
+	c.nz = nz
 
 	// Case 1: some line is not orthogonal to the constraint. Use it to
 	// shift every other generator onto the hyperplane.
 	for i, l := range c.lines {
-		p := dot(r.v, l)
+		p := dot(r.v, l, nz)
 		if p.sign() == 0 {
 			continue
 		}
@@ -164,7 +190,7 @@ func (c *cone) add(r row) bool {
 		}
 		c.lines = append(c.lines[:i], c.lines[i+1:]...)
 		for j, l2 := range c.lines {
-			p2 := dot(r.v, l2)
+			p2 := dot(r.v, l2, nz)
 			if p2.sign() != 0 {
 				c.lines[j] = combine(c.ar, p, l2, p2.neg(), l)
 				l2.release(c.ar)
@@ -172,7 +198,7 @@ func (c *cone) add(r row) bool {
 		}
 		for j := range c.rays {
 			old := c.rays[j].v
-			p2 := dot(r.v, old)
+			p2 := dot(r.v, old, nz)
 			if p2.sign() != 0 {
 				c.rays[j].v = combine(c.ar, p, old, p2.neg(), l)
 				old.release(c.ar)
@@ -195,21 +221,21 @@ func (c *cone) add(r row) bool {
 	plus, minus := c.plusBuf[:0], c.minusBuf[:0]
 	keep := c.spare[:0]
 	for i, ry := range c.rays {
-		p := dot(r.v, ry.v)
+		p := dot(r.v, ry.v, nz)
 		switch p.sign() {
 		case 0:
 			ry.sat.set(idx)
 			keep = append(keep, ry)
 		case 1:
-			plus = append(plus, classified{i, ry, p})
+			plus = append(plus, classified{i, p})
 		default:
-			minus = append(minus, classified{i, ry, p})
+			minus = append(minus, classified{i, p})
 		}
 	}
 	if len(minus) == 0 && !r.eq {
 		// Constraint already satisfied by all rays.
 		for _, pl := range plus {
-			keep = append(keep, pl.ray)
+			keep = append(keep, c.rays[pl.idx])
 		}
 		c.plusBuf, c.minusBuf = plus, minus
 		c.spare = c.rays[:0]
@@ -237,46 +263,48 @@ func (c *cone) add(r row) bool {
 		return false
 	}
 
+	allRays := c.rays
 	newRays := keep
 	if !r.eq {
 		for _, pl := range plus {
-			newRays = append(newRays, pl.ray)
+			newRays = append(newRays, allRays[pl.idx])
 		}
 	}
 	// Combine adjacent (plus, minus) pairs onto the hyperplane.
-	allRays := c.rays
 	for _, pl := range plus {
+		pr := &allRays[pl.idx]
 		for _, mi := range minus {
 			if !adjacent(c.ar, pl.idx, mi.idx, allRays) {
 				continue
 			}
+			mr := &allRays[mi.idx]
 			// w = p_plus * minus - p_minus * plus (positive combination).
-			w := combine(c.ar, pl.p, mi.ray.v, mi.p.neg(), pl.ray.v)
+			w := combine(c.ar, pl.p, mr.v, mi.p.neg(), pr.v)
 			if w.isZero() {
 				w.release(c.ar)
 				continue
 			}
-			sat := pl.ray.sat.and(c.ar, mi.ray.sat)
+			sat := pr.sat.and(c.ar, mr.sat)
 			sat.set(idx)
 			newRays = append(newRays, satRay{v: w, sat: sat})
 		}
 	}
 	c.rays = c.dedupRays(newRays)
-	c.spare = allRays[:0]
-	c.plusBuf, c.minusBuf = plus, minus
 	// The minus rays never survive the constraint; plus rays survive only
 	// for inequalities. Their storage is released strictly after the
 	// combination loop, which reads it through allRays.
 	for _, mi := range minus {
-		mi.ray.v.release(c.ar)
-		mi.ray.sat.release(c.ar)
+		allRays[mi.idx].v.release(c.ar)
+		allRays[mi.idx].sat.release(c.ar)
 	}
 	if r.eq {
 		for _, pl := range plus {
-			pl.ray.v.release(c.ar)
-			pl.ray.sat.release(c.ar)
+			allRays[pl.idx].v.release(c.ar)
+			allRays[pl.idx].sat.release(c.ar)
 		}
 	}
+	c.spare = allRays[:0]
+	c.plusBuf, c.minusBuf = plus, minus
 	return true
 }
 
@@ -298,27 +326,28 @@ func adjacent(ar *arena.Arena, i1, i2 int, all []satRay) bool {
 	return adj
 }
 
-// dedupRays normalizes every ray and drops later duplicates by value,
-// keeping first occurrences in order. Dropped duplicates are released to
-// the arena.
+// dedupRays drops later duplicates by value, keeping first occurrences in
+// order. Dropped duplicates are released to the arena. Every ray arrives
+// normalized (combine normalizes, add normalizes a line it turns into a
+// ray, and the universe rays are unit vectors), so equal rays are equal
+// vectors.
 func (c *cone) dedupRays(rays []satRay) []satRay {
 	out := rays[:0]
 	c.dedup.reset(len(rays))
-	for i := range rays {
-		v := rays[i].v.normalize()
-		if !c.dedup.add(v.hash(), len(out), func(k int) bool { return out[k].v.equal(v) }) {
-			v.release(c.ar)
-			rays[i].sat.release(c.ar)
+	for _, ry := range rays {
+		if !c.dedup.add(ry.v.hash(), len(out), func(k int) bool { return out[k].v.equal(ry.v) }) {
+			ry.v.release(c.ar)
+			ry.sat.release(c.ar)
 			continue
 		}
-		rays[i].v = v
-		out = append(out, rays[i])
+		out = append(out, ry)
 	}
 	return out
 }
 
 // result extracts the plain generator set. The saturation bitsets are
-// not part of it and are released; the cone must not be used afterwards.
+// not part of it and are released, and the working storage is recycled;
+// the cone must not be used afterwards.
 func (c *cone) result() *genset {
 	g := &genset{}
 	for _, l := range c.lines {
@@ -328,6 +357,7 @@ func (c *cone) result() *genset {
 		g.rays = append(g.rays, r.v)
 		r.sat.release(c.ar)
 	}
+	c.recycle()
 	return g
 }
 
@@ -381,6 +411,7 @@ func consOf(g *genset, n int, cfg *Config) []row {
 		r.v.release(ar)
 		r.sat.release(ar)
 	}
+	dual.recycle()
 	return out
 }
 

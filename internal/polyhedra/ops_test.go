@@ -2,6 +2,7 @@ package polyhedra
 
 import (
 	"fmt"
+	"math"
 	"math/big"
 	"math/rand"
 	"testing"
@@ -177,6 +178,77 @@ func TestHybridPromotionOccurs(t *testing.T) {
 	if !q.Entails(ge(0, 1, 0)) {
 		t.Errorf("x >= 0 lost after promoted assign: %s", q.String(nil))
 	}
+}
+
+// TestSparseDotMatchesDense holds the inner product over a row's nonzero
+// index to the exact big.Int sum over every coordinate, on both tiers. On
+// the machine tier the result must also stay a machine word exactly when a
+// walk over every coordinate would keep it one: when every nonzero term and
+// every partial sum, in ascending order, fits an int64.
+func TestSparseDotMatchesDense(t *testing.T) {
+	const minI, maxI = math.MinInt64, math.MaxInt64
+	type tc struct {
+		name string
+		a, b []int64
+	}
+	cases := []tc{
+		{"zero row", []int64{0, 0, 0, 0}, []int64{3, -1, 7, 2}},
+		{"MinInt64 entries", []int64{minI, 0, 1, 0}, []int64{1, 9, -4, 5}},
+		{"MinInt64 generator", []int64{0, 1, 0}, []int64{minI, minI, maxI}},
+		{"MinInt64 product overflows", []int64{minI, 0, 0}, []int64{-1, 1, 1}},
+		{"product overflows", []int64{0, 3037000500, 2}, []int64{5, 3037000500, 1}},
+		{"sum overflows", []int64{maxI, 0, 1}, []int64{1, 1, 1}},
+		{"partial sum overflows, total fits", []int64{maxI, 1, -1}, []int64{1, 1, 1}},
+		{"zero factors", []int64{0, 2, 0, -3}, []int64{maxI, 5, minI, 1}},
+	}
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 300; i++ {
+		n := 1 + rng.Intn(25)
+		a, b := make([]int64, n), make([]int64, n)
+		for k := 0; k < 1+rng.Intn(5); k++ {
+			a[rng.Intn(n)] = hybridCoef(byte(rng.Intn(256)))
+		}
+		for k := range b {
+			b[k] = hybridCoef(byte(rng.Intn(256)))
+		}
+		cases = append(cases, tc{fmt.Sprintf("random %d", i), a, b})
+	}
+	exact := func(a, b []int64) (sum *big.Int, fits bool) {
+		sum, fits = new(big.Int), true
+		for i := range a {
+			p := new(big.Int).Mul(big.NewInt(a[i]), big.NewInt(b[i]))
+			fits = fits && p.IsInt64()
+			sum.Add(sum, p)
+			fits = fits && sum.IsInt64()
+		}
+		return sum, fits
+	}
+	check := func(name string, a, b vec, want *big.Int, machine bool) {
+		t.Helper()
+		got := dot(a, b, a.nonzeros(nil))
+		if got.bigRef(new(big.Int)).Cmp(want) != 0 {
+			t.Errorf("%s: dot = %v, want %v", name, got.bigRef(new(big.Int)), want)
+		}
+		if (got.b == nil) != machine {
+			t.Errorf("%s: machine-tier result = %v, want %v", name, got.b == nil, machine)
+		}
+	}
+	for _, c := range cases {
+		want, fits := exact(c.a, c.b)
+		wa, wb := vec{w: c.a}, vec{w: c.b}
+		check(c.name+" (machine)", wa, wb, want, fits)
+		check(c.name+" (exact row)", wa.promoted(), wb, want, false)
+		check(c.name+" (exact generator)", wa, wb.promoted(), want, false)
+		check(c.name+" (exact)", wa.promoted(), wb.promoted(), want, false)
+	}
+	// Exact-tier entries beyond a machine word.
+	huge := new(big.Int).Lsh(big.NewInt(1), 70)
+	a := newVec(4, true)
+	a.xs[0].Set(huge)
+	a.xs[2].Neg(huge)
+	a.xs[3].SetInt64(1)
+	b := vec{w: []int64{1, 7, 1, 5}}
+	check("beyond int64", a, b, big.NewInt(5), false)
 }
 
 func scaleExpr(k int64) linear.Expr {

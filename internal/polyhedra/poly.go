@@ -289,13 +289,17 @@ func (p *Poly) Includes(q *Poly) bool {
 }
 
 func rowHoldsGens(r row, g *genset) bool {
+	sc := getScratch()
+	defer putScratch(sc)
+	nz := r.v.nonzeros(sc.nz)
+	sc.nz = nz
 	for _, l := range g.lines {
-		if dot(r.v, l).sign() != 0 {
+		if dot(r.v, l, nz).sign() != 0 {
 			return false
 		}
 	}
 	for _, ray := range g.rays {
-		d := dot(r.v, ray)
+		d := dot(r.v, ray, nz)
 		if r.eq {
 			if d.sign() != 0 {
 				return false
@@ -620,9 +624,13 @@ func mustGens(p *Poly) *genset {
 
 // satSignature encodes which generators of g the row saturates.
 func satSignature(r row, g *genset) string {
+	sc := getScratch()
+	defer putScratch(sc)
+	nz := r.v.nonzeros(sc.nz)
+	sc.nz = nz
 	var sb strings.Builder
 	for _, l := range g.lines {
-		if dot(r.v, l).sign() == 0 {
+		if dot(r.v, l, nz).sign() == 0 {
 			sb.WriteByte('1')
 		} else {
 			sb.WriteByte('0')
@@ -630,7 +638,7 @@ func satSignature(r row, g *genset) string {
 	}
 	sb.WriteByte('|')
 	for _, ray := range g.rays {
-		if dot(r.v, ray).sign() == 0 {
+		if dot(r.v, ray, nz).sign() == 0 {
 			sb.WriteByte('1')
 		} else {
 			sb.WriteByte('0')

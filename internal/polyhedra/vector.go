@@ -354,41 +354,63 @@ func (s scalar) bigRef(tmp *big.Int) *big.Int {
 	return tmp.SetInt64(s.w)
 }
 
+// nonzeros returns the ascending indices of v's nonzero entries, built
+// in buf's storage. A constraint row stays fixed while it is tested
+// against many generators, so its index is built once and every inner
+// product it takes part in walks only those coordinates.
+func (v vec) nonzeros(buf []int) []int {
+	buf = buf[:0]
+	if v.xs == nil {
+		for i, x := range v.w {
+			if x != 0 {
+				buf = append(buf, i)
+			}
+		}
+		return buf
+	}
+	for i, x := range v.xs {
+		if x.Sign() != 0 {
+			buf = append(buf, i)
+		}
+	}
+	return buf
+}
+
 // dot returns the inner product of a and b, promoting to the exact tier on
-// overflow.
-func dot(a, b vec) scalar {
+// overflow. nz is a's nonzero index (see nonzeros): every other term is
+// zero, and the walk meets the nonzero terms in ascending order, so an
+// overflow check fails on the same term as in a walk over every
+// coordinate and the result's tier is the same.
+func dot(a, b vec, nz []int) scalar {
 	if a.xs == nil && b.xs == nil {
 		var acc int64
-		for i, x := range a.w {
+		for _, i := range nz {
 			y := b.w[i]
-			if x == 0 || y == 0 {
+			if y == 0 {
 				continue
 			}
-			p, ok := numkernel.MulOK(x, y)
+			p, ok := numkernel.MulOK(a.w[i], y)
 			if !ok {
-				return scalar{b: dotBig(a, b)}
+				return scalar{b: dotBig(a, b, nz)}
 			}
 			if acc, ok = numkernel.AddOK(acc, p); !ok {
-				return scalar{b: dotBig(a, b)}
+				return scalar{b: dotBig(a, b, nz)}
 			}
 		}
 		return scalar{w: acc}
 	}
-	return scalar{b: dotBig(a, b)}
+	return scalar{b: dotBig(a, b, nz)}
 }
 
-// dotBig is the exact-tier inner product; per-element temporaries come from
-// the pooled scratch space.
-func dotBig(a, b vec) *big.Int {
+// dotBig is the exact-tier inner product over a's nonzero index nz;
+// per-element temporaries come from the pooled scratch space.
+func dotBig(a, b vec, nz []int) *big.Int {
 	sc := getScratch()
 	defer putScratch(sc)
 	t, ta, tb := sc.t[0], sc.t[1], sc.t[2]
 	s := new(big.Int)
-	n := a.dim()
-	for i := 0; i < n; i++ {
-		// Rows and generators are sparse; skipping zero factors avoids
-		// most of the work.
-		if a.sign(i) == 0 || b.sign(i) == 0 {
+	for _, i := range nz {
+		if b.sign(i) == 0 {
 			continue
 		}
 		t.Mul(a.bigRef(i, ta), b.bigRef(i, tb))
@@ -511,11 +533,13 @@ var (
 )
 
 // scratch is pooled working storage for the exact-tier paths, the key
-// builder and row dedup, so the hot loops allocate only their results.
+// builder, row dedup and a row's nonzero index, so the hot loops allocate
+// only their results.
 type scratch struct {
 	t   [4]*big.Int
 	key []byte
 	set vecSet
+	nz  []int
 }
 
 var scratchPool = sync.Pool{New: func() any {
