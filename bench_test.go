@@ -217,6 +217,7 @@ func BenchmarkHeadline(b *testing.B) {
 	} {
 		src := mustRead(b, s.path)
 		b.Run(s.name, func(b *testing.B) {
+			b.ReportAllocs()
 			total := 0
 			for i := 0; i < b.N; i++ {
 				rep, err := Analyze(s.path, src, Config{})
@@ -482,16 +483,19 @@ func BenchmarkPolyhedra(b *testing.B) {
 	for _, dim := range []int{4, 6, 8} {
 		p, q := mk(dim)
 		b.Run(fmt.Sprintf("join/dim=%d", dim), func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				p.Clone().Join(q)
 			}
 		})
 		b.Run(fmt.Sprintf("meet+empty/dim=%d", dim), func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				p.Clone().Meet(q).IsEmpty()
 			}
 		})
 		b.Run(fmt.Sprintf("widen/dim=%d", dim), func(b *testing.B) {
+			b.ReportAllocs()
 			j := p.Clone().Join(q)
 			for i := 0; i < b.N; i++ {
 				p.Widen(j)
@@ -525,12 +529,14 @@ func BenchmarkPolyhedra(b *testing.B) {
 	q := polyhedra.FromSystem(sysB, dim)
 	q.IsEmpty() // generators once, outside the loop
 	b.Run(fmt.Sprintf("join/sparse-dim=%d", dim), func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			polyhedra.FromSystem(sysA, dim).Join(q)
 		}
 	})
 	hull := polyhedra.FromSystem(sysA, dim).Join(q)
 	b.Run(fmt.Sprintf("includes/sparse-dim=%d", dim), func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if !hull.Includes(polyhedra.FromSystem(sysB, dim)) {
 				b.Fatal("the hull must include its operand")

@@ -17,8 +17,6 @@ import (
 
 // State is an abstract element over n integer variables.
 type State interface {
-	// Clone returns an independent copy.
-	Clone() State
 	// Join returns the least upper bound (or an over-approximation).
 	Join(State) State
 	// Widen extrapolates from the receiver (previous iterate) to the
@@ -37,6 +35,11 @@ type State interface {
 	Includes(State) bool
 	// IsEmpty reports unreachability.
 	IsEmpty() bool
+	// SameRepr reports, building nothing, whether the argument has the
+	// receiver's representation and so behaves identically in every later
+	// operation. A domain that cannot tell (intervals) answers false, and
+	// stale-only narrowing then treats each of its states as new.
+	SameRepr(State) bool
 	// Entails reports whether every concrete state satisfies c.
 	Entails(c linear.Constraint) bool
 	// System returns a constraint representation (used for reporting and
@@ -62,38 +65,6 @@ type Domain interface {
 	Bottom(n int) State
 }
 
-// stateKeyer is implemented by states that can produce a canonical
-// value-based key of their current representation (see polyhedra.Poly.Key
-// and zone.DBM.Key). Equal keys imply identical representations — hence the
-// same concretization — so the engine may replay a cached Includes answer
-// without losing bit-identical results. The second result is false when no
-// key is available cheaply; the engine then skips the cache.
-type stateKeyer interface {
-	StateKey() (string, bool)
-}
-
-func stateKeyOf(s State) string {
-	if k, ok := s.(stateKeyer); ok {
-		if key, avail := k.StateKey(); avail {
-			return key
-		}
-	}
-	return ""
-}
-
-// sameRepr reports whether b, keyed bk, may stand in for a, keyed ak: both
-// keys exist and agree, and for polyhedra the rows' minimization status
-// (which System consults but the key omits) agrees too.
-func sameRepr(a State, ak string, b State, bk string) bool {
-	if ak == "" || ak != bk {
-		return false
-	}
-	if pa, ok := a.(polyState); ok {
-		return pa.p.Minimized() == b.(polyState).p.Minimized()
-	}
-	return true
-}
-
 // ---------------------------------------------------------------------------
 // Polyhedra adapter
 
@@ -115,7 +86,6 @@ func (d PolyDomain) Bottom(n int) State { return polyState{d.Config.Bottom(n)} }
 
 type polyState struct{ p *polyhedra.Poly }
 
-func (s polyState) Clone() State { return polyState{s.p.Clone()} }
 func (s polyState) Join(o State) State {
 	return polyState{s.p.Join(o.(polyState).p)}
 }
@@ -136,13 +106,14 @@ func (s polyState) Includes(o State) bool {
 	return s.p.Includes(o.(polyState).p)
 }
 func (s polyState) IsEmpty() bool                    { return s.p.IsEmpty() }
+func (s polyState) SameRepr(o State) bool            { return s.p.SameRepr(o.(polyState).p) }
 func (s polyState) Entails(c linear.Constraint) bool { return s.p.Entails(c) }
 func (s polyState) System() linear.System            { return s.p.System() }
 func (s polyState) Sample() []*big.Rat               { return s.p.SamplePoint() }
 func (s polyState) Bounds(v int) (lo, hi *big.Rat)   { return s.p.Bounds(v) }
 func (s polyState) String(sp *linear.Space) string   { return s.p.String(sp) }
 
-// StateKey implements stateKeyer.
+// StateKey is the hook the invariant-representation golden hashes.
 func (s polyState) StateKey() (string, bool) { return s.p.Key() }
 
 // Poly exposes the underlying polyhedron (used by derivation).

@@ -24,7 +24,6 @@ func (IntervalDomain) Bottom(n int) State { return boxState{interval.Bottom(n)} 
 
 type boxState struct{ b *interval.Box }
 
-func (s boxState) Clone() State              { return boxState{s.b.Clone()} }
 func (s boxState) Join(o State) State        { return boxState{s.b.Join(o.(boxState).b)} }
 func (s boxState) Widen(o State) State       { return boxState{s.b.Widen(o.(boxState).b)} }
 func (s boxState) WidenSimple(o State) State { return boxState{s.b.Widen(o.(boxState).b)} }
@@ -39,6 +38,7 @@ func (s boxState) Assign(v int, e linear.Expr) State { return boxState{s.b.Assig
 func (s boxState) Havoc(v int) State                 { return boxState{s.b.Havoc(v)} }
 func (s boxState) Includes(o State) bool             { return s.b.Includes(o.(boxState).b) }
 func (s boxState) IsEmpty() bool                     { return s.b.IsEmpty() }
+func (s boxState) SameRepr(State) bool               { return false }
 func (s boxState) Entails(c linear.Constraint) bool  { return s.b.Entails(c) }
 func (s boxState) System() linear.System             { return s.b.System() }
 func (s boxState) Sample() []*big.Rat                { return s.b.Sample() }
@@ -79,7 +79,6 @@ func WithSubstrate(d Domain, pc *polyhedra.Config, zc *zone.Config) Domain {
 
 type zoneState struct{ d *zone.DBM }
 
-func (s zoneState) Clone() State              { return zoneState{s.d.Clone()} }
 func (s zoneState) Join(o State) State        { return zoneState{s.d.Join(o.(zoneState).d)} }
 func (s zoneState) Widen(o State) State       { return zoneState{s.d.Widen(o.(zoneState).d)} }
 func (s zoneState) WidenSimple(o State) State { return zoneState{s.d.Widen(o.(zoneState).d)} }
@@ -94,11 +93,12 @@ func (s zoneState) Assign(v int, e linear.Expr) State { return zoneState{s.d.Ass
 func (s zoneState) Havoc(v int) State                 { return zoneState{s.d.Havoc(v)} }
 func (s zoneState) Includes(o State) bool             { return s.d.Includes(o.(zoneState).d) }
 func (s zoneState) IsEmpty() bool                     { return s.d.IsEmpty() }
+func (s zoneState) SameRepr(o State) bool             { return s.d.SameRepr(o.(zoneState).d) }
 func (s zoneState) Entails(c linear.Constraint) bool  { return s.d.Entails(c) }
 func (s zoneState) System() linear.System             { return s.d.System() }
 func (s zoneState) Sample() []*big.Rat                { return s.d.Sample() }
 func (s zoneState) Bounds(v int) (lo, hi *big.Rat)    { return s.d.Bounds(v) }
 func (s zoneState) String(sp *linear.Space) string    { return s.d.String(sp) }
 
-// StateKey implements stateKeyer.
+// StateKey is the hook the invariant-representation golden hashes.
 func (s zoneState) StateKey() (string, bool) { return s.d.Key() }

@@ -184,7 +184,6 @@ func Analyze(p *ip.Program, opts Options) (*Result, error) {
 	const wideningDelay = 1
 	const wideningEscalation = 12
 	debugEvery := debugIterEvery()
-	memo := includesMemo{}
 	for work.Len() > 0 {
 		iterations++
 		if debugEvery > 0 && iterations%debugEvery == 0 {
@@ -222,7 +221,7 @@ func Analyze(p *ip.Program, opts Options) (*Result, error) {
 					joined = in[e.to].Widen(joined)
 				}
 			}
-			if memo.includes(in[e.to], joined) {
+			if in[e.to].Includes(joined) {
 				continue
 			}
 			in[e.to] = joined
@@ -243,9 +242,9 @@ func Analyze(p *ip.Program, opts Options) (*Result, error) {
 	// Only stale nodes are recomputed: a node whose predecessors' in-states
 	// all kept their representation since it was last computed would
 	// recompute the same state from identical inputs. changed[i] is the
-	// clock tick at which in[i] last took a new representation (a keyless
-	// state always counts as new), computed[j] the tick at which node j was
-	// last recomputed; pass 0 recomputes every node.
+	// clock tick at which in[i] last took a new representation (see
+	// State.SameRepr), computed[j] the tick at which node j was last
+	// recomputed; pass 0 recomputes every node.
 	changed := make([]int, n+1)
 	computed := make([]int, n+1)
 	clock := 0
@@ -281,8 +280,7 @@ func Analyze(p *ip.Program, opts Options) (*Result, error) {
 			// with a recomputed value is safe). A refinement with in[j]'s
 			// own representation keeps the old object, which may already
 			// hold generators.
-			oldKey, accKey := stateKeyOf(in[j]), stateKeyOf(acc)
-			if memo.includesKeyed(in[j], oldKey, acc, accKey) && !sameRepr(in[j], oldKey, acc, accKey) {
+			if !in[j].SameRepr(acc) && in[j].Includes(acc) {
 				in[j] = acc
 				changed[j] = clock
 			}
@@ -352,38 +350,6 @@ func exhaustedResult(p *ip.Program, opts Options, dom Domain, nvars, iterations 
 
 func osGetenvInt(k string) int {
 	v, _ := strconv.Atoi(os.Getenv(k))
-	return v
-}
-
-// includesMemo caches Includes answers across fixpoint iterations: the
-// worklist re-tests the same (invariant, candidate) pairs every time a node
-// is revisited without its inputs changing. Entries are keyed by the
-// canonical representation keys of both operands (length-prefixed to keep
-// the concatenation unambiguous); equal keys mean identical representations
-// and therefore the same answer, so the cache cannot change results. States
-// without a cheap key bypass the cache.
-type includesMemo map[string]bool
-
-func (m includesMemo) includes(a, b State) bool {
-	return m.includesKeyed(a, stateKeyOf(a), b, stateKeyOf(b))
-}
-
-// includesKeyed is includes with the operands' keys already computed.
-// Operands with one and the same key are identical representations, so
-// inclusion holds without a conversion.
-func (m includesMemo) includesKeyed(a State, ak string, b State, bk string) bool {
-	if ak == "" || bk == "" {
-		return a.Includes(b)
-	}
-	if ak == bk {
-		return true
-	}
-	key := strconv.Itoa(len(ak)) + ":" + ak + bk
-	if v, ok := m[key]; ok {
-		return v
-	}
-	v := a.Includes(b)
-	m[key] = v
 	return v
 }
 

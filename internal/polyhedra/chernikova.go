@@ -349,7 +349,7 @@ func (c *cone) dedupRays(rays []satRay) []satRay {
 // not part of it and are released, and the working storage is recycled;
 // the cone must not be used afterwards.
 func (c *cone) result() *genset {
-	g := &genset{}
+	g := &genset{lines: make([]vec, 0, len(c.lines)), rays: make([]vec, 0, len(c.rays))}
 	for _, l := range c.lines {
 		g.lines = append(g.lines, l.normalize())
 	}
@@ -396,8 +396,9 @@ func consOf(g *genset, n int, cfg *Config) []row {
 	}
 	// The outputs are copied out and the dual cone's entire working set is
 	// released: add never stores the input rows (it only reads them), so
-	// none of the dual's storage aliases g.
-	var out []row
+	// none of the dual's storage aliases g. out is non-nil even when every
+	// row is trivial: nil cons means "unknown", and the universe is known.
+	out := make([]row, 0, len(dual.lines)+len(dual.rays))
 	for _, l := range dual.lines {
 		if !trivialRow(l, true) {
 			out = append(out, row{v: l.cloneAr(ar), eq: true})

@@ -101,12 +101,10 @@ func (p *Poly) ensureGens() {
 	p.cfg.noteDropped(dropped)
 	if !g.hasVertex() {
 		p.empty = true
-		// An empty polyhedron never consults either representation again;
-		// both are dead.
+		// An empty polyhedron never consults either representation again.
+		// The fresh genset is dead; the rows may be shared with another
+		// live Poly, so they are dropped, not released.
 		g.release(p.cfg.ar())
-		for _, r := range p.cons {
-			r.v.release(p.cfg.ar())
-		}
 		p.gens = nil
 		p.cons = nil
 		return
@@ -156,12 +154,20 @@ func (p *Poly) Clone() *Poly {
 	return c
 }
 
+// share returns a new Poly over p's representation: the rows and the
+// generator set are shared, not copied. No operation mutates or releases a
+// live Poly's rows or genset, so neither side can disturb the other
+// (DESIGN §9.2).
+func (p *Poly) share() *Poly {
+	c := *p
+	return &c
+}
+
 // Key returns a canonical byte-string encoding of p's current constraint
 // representation and whether one is available without further conversion
 // work. Keys are value-based and tier-independent: equal keys imply the
-// same constraint rows in the same order, hence the same polyhedron, so a
-// cached answer keyed by it is exact. Two equal polyhedra with different
-// representations may key differently — that only costs a cache miss.
+// same constraint rows in the same order, hence the same polyhedron. Two
+// equal polyhedra with different representations may key differently.
 func (p *Poly) Key() (string, bool) {
 	if p.empty {
 		return "empty", true
@@ -190,6 +196,29 @@ func (p *Poly) Key() (string, bool) {
 // it, but System re-minimizes rows that did not: polyhedra with equal keys
 // behave identically only when their Minimized flags agree too.
 func (p *Poly) Minimized() bool { return p.minimized }
+
+// SameRepr reports whether q has p's representation: the same dimension,
+// both empty or the same known rows in order (by value and relation,
+// whatever their tiers), and the same Minimized flag. It holds exactly when
+// the Keys are equal and available and the Minimized flags agree, and it
+// builds no key.
+func (p *Poly) SameRepr(q *Poly) bool {
+	if p.n != q.n || p.empty != q.empty || p.minimized != q.minimized {
+		return false
+	}
+	if p.empty {
+		return true
+	}
+	if p.cons == nil || q.cons == nil || len(p.cons) != len(q.cons) {
+		return false
+	}
+	for i, r := range p.cons {
+		if r.eq != q.cons[i].eq || !r.v.equal(q.cons[i].v) {
+			return false
+		}
+	}
+	return true
+}
 
 // MeetSystem intersects p with the constraints of sys, returning a new
 // polyhedron.
@@ -238,16 +267,19 @@ func (p *Poly) Meet(q *Poly) *Poly {
 // over-approximation of union).
 func (p *Poly) Join(q *Poly) *Poly {
 	if p.IsEmpty() {
-		return q.Clone()
+		return q.share()
 	}
 	if q.IsEmpty() {
-		return p.Clone()
+		return p.share()
 	}
 	p.ensureGens()
 	q.ensureGens()
 	cfg := p.cfgOr(q)
 	ar := cfg.ar()
-	g := &genset{}
+	g := &genset{
+		lines: make([]vec, 0, len(p.gens.lines)+len(q.gens.lines)),
+		rays:  make([]vec, 0, len(p.gens.rays)+len(q.gens.rays)),
+	}
 	for _, l := range p.gens.lines {
 		g.lines = append(g.lines, l.cloneAr(ar))
 	}
@@ -487,7 +519,7 @@ func (p *Poly) SystemOver(keep func(int) bool) linear.System {
 	if p.IsEmpty() {
 		return p.System()
 	}
-	q := p.Clone()
+	q := p
 	for v := 0; v < p.n; v++ {
 		if !keep(v) {
 			q = q.Havoc(v)
@@ -557,10 +589,10 @@ func (p *Poly) Bounds(v int) (lo, hi *big.Rat) {
 // (Halbwachs' representation-stability refinement).
 func (p *Poly) Widen(q *Poly) *Poly {
 	if p.IsEmpty() {
-		return q.Clone()
+		return q.share()
 	}
 	if q.IsEmpty() {
-		return p.Clone()
+		return p.share()
 	}
 	p.ensureCons()
 	p.ensureGens()
@@ -602,10 +634,10 @@ func (p *Poly) Widen(q *Poly) *Poly {
 // so chains of WidenSimple are always finite.
 func (p *Poly) WidenSimple(q *Poly) *Poly {
 	if p.IsEmpty() {
-		return q.Clone()
+		return q.share()
 	}
 	if q.IsEmpty() {
-		return p.Clone()
+		return p.share()
 	}
 	p.ensureCons()
 	out := &Poly{n: p.n, cfg: p.cfgOr(q)}

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/arena"
 	"repro/internal/linear"
 )
 
@@ -32,6 +33,77 @@ func TestUniverseAndBottom(t *testing.T) {
 	}
 	if !u.Includes(b) || b.Includes(u) {
 		t.Fatal("inclusion wrong for universe/bottom")
+	}
+}
+
+// TestUniverseResultKnown holds an operation whose result is the universe
+// to a known, empty row set: nil rows would mean "unknown", so the result
+// would have no Key and a direct ensureCons, with no generators left to
+// convert, would dereference nil.
+func TestUniverseResultKnown(t *testing.T) {
+	nonneg := FromSystem(linear.System{ge(0, 1, 0)}, 1)
+	nonpos := FromSystem(linear.System{ge(0, -1, 0)}, 1)
+	for name, p := range map[string]*Poly{
+		"havoc": nonneg.Havoc(0),
+		"join":  nonneg.Join(nonpos),
+	} {
+		if _, ok := p.Key(); !ok {
+			t.Errorf("%s: universe result has no Key", name)
+		}
+		p.ensureCons()
+		if !p.IsUniverse() {
+			t.Errorf("%s: got %s, want the universe", name, p.String(nil))
+		}
+	}
+}
+
+// TestJoinWithBottomShares holds the joins and widenings that answer an
+// empty operand with the other one's representation, shared rather than
+// copied, to leaving the peer intact: the shared copy being found empty
+// recycles none of the peer's rows through the arena, and re-minimizing
+// one side leaves the other's rows and Minimized flag as they were.
+func TestJoinWithBottomShares(t *testing.T) {
+	cfg := &Config{Arena: arena.New()}
+	// x >= 1 and x <= 0: empty, but not known to be before a conversion.
+	q := cfg.FromSystem(linear.System{ge(-1, 1, 0), ge(0, -1, 0)}, 1)
+	want, _ := q.Key()
+	j := cfg.Bottom(1).Join(q)
+	if !j.SameRepr(q) {
+		t.Fatal("join with bottom does not share its operand's representation")
+	}
+	if !j.IsEmpty() {
+		t.Fatal("shared copy of an empty system is not empty")
+	}
+	// Fresh rows are drawn from the arena: a recycled row of q would be
+	// overwritten here.
+	cfg.FromSystem(linear.System{ge(5, 1, 0), ge(7, -1, 0)}, 1)
+	if got, ok := q.Key(); !ok || got != want {
+		t.Fatalf("peer's rows changed after the shared copy was found empty: key %q, want %q", got, want)
+	}
+	if !q.IsEmpty() {
+		t.Fatal("peer is no longer empty")
+	}
+
+	// x >= 0, x >= -1 (redundant), x <= 3: rows as given, not minimized.
+	r := cfg.FromSystem(linear.System{ge(0, 1, 0), ge(1, 1, 0), ge(3, -1, 0)}, 1)
+	want, _ = r.Key()
+	for name, s := range map[string]*Poly{
+		"join":        r.Join(cfg.Bottom(1)),
+		"widen":       cfg.Bottom(1).Widen(r),
+		"widenSimple": cfg.Bottom(1).WidenSimple(r),
+	} {
+		if !s.SameRepr(r) {
+			t.Fatalf("%s with bottom does not share its operand's representation", name)
+		}
+		if n := len(s.System()); n != 2 {
+			t.Fatalf("%s: re-minimized system has %d rows, want 2", name, n)
+		}
+		if got, ok := r.Key(); !ok || got != want || r.Minimized() {
+			t.Fatalf("%s: re-minimizing the shared copy changed the peer: key %q, want %q, minimized %v", name, got, want, r.Minimized())
+		}
+		if s.SameRepr(r) {
+			t.Fatalf("%s: re-minimized copy still has the peer's representation", name)
+		}
 	}
 }
 

@@ -835,6 +835,31 @@ func (d *DBM) Key() (string, bool) {
 	return string(key), true
 }
 
+// SameRepr reports whether o holds d's bound matrix by value, whatever
+// the tiers: both empty, or the same dimension and equal cells (+infinity
+// matching +infinity only). It holds exactly when the Keys are equal. It
+// allocates only to read a machine-tier cell against an exact-tier one.
+func (d *DBM) SameRepr(o *DBM) bool {
+	if d.empty || o.empty || d.n != o.n {
+		return d.empty && o.empty
+	}
+	for i := 0; i <= d.n; i++ {
+		for j := 0; j <= d.n; j++ {
+			if d.mx == nil && o.mx == nil {
+				if d.mw[i][j] != o.mw[i][j] {
+					return false
+				}
+				continue
+			}
+			x, y := d.cellBig(i, j), o.cellBig(i, j)
+			if (x == nil) != (y == nil) || x != nil && x.Cmp(y) != 0 {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // System renders the closed zone as linear constraints.
 func (d *DBM) System() linear.System {
 	var sys linear.System

@@ -163,3 +163,37 @@ func TestZoneIgnoresNonZoneShapes(t *testing.T) {
 		t.Error("zone claims to entail a shape it cannot represent")
 	}
 }
+
+// TestSameReprAcrossTiers holds SameRepr to Key equality where the corpus
+// does not reach: one matrix on each tier, and an exact bound equal to the
+// machine tier's +infinity sentinel, which must not match +infinity.
+func TestSameReprAcrossTiers(t *testing.T) {
+	d := Universe(2).MeetConstraint(ge(3, -1, 0)).MeetConstraint(ge(0, 1, 1, -1, 0)) // x <= 3, y >= x
+	x := d.Clone()
+	x.promote()
+	sentinel := d.Clone()
+	sentinel.promote()
+	sentinel.mx[2][0] = big.NewInt(noBound) // y <= MaxInt64, a finite bound
+	if d.mw[2][0] != noBound {
+		t.Fatal("y is bounded above; the sentinel case needs an infinite cell")
+	}
+	for _, tc := range []struct {
+		name string
+		a, b *DBM
+	}{
+		{"machine/machine", d, d.Clone()},
+		{"machine/exact", d, x},
+		{"exact/machine", x, d},
+		{"exact/exact", x, x.Clone()},
+		{"sentinel/machine", sentinel, d},
+		{"machine/sentinel", d, sentinel},
+		{"empty/machine", Bottom(2), d},
+		{"empty/empty", Bottom(2), Bottom(2)},
+	} {
+		ka, _ := tc.a.Key()
+		kb, _ := tc.b.Key()
+		if got, want := tc.a.SameRepr(tc.b), ka == kb; got != want {
+			t.Errorf("%s: SameRepr = %v, keys equal = %v", tc.name, got, want)
+		}
+	}
+}
