@@ -466,7 +466,7 @@ func BenchmarkDerive(b *testing.B) {
 // BenchmarkPolyhedra measures the substrate's primitive operations at the
 // dimension counts Table 5 produces (tens of variables).
 func BenchmarkPolyhedra(b *testing.B) {
-	mk := func(dim int) (*polyhedra.Poly, *polyhedra.Poly) {
+	mk := func(dim int) (linear.System, linear.System) {
 		var sysA, sysB linear.System
 		for v := 0; v < dim; v++ {
 			e := linear.VarExpr(v)
@@ -478,25 +478,29 @@ func BenchmarkPolyhedra(b *testing.B) {
 				sysB = append(sysB, linear.NewGe(g)) // x_v >= x_{v-1}
 			}
 		}
-		return polyhedra.FromSystem(sysA, dim), polyhedra.FromSystem(sysB, dim)
+		return sysA, sysB
 	}
 	for _, dim := range []int{4, 6, 8} {
-		p, q := mk(dim)
+		sysA, sysB := mk(dim)
+		q := polyhedra.FromSystem(sysB, dim)
+		// A fresh left operand per iteration, so every iteration also
+		// converts its constraints to generators.
 		b.Run(fmt.Sprintf("join/dim=%d", dim), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				p.Clone().Join(q)
+				polyhedra.FromSystem(sysA, dim).Join(q)
 			}
 		})
 		b.Run(fmt.Sprintf("meet+empty/dim=%d", dim), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				p.Clone().Meet(q).IsEmpty()
+				polyhedra.FromSystem(sysA, dim).Meet(q).IsEmpty()
 			}
 		})
 		b.Run(fmt.Sprintf("widen/dim=%d", dim), func(b *testing.B) {
 			b.ReportAllocs()
-			j := p.Clone().Join(q)
+			p := polyhedra.FromSystem(sysA, dim)
+			j := p.Join(q)
 			for i := 0; i < b.N; i++ {
 				p.Widen(j)
 			}

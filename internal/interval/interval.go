@@ -83,13 +83,15 @@ func minB(a, b *big.Int) *big.Int {
 	return b
 }
 
-// Join returns the smallest box containing both.
+// Join returns the smallest box containing both. With an empty operand
+// it returns the other box itself: no operation writes a box it did not
+// create (MeetConstraint, Assign and Havoc clone first).
 func (b *Box) Join(o *Box) *Box {
 	if b.empty {
-		return o.Clone()
+		return o
 	}
 	if o.empty {
-		return b.Clone()
+		return b
 	}
 	out := Universe(len(b.vars))
 	for i := range b.vars {
@@ -105,13 +107,14 @@ func (b *Box) Join(o *Box) *Box {
 	return out
 }
 
-// Widen drops unstable bounds.
+// Widen drops unstable bounds. Like Join, it returns the other box itself
+// when one operand is empty.
 func (b *Box) Widen(o *Box) *Box {
 	if b.empty {
-		return o.Clone()
+		return o
 	}
 	if o.empty {
-		return b.Clone()
+		return b
 	}
 	out := Universe(len(b.vars))
 	for i := range b.vars {

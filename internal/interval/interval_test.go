@@ -65,6 +65,27 @@ func TestJoinWiden(t *testing.T) {
 	}
 }
 
+// TestJoinWithEmptyShares: Join and Widen with an empty operand return the
+// other box itself, and the operations that write a box write a copy, so
+// refining the result leaves the shared box as it was.
+func TestJoinWithEmptyShares(t *testing.T) {
+	b := Universe(2).MeetConstraint(ge(0, 1, 0)) // x >= 0
+	want := b.String(nil)
+	for name, s := range map[string]*Box{
+		"join":  Bottom(2).Join(b),
+		"join'": b.Join(Bottom(2)),
+		"widen": Bottom(2).Widen(b),
+	} {
+		if s != b {
+			t.Errorf("%s with an empty box does not return the other box", name)
+		}
+		s.MeetConstraint(ge(3, -1, 0)).Assign(1, linear.ConstExpr(7)).Havoc(0)
+		if got := b.String(nil); got != want {
+			t.Fatalf("%s: writing through the result changed the shared box: %s, want %s", name, got, want)
+		}
+	}
+}
+
 func TestAssignHavoc(t *testing.T) {
 	b := Universe(2).MeetConstraint(ge(-2, 1, 0)).MeetConstraint(ge(2, -1, 0)) // x == 2
 	e := linear.VarExpr(0).Scale(3)

@@ -16,19 +16,6 @@ type genset struct {
 	rays  []vec
 }
 
-// cloneAr returns an independent copy of g, machine-tier backings drawn
-// from the arena (a nil arena allocates).
-func (g *genset) cloneAr(ar *arena.Arena) *genset {
-	c := &genset{}
-	for _, l := range g.lines {
-		c.lines = append(c.lines, l.cloneAr(ar))
-	}
-	for _, r := range g.rays {
-		c.rays = append(c.rays, r.cloneAr(ar))
-	}
-	return c
-}
-
 // release returns every generator's machine-tier backing to the arena.
 // The caller asserts the genset is dead.
 func (g *genset) release(ar *arena.Arena) {
@@ -56,8 +43,6 @@ type row struct {
 	v  vec
 	eq bool
 }
-
-func (r row) clone() row { return row{v: r.v.cloneAr(nil), eq: r.eq} }
 
 // satRay pairs a ray with the set of added constraints it saturates.
 type satRay struct {
@@ -382,35 +367,43 @@ func gensOf(cons []row, n int, cfg *Config) (*genset, int) {
 
 // consOf converts generators to a minimized constraint system via the dual
 // cone: the constraints of cone(G) are the generators of
-// {c : c.g >= 0 for rays, c.l == 0 for lines}. The dual conversion is
-// never capped or budget-dropped: skipping a generator would shrink the
-// represented set, which is unsound for the forward analysis.
-func consOf(g *genset, n int, cfg *Config) []row {
+// {c : c.g >= 0 for rays, c.l == 0 for lines}, where G is the union of
+// gs, taken lines first and each kind in the order given. The dual
+// conversion is never capped or budget-dropped: skipping a generator would
+// shrink the represented set, which is unsound for the forward analysis.
+func consOf(n int, cfg *Config, gs ...*genset) []row {
 	ar := cfg.ar()
 	dual := universeCone(n+1, 0, cfg.pure(), ar)
-	for _, l := range g.lines {
-		dual.add(row{v: l, eq: true})
+	for _, g := range gs {
+		for _, l := range g.lines {
+			dual.add(row{v: l, eq: true})
+		}
 	}
-	for _, r := range g.rays {
-		dual.add(row{v: r, eq: false})
+	for _, g := range gs {
+		for _, r := range g.rays {
+			dual.add(row{v: r, eq: false})
+		}
 	}
-	// The outputs are copied out and the dual cone's entire working set is
-	// released: add never stores the input rows (it only reads them), so
-	// none of the dual's storage aliases g. out is non-nil even when every
-	// row is trivial: nil cons means "unknown", and the universe is known.
+	// The dual cone's vectors become the output rows; only the trivial
+	// rows and the saturation bitsets are released. add only reads the
+	// generators it is given, so none of the dual's storage aliases gs.
+	// out is non-nil even when every row is trivial: nil cons means
+	// "unknown", and the universe is known.
 	out := make([]row, 0, len(dual.lines)+len(dual.rays))
 	for _, l := range dual.lines {
-		if !trivialRow(l, true) {
-			out = append(out, row{v: l.cloneAr(ar), eq: true})
+		if trivialRow(l, true) {
+			l.release(ar)
+		} else {
+			out = append(out, row{v: l, eq: true})
 		}
-		l.release(ar)
 	}
 	for _, r := range dual.rays {
-		if !trivialRow(r.v, false) {
-			out = append(out, row{v: r.v.cloneAr(ar), eq: false})
-		}
-		r.v.release(ar)
 		r.sat.release(ar)
+		if trivialRow(r.v, false) {
+			r.v.release(ar)
+		} else {
+			out = append(out, row{v: r.v, eq: false})
+		}
 	}
 	dual.recycle()
 	return out

@@ -36,7 +36,10 @@ func hybridCoef(b byte) int64 {
 // (Meet/Join/Widen/Assign/Havoc/Includes/Entails/Bounds) and returns the
 // observable transcript. The transcript must be identical whichever tier
 // the kernel picks internally; cfg selects the kernel (nil = hybrid,
-// PureBig = exact reference).
+// PureBig = exact reference). Every polyhedron the script builds is kept
+// and its system re-emitted at the end, so an operation that writes into,
+// or releases, a row or generator shared with an earlier polyhedron shows
+// as a divergence.
 func runHybridScript(data []byte, cfg *Config) []string {
 	const dim = 3
 	pos := 0
@@ -68,7 +71,12 @@ func runHybridScript(data []byte, cfg *Config) []string {
 		}
 		return sys
 	}
-	cur := cfg.Universe(dim)
+	var states []*Poly
+	keep := func(p *Poly) *Poly {
+		states = append(states, p)
+		return p
+	}
+	cur := keep(cfg.Universe(dim))
 	var trace []string
 	emit := func(format string, args ...any) {
 		trace = append(trace, fmt.Sprintf(format, args...))
@@ -76,11 +84,11 @@ func runHybridScript(data []byte, cfg *Config) []string {
 	for step := 0; step < 16 && pos < len(data); step++ {
 		switch next() % 7 {
 		case 0:
-			cur = cur.MeetSystem(system())
+			cur = keep(cur.MeetSystem(system()))
 		case 1:
-			cur = cur.Join(cfg.FromSystem(system(), dim))
+			cur = keep(cur.Join(keep(cfg.FromSystem(system(), dim))))
 		case 2:
-			cur = cur.Widen(cur.Join(cfg.FromSystem(system(), dim)))
+			cur = keep(cur.Widen(keep(cur.Join(keep(cfg.FromSystem(system(), dim))))))
 		case 3:
 			e := linear.ConstExpr(hybridCoef(next()))
 			for v := 0; v < dim; v++ {
@@ -88,11 +96,11 @@ func runHybridScript(data []byte, cfg *Config) []string {
 					e.AddTerm(v, hybridCoef(next()))
 				}
 			}
-			cur = cur.Assign(int(next())%dim, e)
+			cur = keep(cur.Assign(int(next())%dim, e))
 		case 4:
-			cur = cur.Havoc(int(next()) % dim)
+			cur = keep(cur.Havoc(int(next()) % dim))
 		case 5:
-			q := cfg.FromSystem(system(), dim)
+			q := keep(cfg.FromSystem(system(), dim))
 			emit("includes=%v reverse=%v", cur.Includes(q), q.Includes(cur))
 		case 6:
 			c := constraint()
@@ -101,6 +109,9 @@ func runHybridScript(data []byte, cfg *Config) []string {
 			emit("entails=%v bounds(%d)=[%v,%v]", cur.Entails(c), v, lo, hi)
 		}
 		emit("state=%s empty=%v n=%d", cur.System().String(nil), cur.IsEmpty(), cur.NumConstraints())
+	}
+	for i, p := range states {
+		emit("kept %d=%s", i, p.System().String(nil))
 	}
 	return trace
 }

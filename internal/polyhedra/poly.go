@@ -4,7 +4,6 @@ import (
 	"math/big"
 	"strings"
 
-	"repro/internal/arena"
 	"repro/internal/linear"
 	"repro/internal/numkernel"
 )
@@ -20,6 +19,10 @@ const DefaultMaxRays = 100000
 // Both representations are maintained lazily: cons from gens and gens from
 // cons via Chernikova conversion. All operations are sound
 // over-approximations of their concrete counterparts.
+//
+// A vector a Poly holds, as a row or a generator, is never written,
+// released or copied: operations share their operands' rows and generators
+// and allocate storage only for the values they compute (DESIGN §9.2).
 type Poly struct {
 	n     int
 	empty bool
@@ -117,7 +120,7 @@ func (p *Poly) ensureCons() {
 	if p.empty || p.cons != nil {
 		return
 	}
-	p.cons = consOf(p.gens, p.n, p.cfg)
+	p.cons = consOf(p.n, p.cfg, p.gens)
 	p.minimized = true
 }
 
@@ -139,25 +142,9 @@ func (p *Poly) IsUniverse() bool {
 	return len(p.cons) == 0
 }
 
-// Clone returns an independent copy.
-func (p *Poly) Clone() *Poly {
-	c := &Poly{n: p.n, empty: p.empty, minimized: p.minimized, cfg: p.cfg}
-	if p.cons != nil {
-		c.cons = make([]row, len(p.cons))
-		for i, r := range p.cons {
-			c.cons[i] = r.clone()
-		}
-	}
-	if p.gens != nil {
-		c.gens = p.gens.cloneAr(nil)
-	}
-	return c
-}
-
 // share returns a new Poly over p's representation: the rows and the
-// generator set are shared, not copied. No operation mutates or releases a
-// live Poly's rows or genset, so neither side can disturb the other
-// (DESIGN §9.2).
+// generator set are shared, not copied, and by the ownership rule neither
+// side can disturb the other.
 func (p *Poly) share() *Poly {
 	c := *p
 	return &c
@@ -233,10 +220,7 @@ func (p *Poly) MeetSystem(sys linear.System) *Poly {
 	}
 	out := &Poly{n: p.n, cfg: p.cfg}
 	p.ensureCons()
-	out.cons = make([]row, 0, len(p.cons)+len(sys))
-	for _, r := range p.cons {
-		out.cons = append(out.cons, r.clone())
-	}
+	out.cons = append(make([]row, 0, len(p.cons)+len(sys)), p.cons...)
 	for _, c := range sys {
 		if c.IsTautology() {
 			continue
@@ -253,14 +237,8 @@ func (p *Poly) Meet(q *Poly) *Poly {
 	}
 	p.ensureCons()
 	q.ensureCons()
-	out := &Poly{n: p.n, cfg: p.cfgOr(q)}
-	for _, r := range p.cons {
-		out.cons = append(out.cons, r.clone())
-	}
-	for _, r := range q.cons {
-		out.cons = append(out.cons, r.clone())
-	}
-	return out
+	cons := append(make([]row, 0, len(p.cons)+len(q.cons)), p.cons...)
+	return &Poly{n: p.n, cons: append(cons, q.cons...), cfg: p.cfgOr(q)}
 }
 
 // Join returns the convex hull of p and q (the domain's best
@@ -275,31 +253,9 @@ func (p *Poly) Join(q *Poly) *Poly {
 	p.ensureGens()
 	q.ensureGens()
 	cfg := p.cfgOr(q)
-	ar := cfg.ar()
-	g := &genset{
-		lines: make([]vec, 0, len(p.gens.lines)+len(q.gens.lines)),
-		rays:  make([]vec, 0, len(p.gens.rays)+len(q.gens.rays)),
-	}
-	for _, l := range p.gens.lines {
-		g.lines = append(g.lines, l.cloneAr(ar))
-	}
-	for _, l := range q.gens.lines {
-		g.lines = append(g.lines, l.cloneAr(ar))
-	}
-	for _, r := range p.gens.rays {
-		g.rays = append(g.rays, r.cloneAr(ar))
-	}
-	for _, r := range q.gens.rays {
-		g.rays = append(g.rays, r.cloneAr(ar))
-	}
-	out := &Poly{n: p.n, gens: g, cfg: cfg}
-	// Minimize immediately through the dual so generator sets do not
-	// accumulate across joins. The merged genset is only an input to that
-	// conversion; afterwards it is dead.
-	out.ensureCons()
-	g.release(ar)
-	out.gens = nil
-	return out
+	// The hull's constraints come straight from both generator sets
+	// through the dual, so generator sets do not accumulate across joins.
+	return &Poly{n: p.n, cons: consOf(p.n, cfg, p.gens, q.gens), minimized: true, cfg: cfg}
 }
 
 // Includes reports whether q is contained in p.
@@ -431,11 +387,9 @@ func (p *Poly) Assign(v int, e linear.Expr) *Poly {
 			m.release(ar)
 		}
 	}
-	out := &Poly{n: p.n, gens: mapped, cfg: p.cfg}
 	// Re-minimize through the dual; the mapped genset is dead afterwards.
-	out.ensureCons()
+	out := &Poly{n: p.n, cons: consOf(p.n, p.cfg, mapped), minimized: true, cfg: p.cfg}
 	mapped.release(ar)
-	out.gens = nil
 	return out
 }
 
@@ -446,14 +400,11 @@ func (p *Poly) Havoc(v int) *Poly {
 	}
 	p.ensureGens()
 	ar := p.cfg.ar()
-	g := p.gens.cloneAr(ar)
 	l := newVecAr(ar, p.n+1, p.cfg.pure())
 	l.setInt64(v+1, 1)
-	g.lines = append(g.lines, l)
-	out := &Poly{n: p.n, gens: g, cfg: p.cfg}
-	out.ensureCons()
-	g.release(ar)
-	out.gens = nil
+	// p's generators plus the line along v.
+	out := &Poly{n: p.n, cons: consOf(p.n, p.cfg, p.gens, &genset{lines: []vec{l}}), minimized: true, cfg: p.cfg}
+	l.release(ar)
 	return out
 }
 
@@ -485,7 +436,7 @@ func (p *Poly) Forget(v int) *Poly {
 	out := &Poly{n: p.n, cfg: p.cfg}
 	for _, r := range p.cons {
 		if r.v.sign(v+1) == 0 {
-			out.cons = append(out.cons, r.clone())
+			out.cons = append(out.cons, r)
 		}
 	}
 	return out
@@ -503,7 +454,7 @@ func (p *Poly) System() linear.System {
 		if p.empty {
 			return linear.System{linear.NewGe(linear.ConstExpr(-1))}
 		}
-		p.cons = consOf(p.gens, p.n, p.cfg)
+		p.cons = consOf(p.n, p.cfg, p.gens)
 		p.minimized = true
 	}
 	sys := make(linear.System, 0, len(p.cons))
@@ -602,7 +553,7 @@ func (p *Poly) Widen(q *Poly) *Poly {
 	kept := make([]row, 0, len(p.cons))
 	for _, r := range p.cons {
 		if rowHoldsGens(r, mustGens(q)) {
-			kept = append(kept, r.clone())
+			kept = append(kept, r)
 		}
 	}
 	// Refinement: keep rows of q that are "mutually redundant" with a row
@@ -618,14 +569,14 @@ func (p *Poly) Widen(q *Poly) *Poly {
 			sq := satSignature(rq, p.gens)
 			for _, sp := range sigP {
 				if sq == sp {
-					out.cons = append(out.cons, rq.clone())
+					out.cons = append(out.cons, rq)
 					break
 				}
 			}
 		}
 	}
 	out.cons = append(out.cons, kept...)
-	out.cons = dedupRows(out.cfg.ar(), out.cons)
+	out.cons = dedupRows(out.cons)
 	return out
 }
 
@@ -643,7 +594,7 @@ func (p *Poly) WidenSimple(q *Poly) *Poly {
 	out := &Poly{n: p.n, cfg: p.cfgOr(q)}
 	for _, r := range p.cons {
 		if rowHoldsGens(r, mustGens(q)) {
-			out.cons = append(out.cons, r.clone())
+			out.cons = append(out.cons, r)
 		}
 	}
 	return out
@@ -680,19 +631,18 @@ func satSignature(r row, g *genset) string {
 }
 
 // dedupRows normalizes every row and drops later duplicates by value
-// (relation included), keeping first occurrences in order. Dropped
-// duplicates are released to the arena.
-func dedupRows(ar *arena.Arena, rows []row) []row {
+// (relation included), keeping first occurrences in order. The rows may be
+// operands' rows, so none is written or released: a row already normalized
+// is kept as is, any other is replaced by a normalized copy.
+func dedupRows(rows []row) []row {
 	out := rows[:0]
 	sc := getScratch()
 	sc.set.reset(len(rows))
-	for i := range rows {
-		r := row{v: rows[i].v.normalize(), eq: rows[i].eq}
-		if !sc.set.add(r.v.hash(), len(out), func(k int) bool { return out[k].eq == r.eq && out[k].v.equal(r.v) }) {
-			r.v.release(ar)
-			continue
+	for _, r := range rows {
+		r.v = r.v.normalized()
+		if sc.set.add(r.v.hash(), len(out), func(k int) bool { return out[k].eq == r.eq && out[k].v.equal(r.v) }) {
+			out = append(out, r)
 		}
-		out = append(out, r)
 	}
 	putScratch(sc)
 	return out

@@ -107,6 +107,95 @@ func TestJoinWithBottomShares(t *testing.T) {
 	}
 }
 
+// TestOperationsLeaveOperandsIntact holds every operation to the ownership
+// rule (DESIGN §9.2): the rows and generators an operand holds are shared,
+// never written, released or copied. The operands are arena-backed, and
+// after each operation the arena is churned: slices are drawn from it and
+// scribbled on, so a row or generator released by mistake is overwritten.
+// A row written in place shows directly, for example the unnormalized
+// 2x - 4 >= 0 kept by a widening.
+func TestOperationsLeaveOperandsIntact(t *testing.T) {
+	const n = 2
+	operands := []struct {
+		name string
+		mk   func(cfg *Config) *Poly
+	}{
+		// Rows as given, not minimized; generators come from the first
+		// operation that needs them.
+		{"unnormalized", func(cfg *Config) *Poly {
+			return cfg.FromSystem(linear.System{ge(-4, 2, 0), ge(0, 1, 1), ge(10, -1, 0, -1, 1)}, n)
+		}},
+		// Rows that come out of a dual conversion, an equality among them.
+		{"minimized", func(cfg *Config) *Poly {
+			a := cfg.FromSystem(linear.System{ge(0, 1, 0), ge(3, -1, 0), eq(-1, 1, 1)}, n)
+			return a.Join(cfg.FromSystem(linear.System{eq(-5, 1, 0), eq(-1, 1, 1)}, n))
+		}},
+		{"universe", func(cfg *Config) *Poly { return cfg.Universe(n) }},
+		{"bottom", func(cfg *Config) *Poly { return cfg.Bottom(n) }},
+	}
+	e := expr(1, 2, 0, -1, 1) // 1 + 2x - y
+	ops := []struct {
+		name string
+		run  func(p, q *Poly) *Poly // nil when the operation has no Poly result
+	}{
+		{"MeetSystem", func(p, _ *Poly) *Poly { return p.MeetSystem(linear.System{ge(-6, 3, 1)}) }},
+		{"Meet", func(p, q *Poly) *Poly { return p.Meet(q) }},
+		{"Join", func(p, q *Poly) *Poly { return p.Join(q) }},
+		{"Widen", func(p, q *Poly) *Poly { return p.Widen(q) }},
+		{"WidenSimple", func(p, q *Poly) *Poly { return p.WidenSimple(q) }},
+		{"Includes", func(p, q *Poly) *Poly { p.Includes(q); return nil }},
+		{"Forget", func(p, _ *Poly) *Poly { return p.Forget(1) }},
+		{"Havoc", func(p, _ *Poly) *Poly { return p.Havoc(0) }},
+		{"Assign", func(p, _ *Poly) *Poly { return p.Assign(0, e) }},
+		{"Substitute", func(p, _ *Poly) *Poly { return p.Substitute(1, e) }},
+		{"Entails", func(p, _ *Poly) *Poly { p.Entails(ge(-4, 2, 0)); return nil }},
+		// System swaps minimized rows into its receiver's own fields, which
+		// the rule allows, so it runs on a share: that holds the operand's
+		// rows and generators but not its fields.
+		{"System", func(p, _ *Poly) *Poly { p.share().System(); return nil }},
+		{"SystemOver", func(p, _ *Poly) *Poly { p.SystemOver(func(v int) bool { return v != 0 }); return nil }},
+	}
+	type snapshot struct {
+		key              string
+		keyed, minimized bool
+		sys              string
+	}
+	// snap observes p without changing it: the minimized system is
+	// computed on a share.
+	snap := func(p *Poly) snapshot {
+		k, ok := p.Key()
+		return snapshot{k, ok, p.Minimized(), p.share().System().String(nil)}
+	}
+	churn := func(ar *arena.Arena) {
+		for i := 0; i < 256; i++ {
+			s := ar.Int64sUninit(n + 1)
+			for k := range s {
+				s[k] = int64(7*i + k + 3)
+			}
+		}
+	}
+	for _, op := range ops {
+		for _, a := range operands {
+			for _, b := range operands {
+				cfg := &Config{Arena: arena.New()}
+				p, q := a.mk(cfg), b.mk(cfg)
+				before := [2]snapshot{snap(p), snap(q)}
+				if r := op.run(p, q); r != nil {
+					r.System() // conversions that read the shared rows
+				}
+				churn(cfg.Arena)
+				for i, o := range [2]*Poly{p, q} {
+					if got := snap(o); got != before[i] {
+						t.Errorf("%s(%s, %s): operand %d changed:\ngot  key %q %v, minimized %v: %s\nwant key %q %v, minimized %v: %s",
+							op.name, a.name, b.name, i, got.key, got.keyed, got.minimized, got.sys,
+							before[i].key, before[i].keyed, before[i].minimized, before[i].sys)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestMeetEmpty(t *testing.T) {
 	// x >= 1 and -x >= 0 is empty.
 	p := FromSystem(linear.System{ge(-1, 1, 0), ge(0, -1, 0)}, 1)

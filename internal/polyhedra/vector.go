@@ -419,21 +419,28 @@ func dotBig(a, b vec, nz []int) *big.Int {
 	return s
 }
 
+// gcdWords returns the gcd of w's entries: 0 when all are zero, and 1 as
+// soon as it is known to be 1.
+func gcdWords(w []int64) uint64 {
+	var g uint64
+	for _, x := range w {
+		if x != 0 {
+			if g = numkernel.Gcd64(g, numkernel.AbsU64(x)); g == 1 {
+				return 1
+			}
+		}
+	}
+	return g
+}
+
 // normalize divides v by the gcd of its entries (leaving sign intact) and
 // returns the canonical-tier result: exact-tier rows whose entries all fit
 // a machine word are demoted, so equal rows always land on the same tier.
+// It writes v's entries; normalized is the copy-on-write form.
 func (v vec) normalize() vec {
 	if v.xs == nil {
-		var g uint64
-		for _, x := range v.w {
-			if x != 0 {
-				g = numkernel.Gcd64(g, numkernel.AbsU64(x))
-				if g == 1 {
-					return v
-				}
-			}
-		}
-		if g == 0 {
+		g := gcdWords(v.w)
+		if g <= 1 {
 			return v
 		}
 		if g > math.MaxInt64 {
@@ -467,6 +474,16 @@ func (v vec) normalize() vec {
 	}
 	putScratch(sc)
 	return v.demoted()
+}
+
+// normalized is normalize without writing v: a machine-tier v whose
+// entries have gcd at most 1 is returned as is, any other v (exact-tier
+// vectors, which are rare, included) as a normalized copy.
+func (v vec) normalized() vec {
+	if v.xs == nil && gcdWords(v.w) <= 1 {
+		return v
+	}
+	return v.cloneAr(nil).normalize()
 }
 
 // combine returns ka*a + kb*b, normalized. The machine-tier result is
