@@ -538,6 +538,28 @@ func BenchmarkPolyhedra(b *testing.B) {
 			polyhedra.FromSystem(sysA, dim).Join(q)
 		}
 	})
+	// A chain of meets on an operand whose generators are known, each
+	// result's emptiness asked as the fixpoint does after a guard: every
+	// meet continues the conversion before it with its one new row.
+	var guards []linear.System
+	for k := 0; k < 2; k++ {
+		off, length := linear.VarExpr(3*k), linear.VarExpr(3*k+1)
+		guards = append(guards, linear.System{linear.NewGe(linear.ConstExpr(int64(8 + k)).Sub(length))}, // len <= 8+k
+			linear.System{linear.NewGe(length.Sub(off).Sub(linear.ConstExpr(2)))}) // len >= off + 2
+	}
+	p := polyhedra.FromSystem(sysA, dim)
+	p.IsEmpty()
+	b.Run(fmt.Sprintf("meet-chain/sparse-dim=%d", dim), func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			r := p
+			for _, g := range guards {
+				if r = r.MeetSystem(g); r.IsEmpty() {
+					b.Fatal("the chain must stay non-empty")
+				}
+			}
+		}
+	})
 	hull := polyhedra.FromSystem(sysA, dim).Join(q)
 	b.Run(fmt.Sprintf("includes/sparse-dim=%d", dim), func(b *testing.B) {
 		b.ReportAllocs()

@@ -14,16 +14,29 @@ import (
 type genset struct {
 	lines []vec
 	rays  []vec
+	// The end state of the conversion that made the genset, kept so that
+	// a conversion of more rows can continue it (continueGens): sat[i] is
+	// the set of constraints rays[i] saturates, ncons the number of
+	// constraints registered (the positivity constraint included), nrows
+	// the number of rows converted and dropped the number of those the
+	// ray cap dropped. sat is nil for a genset made otherwise.
+	sat                   []bitset
+	ncons, nrows, dropped int
 }
 
-// release returns every generator's machine-tier backing to the arena.
-// The caller asserts the genset is dead.
+// release returns the machine-tier backing of every generator the genset
+// owns, and its saturation bitsets, to the arena. Borrowed generators
+// (vec.borrow) belong to another genset and are left alone. The caller
+// asserts the genset is dead.
 func (g *genset) release(ar *arena.Arena) {
 	for _, l := range g.lines {
 		l.release(ar)
 	}
 	for _, r := range g.rays {
 		r.release(ar)
+	}
+	for _, b := range g.sat {
+		b.release(ar)
 	}
 }
 
@@ -44,10 +57,22 @@ type row struct {
 	eq bool
 }
 
-// satRay pairs a ray with the set of added constraints it saturates.
+// satRay pairs a ray with the set of added constraints it saturates and
+// its value hash, computed on first use and kept while the ray's vector
+// is (0 means not yet computed).
 type satRay struct {
 	v   vec
 	sat bitset
+	h   uint64
+}
+
+// hash returns the ray's value hash (vec.hash, with the low bit set so
+// that no hash is 0).
+func (r *satRay) hash() uint64 {
+	if r.h == 0 {
+		r.h = r.v.hash() | 1
+	}
+	return r.h
 }
 
 // cone is the incremental double-description state used during
@@ -69,7 +94,8 @@ type cone struct {
 	token *budget.Token
 	// ar recycles machine-tier vectors and saturation bitsets: every
 	// generator the conversion replaces or drops is returned to it at the
-	// point it becomes provably dead. Nil disables recycling.
+	// point it becomes provably dead, unless it is borrowed (vec.borrow).
+	// Nil disables recycling.
 	ar *arena.Arena
 }
 
@@ -169,7 +195,7 @@ func (c *cone) add(r row) bool {
 		}
 		if p.sign() < 0 {
 			old := l
-			l = l.neg()
+			l = l.neg(c.ar)
 			p = p.neg()
 			old.release(c.ar) // negation copied; the original backing is dead
 		}
@@ -182,13 +208,14 @@ func (c *cone) add(r row) bool {
 			}
 		}
 		for j := range c.rays {
-			old := c.rays[j].v
+			ry := &c.rays[j]
+			old := ry.v
 			p2 := dot(r.v, old, nz)
 			if p2.sign() != 0 {
-				c.rays[j].v = combine(c.ar, p, old, p2.neg(), l)
+				ry.v, ry.h = combine(c.ar, p, old, p2.neg(), l), 0
 				old.release(c.ar)
 			}
-			c.rays[j].sat.set(idx)
+			ry.sat.set(idx)
 		}
 		if !r.eq {
 			// The line itself becomes the ray on the positive side.
@@ -205,12 +232,13 @@ func (c *cone) add(r row) bool {
 	// buffers (written back below on every exit path).
 	plus, minus := c.plusBuf[:0], c.minusBuf[:0]
 	keep := c.spare[:0]
-	for i, ry := range c.rays {
+	for i := range c.rays {
+		ry := &c.rays[i]
 		p := dot(r.v, ry.v, nz)
 		switch p.sign() {
 		case 0:
 			ry.sat.set(idx)
-			keep = append(keep, ry)
+			keep = append(keep, *ry)
 		case 1:
 			plus = append(plus, classified{i, p})
 		default:
@@ -240,8 +268,8 @@ func (c *cone) add(r row) bool {
 		// The next constraint reuses idx: clear the bit the zero-product
 		// rays got above, or it would make the adjacency test skip real
 		// extreme rays and shrink the result.
-		for _, ry := range c.rays {
-			ry.sat.unset(idx)
+		for i := range c.rays {
+			c.rays[i].sat.unset(idx)
 		}
 		c.plusBuf, c.minusBuf, c.spare = plus, minus, keep[:0]
 		c.ncons--
@@ -315,54 +343,90 @@ func adjacent(ar *arena.Arena, i1, i2 int, all []satRay) bool {
 // order. Dropped duplicates are released to the arena. Every ray arrives
 // normalized (combine normalizes, add normalizes a line it turns into a
 // ray, and the universe rays are unit vectors), so equal rays are equal
-// vectors.
+// vectors. Each ray's hash is computed once, on its first dedup.
 func (c *cone) dedupRays(rays []satRay) []satRay {
-	out := rays[:0]
+	kept := 0
 	c.dedup.reset(len(rays))
-	for _, ry := range rays {
-		if !c.dedup.add(ry.v.hash(), len(out), func(k int) bool { return out[k].v.equal(ry.v) }) {
+	for i := range rays {
+		ry := &rays[i]
+		if !c.dedup.add(ry.hash(), kept, func(k int) bool { return rays[k].v.equal(ry.v) }) {
 			ry.v.release(c.ar)
 			ry.sat.release(c.ar)
 			continue
 		}
-		out = append(out, ry)
+		if kept != i {
+			rays[kept] = *ry
+		}
+		kept++
 	}
-	return out
+	return rays[:kept]
 }
 
-// result extracts the plain generator set. The saturation bitsets are
-// not part of it and are released, and the working storage is recycled;
-// the cone must not be used afterwards.
-func (c *cone) result() *genset {
-	g := &genset{lines: make([]vec, 0, len(c.lines)), rays: make([]vec, 0, len(c.rays))}
+// result extracts the generator set, which keeps the cone's end state
+// (the saturation bitsets, ncons and dropped) so that continueGens can
+// resume it; nrows is the number of rows converted. The working storage
+// is recycled; the cone must not be used afterwards.
+func (c *cone) result(nrows int) *genset {
+	g := &genset{
+		lines: make([]vec, 0, len(c.lines)),
+		rays:  make([]vec, 0, len(c.rays)),
+		sat:   make([]bitset, 0, len(c.rays)),
+		ncons: c.ncons, nrows: nrows, dropped: c.dropped,
+	}
 	for _, l := range c.lines {
 		g.lines = append(g.lines, l.normalize())
 	}
-	for _, r := range c.rays {
-		g.rays = append(g.rays, r.v)
-		r.sat.release(c.ar)
+	for i := range c.rays {
+		g.rays = append(g.rays, c.rays[i].v)
+		g.sat = append(g.sat, c.rays[i].sat)
 	}
 	c.recycle()
 	return g
 }
 
-// gensOf converts a constraint system to generators under the given
-// configuration. The int reports how many constraints the ray cap dropped
-// (budget-induced drops are excluded; see cone.add).
-func gensOf(cons []row, n int, cfg *Config) (*genset, int) {
-	c := universePolyCone(n, cfg.maxRays(), cfg.pure(), cfg.token(), cfg.ar())
-	// Equalities first: they only shrink the representation.
-	for _, r := range cons {
+// convert adds rows to the cone, equalities first (they only shrink the
+// representation), and returns its result; nrows is the number of rows
+// the cone had converted before.
+func (c *cone) convert(rows []row, nrows int) *genset {
+	for _, r := range rows {
 		if r.eq {
 			c.add(r)
 		}
 	}
-	for _, r := range cons {
+	for _, r := range rows {
 		if !r.eq {
 			c.add(r)
 		}
 	}
-	return c.result(), c.dropped
+	return c.result(nrows + len(rows))
+}
+
+// gensOf converts a constraint system to generators under the given
+// configuration. The genset's dropped field reports how many constraints
+// the ray cap dropped (budget-induced drops are excluded; see cone.add).
+func gensOf(cons []row, n int, cfg *Config) *genset {
+	return universePolyCone(n, cfg.maxRays(), cfg.pure(), cfg.token(), cfg.ar()).convert(cons, 0)
+}
+
+// continueGens resumes base's conversion (base came from gensOf or
+// continueGens) with rows. The cone.add sequence is that of gensOf on
+// base's rows followed by rows, provided gensOf adds them in that order:
+// it adds equalities first, so either rows hold no equality or base's
+// rows hold no inequality. The result is then identical to gensOf's, drop
+// count included. The cone borrows base's vectors, so it never writes or
+// releases them, and works on copies of the saturation bitsets, which
+// add writes and may grow in place.
+func continueGens(base *genset, rows []row, n int, cfg *Config) *genset {
+	ar := cfg.ar()
+	c := newCone(n+1, cfg.maxRays(), cfg.pure(), ar)
+	c.ncons, c.dropped, c.token = base.ncons, base.dropped, cfg.token()
+	for _, l := range base.lines {
+		c.lines = append(c.lines, l.borrow())
+	}
+	for i, r := range base.rays {
+		c.rays = append(c.rays, satRay{v: r.borrow(), sat: base.sat[i].cloneAr(ar)})
+	}
+	return c.convert(rows, base.nrows)
 }
 
 // consOf converts generators to a minimized constraint system via the dual

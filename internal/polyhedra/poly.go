@@ -28,6 +28,12 @@ type Poly struct {
 	empty bool
 	cons  []row   // nil when unknown
 	gens  *genset // nil when unknown
+	// converted records that gens is the conversion of exactly cons, so
+	// that a meet appending rows may continue it.
+	converted bool
+	// base, when non-nil, is a genset whose conversion ensureGens
+	// continues: cons[:base.nrows] are the rows it converted.
+	base *genset
 	// minimized records that cons came from a dual conversion (and is
 	// therefore irredundant).
 	minimized bool
@@ -95,24 +101,36 @@ func FromSystem(sys linear.System, n int) *Poly {
 	return (*Config)(nil).FromSystem(sys, n)
 }
 
-// ensureGens computes the generator representation.
+// ensureGens computes the generator representation: it continues base's
+// conversion with the rows after base's when there is a base, and
+// converts every row otherwise.
 func (p *Poly) ensureGens() {
 	if p.empty || p.gens != nil {
 		return
 	}
-	g, dropped := gensOf(p.cons, p.n, p.cfg)
-	p.cfg.noteDropped(dropped)
+	var g *genset
+	if p.base != nil {
+		g = continueGens(p.base, p.cons[p.base.nrows:], p.n, p.cfg)
+		p.base = nil
+	} else {
+		g = gensOf(p.cons, p.n, p.cfg)
+	}
+	// A continued conversion's count includes its base's, so it is the
+	// count a conversion of every row reports.
+	p.cfg.noteDropped(g.dropped)
 	if !g.hasVertex() {
 		p.empty = true
 		// An empty polyhedron never consults either representation again.
-		// The fresh genset is dead; the rows may be shared with another
-		// live Poly, so they are dropped, not released.
+		// The fresh genset is dead, but a continued one's borrowed
+		// vectors are its base's, so release frees only what the
+		// conversion made. The rows may be shared with another live Poly,
+		// so they are dropped, not released.
 		g.release(p.cfg.ar())
 		p.gens = nil
 		p.cons = nil
 		return
 	}
-	p.gens = g
+	p.gens, p.converted = g, true
 }
 
 // ensureCons computes the (minimized) constraint representation.
@@ -121,7 +139,7 @@ func (p *Poly) ensureCons() {
 		return
 	}
 	p.cons = consOf(p.n, p.cfg, p.gens)
-	p.minimized = true
+	p.minimized, p.converted = true, false
 }
 
 // IsEmpty reports whether the polyhedron contains no points.
@@ -221,13 +239,31 @@ func (p *Poly) MeetSystem(sys linear.System) *Poly {
 	out := &Poly{n: p.n, cfg: p.cfg}
 	p.ensureCons()
 	out.cons = append(make([]row, 0, len(p.cons)+len(sys)), p.cons...)
+	addsEq := false
 	for _, c := range sys {
 		if c.IsTautology() {
 			continue
 		}
-		out.cons = append(out.cons, rowOf(c, p.n, p.cfg))
+		r := rowOf(c, p.n, p.cfg)
+		addsEq = addsEq || r.eq
+		out.cons = append(out.cons, r)
+	}
+	// The result's conversion may continue p's when p's generators are
+	// the conversion of its rows and gensOf would add the new rows after
+	// p's: it adds equalities first.
+	if p.converted && (!addsEq || !hasInequality(p.cons)) {
+		out.base = p.gens
 	}
 	return out
+}
+
+func hasInequality(rows []row) bool {
+	for _, r := range rows {
+		if !r.eq {
+			return true
+		}
+	}
+	return false
 }
 
 // Meet intersects two polyhedra.
@@ -416,7 +452,7 @@ func (p *Poly) Substitute(v int, e linear.Expr) *Poly {
 		return p.cfg.Bottom(p.n)
 	}
 	p.ensureCons()
-	out := &Poly{n: p.n, cfg: p.cfg}
+	out := &Poly{n: p.n, cons: []row{}, cfg: p.cfg}
 	for _, r := range p.cons {
 		c := rowToConstraint(r, p.n)
 		ne := c.E.Subst(v, e)
@@ -433,7 +469,7 @@ func (p *Poly) Forget(v int) *Poly {
 		return p.cfg.Bottom(p.n)
 	}
 	p.ensureCons()
-	out := &Poly{n: p.n, cfg: p.cfg}
+	out := &Poly{n: p.n, cons: []row{}, cfg: p.cfg}
 	for _, r := range p.cons {
 		if r.v.sign(v+1) == 0 {
 			out.cons = append(out.cons, r)
@@ -455,7 +491,7 @@ func (p *Poly) System() linear.System {
 			return linear.System{linear.NewGe(linear.ConstExpr(-1))}
 		}
 		p.cons = consOf(p.n, p.cfg, p.gens)
-		p.minimized = true
+		p.minimized, p.converted = true, false
 	}
 	sys := make(linear.System, 0, len(p.cons))
 	for _, r := range p.cons {
@@ -549,7 +585,7 @@ func (p *Poly) Widen(q *Poly) *Poly {
 	p.ensureGens()
 	q.ensureCons()
 
-	out := &Poly{n: p.n, cfg: p.cfgOr(q)}
+	out := &Poly{n: p.n, cons: []row{}, cfg: p.cfgOr(q)}
 	kept := make([]row, 0, len(p.cons))
 	for _, r := range p.cons {
 		if rowHoldsGens(r, mustGens(q)) {
@@ -591,7 +627,7 @@ func (p *Poly) WidenSimple(q *Poly) *Poly {
 		return p.share()
 	}
 	p.ensureCons()
-	out := &Poly{n: p.n, cfg: p.cfgOr(q)}
+	out := &Poly{n: p.n, cons: []row{}, cfg: p.cfgOr(q)}
 	for _, r := range p.cons {
 		if rowHoldsGens(r, mustGens(q)) {
 			out.cons = append(out.cons, r)

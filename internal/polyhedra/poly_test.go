@@ -43,9 +43,14 @@ func TestUniverseAndBottom(t *testing.T) {
 func TestUniverseResultKnown(t *testing.T) {
 	nonneg := FromSystem(linear.System{ge(0, 1, 0)}, 1)
 	nonpos := FromSystem(linear.System{ge(0, -1, 0)}, 1)
+	atMost5 := FromSystem(linear.System{ge(5, -1, 0)}, 1)
 	for name, p := range map[string]*Poly{
-		"havoc": nonneg.Havoc(0),
-		"join":  nonneg.Join(nonpos),
+		"havoc":       nonneg.Havoc(0),
+		"join":        nonneg.Join(nonpos),
+		"forget":      nonneg.Forget(0),
+		"widen":       nonneg.Widen(atMost5),
+		"widenSimple": nonneg.WidenSimple(atMost5),
+		"substitute":  Universe(1).Substitute(0, expr(1, 1, 0)),
 	} {
 		if _, ok := p.Key(); !ok {
 			t.Errorf("%s: universe result has no Key", name)
@@ -158,13 +163,24 @@ func TestOperationsLeaveOperandsIntact(t *testing.T) {
 	type snapshot struct {
 		key              string
 		keyed, minimized bool
-		sys              string
+		sys, gens        string
 	}
 	// snap observes p without changing it: the minimized system is
-	// computed on a share.
+	// computed on a share. Generators are observed only once known, since
+	// operations may fill them in lazily.
 	snap := func(p *Poly) snapshot {
 		k, ok := p.Key()
-		return snapshot{k, ok, p.Minimized(), p.share().System().String(nil)}
+		s := snapshot{k, ok, p.Minimized(), p.share().System().String(nil), ""}
+		if p.gens != nil {
+			s.gens = genState(p.gens)
+		}
+		return s
+	}
+	changed := func(before, after snapshot) bool {
+		if before.gens == "" {
+			after.gens = ""
+		}
+		return after != before
 	}
 	churn := func(ar *arena.Arena) {
 		for i := 0; i < 256; i++ {
@@ -185,7 +201,7 @@ func TestOperationsLeaveOperandsIntact(t *testing.T) {
 				}
 				churn(cfg.Arena)
 				for i, o := range [2]*Poly{p, q} {
-					if got := snap(o); got != before[i] {
+					if got := snap(o); changed(before[i], got) {
 						t.Errorf("%s(%s, %s): operand %d changed:\ngot  key %q %v, minimized %v: %s\nwant key %q %v, minimized %v: %s",
 							op.name, a.name, b.name, i, got.key, got.keyed, got.minimized, got.sys,
 							before[i].key, before[i].keyed, before[i].minimized, before[i].sys)
@@ -193,6 +209,57 @@ func TestOperationsLeaveOperandsIntact(t *testing.T) {
 				}
 			}
 		}
+	}
+
+	// A meet on an operand whose generators are known continues their
+	// conversion (continueGens), reading the operand's lines and rays in
+	// place. Each new row below cuts off some of them, so a continuation
+	// that released, or wrote, a vector it borrowed would change every
+	// earlier member of the chain.
+	chain := []linear.System{
+		{ge(6, -1, 0, -1, 1)},              // x + y <= 6
+		{ge(0, 1, 0, -1, 1), ge(-1, 1, 1)}, // y <= x, y >= 1
+		{ge(-7, 3, 0, -1, 1)},              // 3x - y >= 7
+		{ge(-20, 1, 0)},                    // x >= 20: empty
+	}
+	for _, a := range operands {
+		cfg := &Config{Arena: arena.New()}
+		p := a.mk(cfg)
+		p.IsEmpty()
+		members, before := []*Poly{p}, []snapshot{snap(p)}
+		for k, sys := range chain {
+			r := members[len(members)-1].MeetSystem(sys)
+			r.IsEmpty()
+			churn(cfg.Arena)
+			for i, o := range members {
+				if got := snap(o); changed(before[i], got) {
+					t.Errorf("%s: meet %d changed chain member %d:\ngot  gens %s\nwant gens %s",
+						a.name, k, i, got.gens, before[i].gens)
+				}
+			}
+			members, before = append(members, r), append(before, snap(r))
+		}
+	}
+
+	// No conversion is known to hand dedupRays a duplicate, so it gets one
+	// directly: a borrowed ray it drops stays its owner's. And normalize
+	// copies a borrowed vector before dividing it.
+	cfg := &Config{Arena: arena.New()}
+	p := operands[0].mk(cfg)
+	p.IsEmpty()
+	want := snap(p)
+	c := newCone(n+1, 0, false, cfg.Arena)
+	r := p.gens.rays[0]
+	dup := []satRay{{v: r.borrow(), sat: newBitsetAr(cfg.Arena, 1)}, {v: r.borrow(), sat: newBitsetAr(cfg.Arena, 1)}}
+	if kept := c.dedupRays(dup); len(kept) != 1 {
+		t.Fatalf("dedupRays kept %d of two equal rays", len(kept))
+	}
+	c.recycle()
+	row := p.cons[0].v // 2x - 4 >= 0, unnormalized
+	row.borrow().normalize()
+	churn(cfg.Arena)
+	if got := snap(p); got != want {
+		t.Errorf("a borrowed duplicate or normalization changed its owner:\ngot  %+v\nwant %+v", got, want)
 	}
 }
 

@@ -35,11 +35,15 @@ import (
 // vectors of the reference kernel (Config.PureBig): they live on the
 // exact tier and are never demoted. The flag is per-vector rather than a
 // package global so concurrent analyses with different configurations
-// cannot interfere.
+// cannot interfere. borrowed marks a vector a continued conversion reads
+// from the genset it continues (continueGens): its storage belongs to
+// that genset, so release leaves it alone and normalize copies it before
+// writing.
 type vec struct {
-	w    []int64
-	xs   []*big.Int
-	pure bool
+	w        []int64
+	xs       []*big.Int
+	pure     bool
+	borrowed bool
 }
 
 func newVec(n int, pure bool) vec {
@@ -116,11 +120,17 @@ func (v vec) cloneAr(ar *arena.Arena) vec {
 	return vec{w: w}
 }
 
-// release returns a machine-tier vector's backing store to the arena.
-// The caller asserts the vector is dead: no live row, generator, or
-// genset references it.
+// borrow returns v marked borrowed: the same storage, read-only.
+func (v vec) borrow() vec {
+	v.borrowed = true
+	return v
+}
+
+// release returns a machine-tier vector's backing store to the arena,
+// unless the vector is borrowed. The caller asserts the vector is dead: no
+// live row, generator, or genset references it.
 func (v vec) release(ar *arena.Arena) {
-	if v.xs == nil {
+	if v.xs == nil && !v.borrowed {
 		ar.PutInt64s(v.w)
 	}
 }
@@ -188,12 +198,14 @@ func (v vec) bigRef(i int, tmp *big.Int) *big.Int {
 	return tmp.SetInt64(v.w[i])
 }
 
-func (v vec) neg() vec {
+// neg returns -v; a machine-tier result is drawn from the arena.
+func (v vec) neg(ar *arena.Arena) vec {
 	if v.xs == nil {
-		c := make([]int64, len(v.w))
+		c := ar.Int64sUninit(len(v.w)) // every entry is written before any read
 		for i, x := range v.w {
 			if x == math.MinInt64 {
-				return v.promoted().neg()
+				ar.PutInt64s(c)
+				return v.promoted().neg(ar)
 			}
 			c[i] = -x
 		}
@@ -436,8 +448,12 @@ func gcdWords(w []int64) uint64 {
 // normalize divides v by the gcd of its entries (leaving sign intact) and
 // returns the canonical-tier result: exact-tier rows whose entries all fit
 // a machine word are demoted, so equal rows always land on the same tier.
-// It writes v's entries; normalized is the copy-on-write form.
+// It writes v's entries, unless v is borrowed; normalized is the
+// copy-on-write form.
 func (v vec) normalize() vec {
+	if v.borrowed {
+		return v.normalized()
+	}
 	if v.xs == nil {
 		g := gcdWords(v.w)
 		if g <= 1 {
@@ -583,6 +599,13 @@ func newBitsetAr(ar *arena.Arena, n int) bitset { return bitset(ar.Uint64s((n + 
 // release returns the bitset's backing store to the arena; the caller
 // asserts no live ray references it.
 func (b bitset) release(ar *arena.Arena) { ar.PutUint64s(b) }
+
+// cloneAr returns a copy of b drawn from the arena.
+func (b bitset) cloneAr(ar *arena.Arena) bitset {
+	c := bitset(ar.Uint64sUninit(len(b))) // every word is written below
+	copy(c, b)
+	return c
+}
 
 func (b *bitset) set(i int) {
 	for len(*b) <= i/64 {
