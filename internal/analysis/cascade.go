@@ -6,7 +6,6 @@ import (
 	"repro/internal/certify"
 	"repro/internal/clex"
 	"repro/internal/ip"
-	"repro/internal/linear"
 	"repro/internal/reduce"
 )
 
@@ -63,10 +62,12 @@ type CascadeResult struct {
 	ResidualStmts int
 	// Certificates carries, under Options.Certify, one certificate per
 	// discharged check: the discharging tier's per-point invariant systems
-	// over its sliced sub-program, with statement indices mapped back to
-	// the original program, ready for the independent Fourier–Motzkin
-	// verifier (certify.Certificate.Verify). Checks removed by CFG pruning
-	// get an unreachability certificate over the original program.
+	// over its sliced sub-program (true at the points from which none of
+	// the tier's discharged checks can be reached), with statement indices
+	// mapped back to the original program, ready for the independent
+	// Fourier–Motzkin verifier (certify.Certificate.Verify). Checks
+	// removed by CFG pruning get an unreachability certificate over the
+	// original program.
 	Certificates []*certify.Certificate
 	// Exhausted names the budget that ran out mid-cascade, or is empty.
 	// Checks still residual at that point are reported as unresolved
@@ -164,52 +165,29 @@ func AnalyzeCascade(p *ip.Program, opts Options) (*CascadeResult, error) {
 		for _, v := range res.Violations {
 			violated[v.Index] = true
 		}
-		// Certificate payload, shared by every check this tier
-		// discharged: the tier's per-point invariants over its sliced
-		// sub-program, with statement indices mapped back to the original
-		// program.
-		var certInv []linear.System
-		var certOrig []int
-		var certNames []string
-		if opts.Certify {
-			certInv = invariantSystems(res.States)
-			certOrig = make([]int, len(sm.Stmt))
-			for i, mid := range sm.Stmt {
-				certOrig[i] = pm[mid]
-			}
-			certNames = sliced.Space.Names()
-		}
-		var next []int
+		var next, discharged []int
 		for _, a := range residual {
 			if violated[sm.StmtOf[a]] {
 				next = append(next, a)
 				continue
 			}
+			discharged = append(discharged, a)
 			ast := pruned.Stmts[a].(*ip.Assert)
 			decided[a] = CheckProvenance{
 				Index: pm[a], Pos: ast.Pos, Msg: ast.Msg,
 				Tier: tierName, Vars: sliced.NumVars(), Stmts: sliced.Size(),
 			}
-			if opts.Certify {
-				out.Certificates = append(out.Certificates, &certify.Certificate{
-					Check: certify.Check{
-						OrigIndex: pm[a], Pos: ast.Pos, Msg: ast.Msg,
-						Tier: tierName,
-					},
-					Prog:      sliced,
-					AssertIdx: sm.StmtOf[a],
-					Inv:       certInv,
-					OrigStmt:  certOrig,
-					VarNames:  certNames,
-				})
-			}
+		}
+		if opts.Certify && len(discharged) > 0 {
+			out.Certificates = append(out.Certificates,
+				tierCertificates(tierName, pruned, pm, sliced, sm, res.States, discharged)...)
 		}
 		out.Tiers = append(out.Tiers, TierStat{
 			Domain:     tierName,
 			Vars:       sliced.NumVars(),
 			Stmts:      sliced.Size(),
 			Asserts:    len(residual),
-			Discharged: len(residual) - len(next),
+			Discharged: len(discharged),
 			Iterations: res.Iterations,
 			CPU:        cpu,
 		})
@@ -248,6 +226,36 @@ func AnalyzeCascade(p *ip.Program, opts Options) (*CascadeResult, error) {
 	}
 	assembleChecks(p, pm, decided, opts.Certify, out)
 	return out, nil
+}
+
+// tierCertificates certifies the checks one tier discharged (indices into
+// the pruned program). They share one payload: the tier's invariants over
+// its sliced sub-program, exported where a discharged check can be
+// reached, with statement indices mapped back to the original program.
+func tierCertificates(tier string, pruned *ip.Program, pm reduce.StmtMap, sliced *ip.Program, sm *reduce.SliceMap, states []State, discharged []int) []*certify.Certificate {
+	carrier := make([]int, len(discharged))
+	for i, a := range discharged {
+		carrier[i] = sm.StmtOf[a]
+	}
+	inv := certifiedInvariants(sliced, states, carrier)
+	orig := sm.Stmt.Compose(pm)
+	names := sliced.Space.Names()
+	certs := make([]*certify.Certificate, len(discharged))
+	for i, a := range discharged {
+		ast := pruned.Stmts[a].(*ip.Assert)
+		certs[i] = &certify.Certificate{
+			Check: certify.Check{
+				OrigIndex: pm[a], Pos: ast.Pos, Msg: ast.Msg,
+				Tier: tier,
+			},
+			Prog:      sliced,
+			AssertIdx: carrier[i],
+			Inv:       inv,
+			OrigStmt:  orig,
+			VarNames:  names,
+		}
+	}
+	return certs
 }
 
 // assembleChecks records per-assert provenance in program order;

@@ -2,8 +2,10 @@ package analysis
 
 import (
 	"math/big"
+	"reflect"
 	"testing"
 
+	"repro/internal/certify"
 	"repro/internal/ip"
 	"repro/internal/linear"
 )
@@ -228,5 +230,242 @@ func TestCascadeUnreachableCertificate(t *testing.T) {
 	}
 	if err := cert.Verify(); err != nil {
 		t.Errorf("unreachability certificate rejected: %v", err)
+	}
+}
+
+// buildBranchy builds
+//
+//	 0: x := 0
+//	 1: y := 0
+//	 2: if (n >= 5) goto B     -- a branch that never reaches the assert
+//	 3: L:
+//	 4: assert(x >= 0)          -- discharged
+//	 5: x := x + 1
+//	 6: if (9 - x >= 0) goto L
+//	 7: y := x                  -- after the loop: no path back to the assert
+//	 8: goto E
+//	 9: B:
+//	10: y := 1
+//	11: E:
+//	12: y := y + 1
+//
+// Points 0–6 reach the assert; points 7–12 and the exit (13) do not.
+func buildBranchy() *ip.Program {
+	p := ip.New("branchy")
+	x := p.Space.Var("x")
+	y := p.Space.Var("y")
+	n := p.Space.Var("n")
+	p.Emit(&ip.Assign{V: x, E: linear.ConstExpr(0)})
+	p.Emit(&ip.Assign{V: y, E: linear.ConstExpr(0)})
+	big5 := linear.VarExpr(n)
+	big5.AddConst(-5)
+	p.Emit(&ip.IfGoto{C: ip.Single(linear.NewGe(big5)), Target: "B"})
+	p.Emit(&ip.Label{Name: "L"})
+	p.Emit(&ip.Assert{C: ip.Single(linear.NewGe(linear.VarExpr(x))), Msg: "x >= 0"})
+	inc := linear.VarExpr(x)
+	inc.AddConst(1)
+	p.Emit(&ip.Assign{V: x, E: inc})
+	p.Emit(&ip.IfGoto{C: ip.Single(linear.NewGe(linear.ConstExpr(9).Sub(linear.VarExpr(x)))), Target: "L"})
+	p.Emit(&ip.Assign{V: y, E: linear.VarExpr(x)})
+	p.Emit(&ip.Goto{Target: "E"})
+	p.Emit(&ip.Label{Name: "B"})
+	p.Emit(&ip.Assign{V: y, E: linear.ConstExpr(1)})
+	p.Emit(&ip.Label{Name: "E"})
+	incY := linear.VarExpr(y)
+	incY.AddConst(1)
+	p.Emit(&ip.Assign{V: y, E: incY})
+	return p
+}
+
+// reachesAny reports, for every point of p, whether a CFG path leads from
+// it to one of the statements in targets (forward search per point).
+func reachesAny(p *ip.Program, targets map[int]bool) []bool {
+	cfg := p.CFG()
+	out := make([]bool, len(cfg))
+	for from := range cfg {
+		seen := make([]bool, len(cfg))
+		stack := []int{from}
+		seen[from] = true
+		for n := 0; n < len(cfg) && len(stack) > 0; n++ {
+			i := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			if targets[i] {
+				out[from] = true
+				break
+			}
+			for _, e := range cfg[i] {
+				if !seen[e.To] {
+					seen[e.To] = true
+					stack = append(stack, e.To)
+				}
+			}
+		}
+	}
+	return out
+}
+
+// TestCertifiedInvariantsOnlyWhereNeeded: a certificate carries the
+// analysis state exactly at the points from which a certified assert can
+// be reached, the empty (true) system everywhere else, and still
+// verifies — in a plain run and in every tier of the cascade.
+func TestCertifiedInvariantsOnlyWhereNeeded(t *testing.T) {
+	opts := Options{Certify: true}
+	res, err := Analyze(buildBranchy(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	certs := CertifyResult(res, opts)
+	if len(certs) != 1 {
+		t.Fatalf("want 1 certificate, got %d", len(certs))
+	}
+	inv := certs[0].Inv
+	if len(inv) != len(res.States) {
+		t.Fatalf("invariant map has %d points, want %d", len(inv), len(res.States))
+	}
+	for i, st := range res.States {
+		sys := st.System()
+		if i <= 6 {
+			if !reflect.DeepEqual(inv[i], sys) {
+				t.Errorf("point %d reaches the assert: Inv %v, want the state %v", i, inv[i], sys)
+			}
+			continue
+		}
+		if len(inv[i]) != 0 {
+			t.Errorf("point %d cannot reach the assert: Inv %v, want empty", i, inv[i])
+		}
+		if i < len(res.Prog.Stmts) && len(sys) == 0 {
+			t.Errorf("point %d: state is trivial, so the test proves nothing there", i)
+		}
+	}
+	for _, r := range certify.VerifyAll(certs) {
+		if r.Status != certify.StatusCertified {
+			t.Errorf("plain certificate for %q: %s (%s)", r.Msg, r.Status, r.Detail)
+		}
+	}
+
+	for _, p := range []*ip.Program{buildBranchy(), buildLoop(true), buildLoop(false)} {
+		cres, err := AnalyzeCascade(p, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(cres.Certificates) == 0 {
+			t.Fatalf("%s: no certificates", p.Name)
+		}
+		for _, r := range certify.VerifyAll(cres.Certificates) {
+			if r.Status != certify.StatusCertified {
+				t.Errorf("%s: cascade certificate for %q: %s (%s)", p.Name, r.Msg, r.Status, r.Detail)
+			}
+		}
+		// Certificates of one tier share their carrier; the points needed
+		// are those reaching any of that tier's certified asserts.
+		certified := map[*ip.Program]map[int]bool{}
+		for _, c := range cres.Certificates {
+			if certified[c.Prog] == nil {
+				certified[c.Prog] = map[int]bool{}
+			}
+			certified[c.Prog][c.AssertIdx] = true
+		}
+		for _, c := range cres.Certificates {
+			for i, reach := range reachesAny(c.Prog, certified[c.Prog]) {
+				if !reach && len(c.Inv[i]) != 0 {
+					t.Errorf("%s [%s]: point %d reaches no certified assert but has Inv %v",
+						p.Name, c.Check.Tier, i, c.Inv[i])
+				}
+			}
+		}
+	}
+}
+
+// countingDomain wraps a domain and counts the System conversions of its
+// states.
+type countingDomain struct {
+	Domain
+	systems *int
+}
+
+func (d countingDomain) Universe(n int) State { return countingState{d.Domain.Universe(n), d.systems} }
+func (d countingDomain) Bottom(n int) State   { return countingState{d.Domain.Bottom(n), d.systems} }
+
+type countingState struct {
+	State
+	systems *int
+}
+
+func (s countingState) wrap(st State) State { return countingState{st, s.systems} }
+func (s countingState) Join(o State) State  { return s.wrap(s.State.Join(o.(countingState).State)) }
+func (s countingState) Widen(o State) State { return s.wrap(s.State.Widen(o.(countingState).State)) }
+func (s countingState) WidenSimple(o State) State {
+	return s.wrap(s.State.WidenSimple(o.(countingState).State))
+}
+func (s countingState) MeetSystem(sys linear.System) State { return s.wrap(s.State.MeetSystem(sys)) }
+func (s countingState) Assign(v int, e linear.Expr) State  { return s.wrap(s.State.Assign(v, e)) }
+func (s countingState) Havoc(v int) State                  { return s.wrap(s.State.Havoc(v)) }
+func (s countingState) Includes(o State) bool              { return s.State.Includes(o.(countingState).State) }
+func (s countingState) SameRepr(o State) bool              { return s.State.SameRepr(o.(countingState).State) }
+func (s countingState) System() linear.System {
+	*s.systems++
+	return s.State.System()
+}
+
+// TestCertifyConvertsNothingWithoutDischarge: a run that discharges no
+// check exports no invariant. In the cascade, the final tier of
+// buildLoop(false) proves nothing (interval already discharged x >= 0,
+// and x <= 9 is violated), so certifying adds no System call on it; a
+// plain run restricted to the violated check likewise certifies nothing
+// and converts nothing. A plain run that certifies both checks of
+// buildLoop(true) converts every point but the exit, which reaches none.
+func TestCertifyConvertsNothingWithoutDischarge(t *testing.T) {
+	cascadeSystems := func(certifyOn bool) (int, *CascadeResult) {
+		var n int
+		res, err := AnalyzeCascade(buildLoop(false), Options{
+			Domain: countingDomain{PolyDomain{}, &n}, Certify: certifyOn,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n, res
+	}
+	plain, _ := cascadeSystems(false)
+	certified, res := cascadeSystems(true)
+	final := res.Tiers[len(res.Tiers)-1]
+	if final.Domain != "polyhedra" || final.Asserts == 0 || final.Discharged != 0 {
+		t.Fatalf("final tier %+v: want a polyhedra tier that discharges nothing", final)
+	}
+	if len(res.Certificates) != 1 {
+		t.Fatalf("want 1 certificate from the interval tier, got %d", len(res.Certificates))
+	}
+	if certified != plain {
+		t.Errorf("final tier discharged nothing, yet certifying made %d System calls (%d without)",
+			certified, plain)
+	}
+
+	var n int
+	dom := countingDomain{PolyDomain{}, &n}
+	p := buildLoop(false)
+	violated := p.Asserts()[0] // x <= 9
+	opts := Options{Domain: dom, Certify: true, CheckOnly: map[int]bool{violated: true}}
+	ares, err := Analyze(p, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := n
+	if certs := CertifyResult(ares, opts); len(certs) != 0 {
+		t.Fatalf("certified a violated check: %+v", certs[0].Check)
+	}
+	if n != before {
+		t.Errorf("CertifyResult certified nothing, yet made %d System calls", n-before)
+	}
+
+	opts = Options{Domain: dom, Certify: true}
+	ares, err = Analyze(buildLoop(true), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before = n
+	if certs := CertifyResult(ares, opts); len(certs) != 2 {
+		t.Fatalf("want 2 certificates, got %d", len(certs))
+	}
+	if got, want := n-before, len(ares.States)-1; got != want {
+		t.Errorf("CertifyResult made %d System calls, want %d (every point but the exit)", got, want)
 	}
 }

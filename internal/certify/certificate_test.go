@@ -85,6 +85,15 @@ func TestCorruptedCertificatesRejected(t *testing.T) {
 			"consecution",
 		},
 		{
+			// The loop head reaches the assert, so its invariant is needed:
+			// the empty (true) system there does not entail the bounds at
+			// the assert. The analysis exports true only at points from
+			// which no certified assert can be reached.
+			"trivial needed point",
+			func(c *Certificate) { c.Inv[1] = linear.System{} },
+			"consecution",
+		},
+		{
 			// Dropping the upper bound at the assert breaks the implication:
 			// x = 11 satisfies the weakened invariant and violates the check.
 			"implication",

@@ -79,7 +79,9 @@ func mutateCertificates(certs []*certify.Certificate, op uint8, at, v int) {
 // `cssv -cascade -certify -cache-dir` runs over testdata/suite, one with
 // the term 99999:1 added to an invariant constraint (a variable far beyond
 // its carrier's dimension), and each mutation at indices past the
-// dimension. Run `go test -fuzz=FuzzVerifyCertificate ./internal/certify`
+// dimension. corpus-remove-newline-trivial holds empty invariants at the
+// points from which no certified check can be reached, as the analysis
+// exports them. Run `go test -fuzz=FuzzVerifyCertificate ./internal/certify`
 // to search beyond them.
 func FuzzVerifyCertificate(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, op uint8, at uint16, v int32) {
