@@ -71,7 +71,7 @@ func TestCascadeDifferential(t *testing.T) {
 			}
 			for _, c := range cp.Cascade.Checks {
 				if c.Tier == "" {
-					t.Errorf("%s %s: check %q has no deciding tier", path, cp.Name, c.Check)
+					t.Errorf("%s %s: check %q has no deciding tier", path, cp.Name, c.Msg)
 				}
 			}
 			if pp.Cascade != nil {

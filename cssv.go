@@ -40,6 +40,7 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/c2ip"
+	"repro/internal/certify"
 	"repro/internal/core"
 	"repro/internal/ctypes"
 	"repro/internal/derive"
@@ -191,79 +192,29 @@ type Procedure struct {
 // run.
 type Degradation = core.Degradation
 
-// CertificationStats summarizes one procedure's a-posteriori validation.
-type CertificationStats struct {
-	// Checks in program order: every discharged check with its certificate
-	// verdict, every reported message with its replay verdict.
-	Checks []CheckCertification
-	// Certified counts checks whose certificate the independent checker
-	// re-proved; Failed counts rejected certificates (an analyzer or
-	// exporter bug — never expected in a release build). Witnessed counts
-	// messages replayed to a concrete failing trace (true errors);
-	// Potential the rest (possible false alarms).
-	Certified, Failed, Witnessed, Potential int
-}
+// CertificationStats summarizes one procedure's a-posteriori validation:
+// its Checks in program order (every discharged check with its certificate
+// verdict, every reported message with its replay verdict) and the
+// Certified / Failed / Witnessed / Potential counts. A Failed certificate
+// means an analyzer or exporter bug, never expected in a release build.
+type CertificationStats = certify.Outcome
 
 // CheckCertification is the certification outcome for one check.
-type CheckCertification struct {
-	// Pos is the blamed source position; Check describes the property.
-	Pos   string
-	Check string
-	// Tier is the domain that decided the check ("unreachable" when CFG
-	// pruning removed it).
-	Tier string
-	// Status is "certified", "certificate-failed", "witnessed", or
-	// "potential".
-	Status string
-	// Detail explains the status (verification error, replay note).
-	Detail string
-	// TraceLen is the length of the witnessing trace (witnessed only).
-	TraceLen int
-}
+type CheckCertification = certify.CheckResult
 
 // CascadeStats describes how the tiered cascade discharged a procedure's
-// checks.
-type CascadeStats struct {
-	// Tiers ran cheapest first; each analyzed only the slice of the checks
-	// the previous tiers could not prove.
-	Tiers []CascadeTier
-	// Checks gives per-assert provenance in program order.
-	Checks []CheckOrigin
-	// ResidualVars and ResidualStmts are the dimensions of the sliced
-	// sub-program that reached the final (polyhedra) tier; both are 0 when
-	// the cheap tiers discharged every check.
-	ResidualVars, ResidualStmts int
-	// ReducedProgram is the pretty-printed residual integer program.
-	ReducedProgram string
-}
+// checks: the Tiers that ran (cheapest first, each on the slice of the
+// checks the previous tiers could not prove), per-check provenance in
+// program order, and the Residual sub-program that reached the final tier
+// (nil, with ResidualVars and ResidualStmts 0, when the cheap tiers
+// discharged every check).
+type CascadeStats = analysis.CascadeResult
 
 // CascadeTier is one tier of the cascade.
-type CascadeTier struct {
-	// Domain names the tier's abstract domain.
-	Domain string
-	// IPVars and IPSize measure the sliced sub-program this tier analyzed.
-	IPVars, IPSize int
-	// Asserts entered the tier; Discharged were proven by it.
-	Asserts, Discharged int
-	// CPU is the tier's fixpoint time.
-	CPU time.Duration
-}
+type CascadeTier = analysis.TierStat
 
 // CheckOrigin records which tier decided one check.
-type CheckOrigin struct {
-	// Pos is the blamed source position.
-	Pos string
-	// Check describes the verified property.
-	Check string
-	// Tier is the domain that discharged the check ("unreachable" when
-	// pruning removed it), or the final domain when Violated.
-	Tier string
-	// Violated marks checks reported as messages.
-	Violated bool
-	// IPVars and IPSize are the dimensions of the sub-program in which the
-	// check was decided.
-	IPVars, IPSize int
-}
+type CheckOrigin = analysis.CheckProvenance
 
 // Report is the result of one analysis run.
 type Report struct {
@@ -394,8 +345,10 @@ func convertProc(pr *core.ProcReport) Procedure {
 		CPU:    pr.CPU,
 		Space:  pr.Space,
 
-		Degraded:    pr.Degraded,
-		CacheStatus: pr.CacheStatus,
+		Cascade:       pr.Cascade,
+		Certification: pr.Certification,
+		Degraded:      pr.Degraded,
+		CacheStatus:   pr.CacheStatus,
 	}
 	// The IP can be nil when a pipeline stage upstream of C2IP produced the
 	// violations; formatting must not dereference it.
@@ -430,44 +383,6 @@ func convertProc(pr *core.ProcReport) Procedure {
 	if pr.Derived != nil {
 		p.DerivedRequires = pr.Derived.RequiresText
 		p.DerivedEnsures = pr.Derived.EnsuresText
-	}
-	if pr.Cascade != nil {
-		cs := &CascadeStats{
-			ResidualVars:  pr.Cascade.ResidualVars,
-			ResidualStmts: pr.Cascade.ResidualStmts,
-		}
-		if pr.Cascade.Residual != nil {
-			cs.ReducedProgram = pr.Cascade.Residual.String()
-		}
-		for _, t := range pr.Cascade.Tiers {
-			cs.Tiers = append(cs.Tiers, CascadeTier{
-				Domain: t.Domain, IPVars: t.Vars, IPSize: t.Stmts,
-				Asserts: t.Asserts, Discharged: t.Discharged, CPU: t.CPU,
-			})
-		}
-		for _, c := range pr.Cascade.Checks {
-			cs.Checks = append(cs.Checks, CheckOrigin{
-				Pos: c.Pos.String(), Check: c.Msg, Tier: c.Tier,
-				Violated: c.Violated, IPVars: c.Vars, IPSize: c.Stmts,
-			})
-		}
-		p.Cascade = cs
-	}
-	if pr.Certification != nil {
-		st := &CertificationStats{
-			Certified: pr.Certification.Certified,
-			Failed:    pr.Certification.Failed,
-			Witnessed: pr.Certification.Witnessed,
-			Potential: pr.Certification.Potential,
-		}
-		for _, c := range pr.Certification.Checks {
-			st.Checks = append(st.Checks, CheckCertification{
-				Pos: c.Pos.String(), Check: c.Msg, Tier: c.Tier,
-				Status: string(c.Status), Detail: c.Detail,
-				TraceLen: c.TraceLen,
-			})
-		}
-		p.Certification = st
 	}
 	return p
 }

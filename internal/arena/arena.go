@@ -22,10 +22,10 @@
 // mistake shows up as a divergence from the reference kernel.
 package arena
 
-// smallCaps bounds the capacities served from the direct-indexed free
-// lists; the hot shapes (vector length dim+1, bitset word counts) are
-// far below it, so the per-Get/Put cost is an array index, not a map
-// lookup. Larger capacities fall back to map-bucketed lists.
+// smallCaps bounds the capacities the free lists serve; the hot shapes
+// (vector length dim+1, bitset word counts) are far below it, so the
+// per-Get/Put cost is an array index. A larger slice is made fresh and
+// dropped by Put: on the analyzed corpus no substrate asks for one.
 const smallCaps = 128
 
 // Arena recycles []int64 and []uint64 backing stores. Free lists are
@@ -35,8 +35,6 @@ const smallCaps = 128
 type Arena struct {
 	smallI [smallCaps][][]int64
 	smallU [smallCaps][][]uint64
-	bigI   map[int][][]int64
-	bigU   map[int][][]uint64
 
 	recycled int64
 }
@@ -59,20 +57,10 @@ func (a *Arena) Int64s(n int) []int64 {
 // Int64sUninit is Int64s without the zeroing guarantee: recycled slices
 // keep their previous contents. For callers that overwrite every entry.
 func (a *Arena) Int64sUninit(n int) []int64 {
-	if a == nil || n == 0 {
+	if a == nil || n == 0 || n >= smallCaps {
 		return make([]int64, n)
 	}
-	var fl *[][]int64
-	if n < smallCaps {
-		fl = &a.smallI[n]
-	} else if a.bigI != nil {
-		if s, ok := a.popBigI(n); ok {
-			return s
-		}
-		return make([]int64, n)
-	} else {
-		return make([]int64, n)
-	}
+	fl := &a.smallI[n]
 	k := len(*fl)
 	if k == 0 {
 		return make([]int64, n)
@@ -84,34 +72,13 @@ func (a *Arena) Int64sUninit(n int) []int64 {
 	return s
 }
 
-func (a *Arena) popBigI(n int) ([]int64, bool) {
-	fl := a.bigI[n]
-	k := len(fl)
-	if k == 0 {
-		return nil, false
-	}
-	s := fl[k-1]
-	fl[k-1] = nil
-	a.bigI[n] = fl[:k-1]
-	a.recycled += int64(n) * 8
-	return s, true
-}
-
-// PutInt64s returns s to the free list. The caller asserts nothing else
-// references s.
+// PutInt64s returns s to the free list (a slice of capacity smallCaps or
+// more is dropped). The caller asserts nothing else references s.
 func (a *Arena) PutInt64s(s []int64) {
-	if a == nil || cap(s) == 0 {
+	if a == nil || cap(s) == 0 || cap(s) >= smallCaps {
 		return
 	}
-	s = s[:cap(s)]
-	if len(s) < smallCaps {
-		a.smallI[len(s)] = append(a.smallI[len(s)], s)
-		return
-	}
-	if a.bigI == nil {
-		a.bigI = make(map[int][][]int64)
-	}
-	a.bigI[len(s)] = append(a.bigI[len(s)], s)
+	a.smallI[cap(s)] = append(a.smallI[cap(s)], s[:cap(s)])
 }
 
 // Uint64s returns a zeroed []uint64 of length n, recycled when a slice
@@ -127,20 +94,10 @@ func (a *Arena) Uint64s(n int) []uint64 {
 // Uint64sUninit is Uint64s without the zeroing guarantee: recycled
 // slices keep their previous contents.
 func (a *Arena) Uint64sUninit(n int) []uint64 {
-	if a == nil || n == 0 {
+	if a == nil || n == 0 || n >= smallCaps {
 		return make([]uint64, n)
 	}
-	var fl *[][]uint64
-	if n < smallCaps {
-		fl = &a.smallU[n]
-	} else if a.bigU != nil {
-		if s, ok := a.popBigU(n); ok {
-			return s
-		}
-		return make([]uint64, n)
-	} else {
-		return make([]uint64, n)
-	}
+	fl := &a.smallU[n]
 	k := len(*fl)
 	if k == 0 {
 		return make([]uint64, n)
@@ -152,34 +109,13 @@ func (a *Arena) Uint64sUninit(n int) []uint64 {
 	return s
 }
 
-func (a *Arena) popBigU(n int) ([]uint64, bool) {
-	fl := a.bigU[n]
-	k := len(fl)
-	if k == 0 {
-		return nil, false
-	}
-	s := fl[k-1]
-	fl[k-1] = nil
-	a.bigU[n] = fl[:k-1]
-	a.recycled += int64(n) * 8
-	return s, true
-}
-
-// PutUint64s returns s to the free list. The caller asserts nothing
-// else references s.
+// PutUint64s returns s to the free list (a slice of capacity smallCaps
+// or more is dropped). The caller asserts nothing else references s.
 func (a *Arena) PutUint64s(s []uint64) {
-	if a == nil || cap(s) == 0 {
+	if a == nil || cap(s) == 0 || cap(s) >= smallCaps {
 		return
 	}
-	s = s[:cap(s)]
-	if len(s) < smallCaps {
-		a.smallU[len(s)] = append(a.smallU[len(s)], s)
-		return
-	}
-	if a.bigU == nil {
-		a.bigU = make(map[int][][]uint64)
-	}
-	a.bigU[len(s)] = append(a.bigU[len(s)], s)
+	a.smallU[cap(s)] = append(a.smallU[cap(s)], s[:cap(s)])
 }
 
 // Recycled returns the number of bytes served out of the free lists so

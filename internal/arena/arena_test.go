@@ -66,3 +66,23 @@ func TestPutTruncatedSliceRestoresCap(t *testing.T) {
 		t.Fatalf("truncated put should land in the cap bucket")
 	}
 }
+
+func TestLargeCapacityNotRecycled(t *testing.T) {
+	a := New()
+	s := a.Int64s(smallCaps)
+	if len(s) != smallCaps {
+		t.Fatalf("Int64s(%d): len %d", smallCaps, len(s))
+	}
+	a.PutInt64s(s)
+	if r := a.Int64s(smallCaps); &r[0] == &s[0] {
+		t.Fatalf("capacity-%d int64 slice was recycled", smallCaps)
+	}
+	u := a.Uint64s(smallCaps)
+	a.PutUint64s(u)
+	if r := a.Uint64s(smallCaps); &r[0] == &u[0] {
+		t.Fatalf("capacity-%d uint64 slice was recycled", smallCaps)
+	}
+	if got := a.Recycled(); got != 0 {
+		t.Fatalf("recycled bytes = %d, want 0", got)
+	}
+}

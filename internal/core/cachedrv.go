@@ -256,14 +256,13 @@ func decodeCascade(d *cache.Cascade) (*analysis.CascadeResult, error) {
 // separately); certification may differ from pr.Certification on the
 // revalidation refresh path (stored outcome preserved under a run that did
 // not request certification).
-func encodeEntry(pr *ProcReport, nAnalysis, memResolved, memHavocked int,
-	certification *certify.Outcome) *cache.Entry {
+func encodeEntry(pr *ProcReport, nAnalysis int, certification *certify.Outcome) *cache.Entry {
 	d := cache.ProcReport{
 		Name: pr.Name, LOC: pr.LOC, SLOC: pr.SLOC,
 		IPVars: pr.IPVars, IPSize: pr.IPSize, Iterations: pr.Iterations,
 		Violations:     encodeViolationList(pr.Violations[:nAnalysis]),
 		SideEffects:    encodeViolationList(pr.Violations[nAnalysis:]),
-		MemberResolved: memResolved, MemberHavocked: memHavocked,
+		MemberResolved: pr.Counts.MemberResolved, MemberHavocked: pr.Counts.MemberHavocked,
 		Certification: certification,
 	}
 	for _, w := range pr.Warnings {
@@ -281,13 +280,14 @@ func encodeEntry(pr *ProcReport, nAnalysis, memResolved, memHavocked int,
 // decodeEntry rehydrates a ProcReport. includeSideEffects selects whether
 // the stored side-effect violations are appended (exact hit) or left to a
 // fresh run of the side-effect check (revalidation, where the contract may
-// have changed). The AST-level intermediates (Inlined, PPT) are nil on a
-// rehydrated report, by documented design.
+// have changed). The stored member-access counts are restored; no other
+// count is.
 func decodeEntry(e *cache.Entry, includeSideEffects bool) (*ProcReport, error) {
 	d := &e.Report
 	pr := &ProcReport{
 		Name: d.Name, LOC: d.LOC, SLOC: d.SLOC,
 		IPVars: d.IPVars, IPSize: d.IPSize, Iterations: d.Iterations,
+		Counts: Counts{MemberResolved: d.MemberResolved, MemberHavocked: d.MemberHavocked},
 	}
 	var err error
 	pr.Violations, err = decodeViolationList(d.Violations)
@@ -326,18 +326,18 @@ func decodeEntry(e *cache.Entry, includeSideEffects bool) (*ProcReport, error) {
 // accept re-proves a stored entry before a cache path trusts it: its
 // certificates are read and re-verified (verifyEntry) against p, the
 // stored integer program on a paranoid hit and the fresh one on a
-// revalidation. A failure is logged and counted — an unreadable
+// revalidation. A failure is logged and counted on pr — an unreadable
 // certificate file as a bad entry, a failed proof as a rejected one — and
 // reported as false.
-func (cc *cacheCtx) accept(k cache.Key, e *cache.Entry, p *ip.Program, rc *runCounters) bool {
+func (cc *cacheCtx) accept(k cache.Key, e *cache.Entry, p *ip.Program, pr *ProcReport) bool {
 	certs, err := cc.store.Certificates(e)
 	if err != nil {
-		rc.cacheBad.Add(1)
+		pr.Counts.CacheBadEntries++
 		cacheLog("%s: unusable certificates: %v", k.Proc, err)
 		return false
 	}
 	if err := verifyEntry(p, certs, &e.Report); err != nil {
-		rc.cacheRej.Add(1)
+		pr.Counts.CacheCertRejected++
 		cacheLog("%s: %v", k.Proc, err)
 		return false
 	}
@@ -380,11 +380,12 @@ func verifyEntry(p *ip.Program, certs []*certify.Certificate, d *cache.ProcRepor
 // tryHit attempts the exact-hit path: all three hashes equal. Under
 // cc.verify every hit is additionally treated like a revalidation —
 // certificates re-proved, accounting re-checked — before being trusted.
-// Returns nil on any miss or rejection.
-func (cc *cacheCtx) tryHit(k cache.Key, opts Options, rc *runCounters) *ProcReport {
+// Returns the replayed report, or nil on any miss or rejection; unusable
+// entries and rejections are counted on pr, the report being built.
+func (cc *cacheCtx) tryHit(k cache.Key, pr *ProcReport, opts Options) *ProcReport {
 	e, err := cc.store.Get(k)
 	if err != nil {
-		rc.cacheBad.Add(1)
+		pr.Counts.CacheBadEntries++
 		cacheLog("%s: unusable entry: %v", k.Proc, err)
 		return nil
 	}
@@ -398,23 +399,21 @@ func (cc *cacheCtx) tryHit(k cache.Key, opts Options, rc *runCounters) *ProcRepo
 		// included).
 		return nil
 	}
-	pr, err := decodeEntry(e, true)
+	hit, err := decodeEntry(e, true)
 	if err != nil {
-		rc.cacheBad.Add(1)
+		pr.Counts.CacheBadEntries++
 		cacheLog("%s: undecodable entry: %v", k.Proc, err)
 		return nil
 	}
-	if cc.verify && !cc.accept(k, e, pr.IP, rc) {
+	if cc.verify && !cc.accept(k, e, hit.IP, pr) {
 		return nil
 	}
 	if !opts.Certify {
-		pr.Certification = nil
+		hit.Certification = nil
 	}
-	rc.cacheHits.Add(1)
-	rc.memResolved.Add(int64(e.Report.MemberResolved))
-	rc.memHavoc.Add(int64(e.Report.MemberHavocked))
-	pr.CacheStatus = "hit"
-	return pr
+	hit.Counts.CacheHits++
+	hit.CacheStatus = "hit"
+	return hit
 }
 
 // tryRevalidate attempts the certificate-revalidation fast path after the
@@ -424,10 +423,10 @@ func (cc *cacheCtx) tryHit(k cache.Key, opts Options, rc *runCounters) *ProcRepo
 // the accepted entry is returned so the caller can refresh it under the new
 // key; nil means no candidate was accepted. No fixpoint runs.
 func (cc *cacheCtx) tryRevalidate(k cache.Key, pr *ProcReport, fresh *ip.Program,
-	opts Options, rc *runCounters) *cache.Entry {
+	opts Options) *cache.Entry {
 	cands, errs := cc.store.Candidates(k.Proc, k.Body, k.Conf, k.Env)
 	for _, err := range errs {
-		rc.cacheBad.Add(1)
+		pr.Counts.CacheBadEntries++
 		cacheLog("%s: unusable candidate: %v", k.Proc, err)
 	}
 	if len(cands) == 0 {
@@ -448,12 +447,12 @@ func (cc *cacheCtx) tryRevalidate(k cache.Key, pr *ProcReport, fresh *ip.Program
 		if err != nil || !bytes.Equal(storedIP, freshIP) {
 			continue
 		}
-		if !cc.accept(k, e, fresh, rc) {
+		if !cc.accept(k, e, fresh, pr) {
 			continue
 		}
 		dec, err := decodeEntry(e, false)
 		if err != nil {
-			rc.cacheBad.Add(1)
+			pr.Counts.CacheBadEntries++
 			cacheLog("%s: undecodable entry: %v", k.Proc, err)
 			continue
 		}
@@ -464,7 +463,7 @@ func (cc *cacheCtx) tryRevalidate(k cache.Key, pr *ProcReport, fresh *ip.Program
 			pr.Certification = dec.Certification
 		}
 		pr.CacheStatus = "revalidated"
-		rc.cacheReval.Add(1)
+		pr.Counts.CacheRevalidated++
 		return e
 	}
 	return nil
@@ -472,14 +471,14 @@ func (cc *cacheCtx) tryRevalidate(k cache.Key, pr *ProcReport, fresh *ip.Program
 
 // put stores a completed result under its key and reports whether it was
 // stored. Store failures are logged, never fatal.
-func (cc *cacheCtx) put(k cache.Key, pr *ProcReport, nAnalysis, memResolved, memHavocked int,
-	certs []*certify.Certificate, certification *certify.Outcome, rc *runCounters) bool {
-	e := encodeEntry(pr, nAnalysis, memResolved, memHavocked, certification)
+func (cc *cacheCtx) put(k cache.Key, pr *ProcReport, nAnalysis int,
+	certs []*certify.Certificate, certification *certify.Outcome) bool {
+	e := encodeEntry(pr, nAnalysis, certification)
 	if err := cc.store.Put(k, e, certs); err != nil {
 		cacheLog("%s: store failed: %v", k.Proc, err)
 		return false
 	}
-	rc.cacheStores.Add(1)
+	pr.Counts.CacheStores++
 	return true
 }
 
@@ -487,12 +486,11 @@ func (cc *cacheCtx) put(k cache.Key, pr *ProcReport, nAnalysis, memResolved, mem
 // certification outcome is kept even when this run did not request
 // certification, so the refreshed entry stays usable for certifying runs,
 // and the certificate file src was revalidated from is copied verbatim.
-func (cc *cacheCtx) refresh(k cache.Key, pr *ProcReport, nAnalysis, memResolved, memHavocked int,
-	src *cache.Entry, rc *runCounters) {
-	e := encodeEntry(pr, nAnalysis, memResolved, memHavocked, src.Report.Certification)
+func (cc *cacheCtx) refresh(k cache.Key, pr *ProcReport, nAnalysis int, src *cache.Entry) {
+	e := encodeEntry(pr, nAnalysis, src.Report.Certification)
 	if err := cc.store.Refresh(k, e, src); err != nil {
 		cacheLog("%s: store failed: %v", k.Proc, err)
 		return
 	}
-	rc.cacheStores.Add(1)
+	pr.Counts.CacheStores++
 }

@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sort"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/analysis"
@@ -146,10 +145,6 @@ type ProcReport struct {
 	// Certification carries, under Options.Certify, the per-check outcome
 	// of certificate verification and counter-example replay.
 	Certification *certify.Outcome
-	// Inlined is the analyzed (inlined + normalized) procedure.
-	Inlined *cast.FuncDecl
-	// PPT is the procedural points-to state used.
-	PPT *ppt.PPT
 	// Derived carries the auto-derived contract under AutoContracts.
 	Derived *derive.Result
 	// Degraded is non-nil when the procedure's analysis did not run to
@@ -163,9 +158,73 @@ type ProcReport struct {
 	// result written to the cache), "uncached" (caching enabled but this
 	// result was not stored — degraded, or the write failed), or ""
 	// (caching disabled).
-	// On "hit" the AST-level intermediates (Inlined, PPT) are nil and
-	// Space reflects the hit path, not the original analysis.
+	// On "hit" Space reflects the hit path, not the original analysis.
 	CacheStatus string
+	// Counts are this procedure's work counters, filled by the goroutine
+	// that ran its pipeline. A procedure whose pipeline panicked counts
+	// zero.
+	Counts Counts
+}
+
+// Counts are the work counters of one procedure's pipeline. RunStats
+// embeds their sum over the run's procedures. Unless a wall-clock deadline
+// cuts the pipeline short, every count depends only on the procedure's own
+// inputs and cache entries, so the sum is the same for every worker count.
+type Counts struct {
+	// PointerCacheMisses counts the whole-program pointer analyses run:
+	// one per procedure that ran the front end (cache hits run none).
+	PointerCacheMisses int
+	// FixpointIterations counts the fixpoint worklist iterations actually
+	// executed. Cached procedures contribute nothing — a fully warm run
+	// reports 0, which is the deterministic witness that the result
+	// cache, not the engine, produced the reports.
+	FixpointIterations int
+	// PrecisionDrops counts constraints the polyhedra substrate dropped at
+	// its ray cap. Each drop is a sound over-approximation, but a nonzero
+	// count means precision was lost — surfaced here (and on the cssv
+	// -stats line) instead of silently.
+	PrecisionDrops int
+	// ArenaRecycledBytes counts the bytes the procedure's slice arena
+	// served out of its free lists instead of the garbage-collected heap.
+	// Recycling decisions depend only on the procedure's operation
+	// sequence, so the count is deterministic.
+	ArenaRecycledBytes int64
+	// MemberResolved / MemberHavocked count C2IP memory-access sites
+	// (member accesses lowered to byte arithmetic, plus ordinary derefs)
+	// whose constraints were generated with a precise offset/aSize pair for
+	// every possible target region, versus sites where a channel had to be
+	// abandoned (unknown target, untracked offset, or the legacy wide-store
+	// terminator havoc). A cache hit restores the stored counts.
+	MemberResolved, MemberHavocked int
+	// CacheHits / CacheRevalidated / CacheMisses record, under
+	// Options.CacheDir, how a cacheable procedure was resolved: exact
+	// replay, certificate revalidation (front end re-run, stored
+	// certificates re-proved, no fixpoint), or full analysis. CacheStores
+	// counts entries written (fresh results and revalidation refreshes
+	// under the new key). CacheBadEntries counts corrupt, truncated, or
+	// undecodable entries encountered (each is logged and analyzed
+	// around); CacheCertRejected counts entries rejected because a stored
+	// certificate failed re-verification or assert accounting — never
+	// silently trusted.
+	CacheHits, CacheRevalidated, CacheMisses int
+	CacheStores                              int
+	CacheBadEntries, CacheCertRejected       int
+}
+
+// Add adds o to c, field by field.
+func (c *Counts) Add(o Counts) {
+	c.PointerCacheMisses += o.PointerCacheMisses
+	c.FixpointIterations += o.FixpointIterations
+	c.PrecisionDrops += o.PrecisionDrops
+	c.ArenaRecycledBytes += o.ArenaRecycledBytes
+	c.MemberResolved += o.MemberResolved
+	c.MemberHavocked += o.MemberHavocked
+	c.CacheHits += o.CacheHits
+	c.CacheRevalidated += o.CacheRevalidated
+	c.CacheMisses += o.CacheMisses
+	c.CacheStores += o.CacheStores
+	c.CacheBadEntries += o.CacheBadEntries
+	c.CacheCertRejected += o.CacheCertRejected
 }
 
 // Degradation records why and how a procedure's analysis fell short of a
@@ -197,6 +256,9 @@ type Report struct {
 
 // RunStats describes one AnalyzeSource run.
 type RunStats struct {
+	// Counts sums the per-procedure counters over the run's procedures
+	// (ProcReport.Counts).
+	Counts
 	// Workers is the pool size actually used (after defaulting and
 	// clamping to the procedure count).
 	Workers int
@@ -207,65 +269,25 @@ type RunStats struct {
 	// the estimate (and the speedup derived from it) reads high.
 	Wall          time.Duration
 	SequentialCPU time.Duration
-	// PointerCacheMisses counts the whole-program pointer analyses this
-	// run performed: one per procedure that ran the front end (cache hits
-	// run none). PointerCacheHits is always zero. It counted hits in a
-	// process-wide pointer-analysis memo that never hit within a run and
-	// whose key cost more than the analysis it saved; the field stays
-	// because the benchmark harness (cssvbench), which is kept
-	// unchanged, reads it.
-	PointerCacheHits, PointerCacheMisses int
+	// PointerCacheHits is always zero. It counted hits in a process-wide
+	// pointer-analysis memo that never hit within a run and whose key cost
+	// more than the analysis it saved; the field stays because the
+	// benchmark harness (cssvbench), which is kept unchanged, reads it.
+	PointerCacheHits int
 	// LibcHeaderReused reports whether the parsed libc contract header was
 	// already cached when this run started.
 	LibcHeaderReused bool
-	// PrecisionDrops counts constraints the polyhedra substrate dropped at
-	// its ray cap during this run. Each drop is a sound over-approximation,
-	// but a nonzero count means precision was lost — surfaced here (and on
-	// the cssv -stats line) instead of silently. The counter is per-run
-	// (threaded through polyhedra.Config), so concurrent AnalyzeSource
-	// calls in one process cannot cross-contaminate each other.
-	PrecisionDrops int
 	// DegradedProcs counts procedures whose analysis was cut short by a
 	// budget or isolated after a panic; UnresolvedChecks counts their
 	// checks conservatively reported as potential errors.
 	DegradedProcs    int
 	UnresolvedChecks int
-	// ArenaRecycledBytes sums, over all procedures, the bytes the
-	// per-procedure slice arenas served out of their free lists instead
-	// of the garbage-collected heap. Recycling decisions depend only on
-	// each procedure's operation sequence, so the total is deterministic.
-	ArenaRecycledBytes int64
 	// SparseZoneSelections / DenseZoneSelections are always zero. They
 	// counted the zone substrate's choices between a dense and a sparse
 	// matrix; the zone now has one machine representation. The fields
 	// stay because the benchmark harness (cssvbench), which is kept
 	// unchanged, compares them against its own mirror's counts.
 	SparseZoneSelections, DenseZoneSelections int64
-	// CacheHits / CacheRevalidated / CacheMisses count, under
-	// Options.CacheDir, how each cacheable procedure was resolved: exact
-	// replay, certificate revalidation (front end re-run, stored
-	// certificates re-proved, no fixpoint), or full analysis. CacheStores
-	// counts entries written (fresh results and revalidation refreshes
-	// under the new key). CacheBadEntries counts corrupt, truncated, or
-	// undecodable entries encountered (each is logged and analyzed
-	// around); CacheCertRejected counts entries rejected because a stored
-	// certificate failed re-verification or assert accounting — never
-	// silently trusted.
-	CacheHits, CacheRevalidated, CacheMisses int
-	CacheStores                              int
-	CacheBadEntries, CacheCertRejected       int
-	// FixpointIterations sums the fixpoint worklist iterations actually
-	// executed this run. Cached procedures contribute nothing — a fully
-	// warm run reports 0, which is the deterministic witness that the
-	// result cache, not the engine, produced the reports.
-	FixpointIterations int
-	// MemberResolved / MemberHavocked count C2IP memory-access sites
-	// (member accesses lowered to byte arithmetic, plus ordinary derefs)
-	// whose constraints were generated with a precise offset/aSize pair for
-	// every possible target region, versus sites where a channel had to be
-	// abandoned (unknown target, untracked offset, or the legacy wide-store
-	// terminator havoc). Content-only counts, hence deterministic.
-	MemberResolved, MemberHavocked int
 	// TierDischarged counts, per tier (domain name, plus "unreachable"
 	// for CFG-pruned checks), the checks that tier discharged across the
 	// run; nil when the cascade discharged nothing (or did not run).
@@ -329,21 +351,6 @@ func Prepare(filename, src string) (*corec.Program, error) {
 // before every op.
 func FlushCaches() {}
 
-// runCounters aggregates per-worker cache statistics and the run's
-// precision-drop count (replacing the former process-global counter in
-// internal/polyhedra).
-type runCounters struct {
-	pointerRuns           atomic.Int64
-	drops                 atomic.Int64
-	arenaBytes            atomic.Int64
-	memResolved, memHavoc atomic.Int64
-	cacheHits, cacheReval atomic.Int64
-	cacheMiss             atomic.Int64
-	cacheStores           atomic.Int64
-	cacheBad, cacheRej    atomic.Int64
-	fixIters              atomic.Int64
-}
-
 // AnalyzeSource runs CSSV on a single translation unit given as text.
 //
 // Procedures are analyzed independently (possibly concurrently, see
@@ -389,10 +396,9 @@ func AnalyzeSource(filename, src string, opts Options) (*Report, error) {
 		return nil, err
 	}
 
-	rc := &runCounters{}
 	results := make([]*ProcReport, len(procs))
 	err = runPool(workers, len(procs), func(i int, done <-chan struct{}) error {
-		pr, err := guardedAnalyzeProc(file, prog, procs[i], opts, cc, rc, exclusive, done)
+		pr, err := guardedAnalyzeProc(file, prog, procs[i], opts, cc, exclusive, done)
 		if err != nil {
 			if err == errCancelled {
 				return err
@@ -409,6 +415,7 @@ func AnalyzeSource(filename, src string, opts Options) (*Report, error) {
 	rep := &Report{}
 	for _, pr := range results {
 		rep.Procs = append(rep.Procs, *pr)
+		rep.Stats.Counts.Add(pr.Counts)
 		rep.Stats.SequentialCPU += pr.CPU
 		if pr.Degraded != nil {
 			rep.Stats.DegradedProcs++
@@ -427,19 +434,7 @@ func AnalyzeSource(filename, src string, opts Options) (*Report, error) {
 	}
 	rep.Stats.Workers = workers
 	rep.Stats.Wall = time.Since(start)
-	rep.Stats.PointerCacheMisses = int(rc.pointerRuns.Load())
 	rep.Stats.LibcHeaderReused = libcCached
-	rep.Stats.PrecisionDrops = int(rc.drops.Load())
-	rep.Stats.ArenaRecycledBytes = rc.arenaBytes.Load()
-	rep.Stats.MemberResolved = int(rc.memResolved.Load())
-	rep.Stats.MemberHavocked = int(rc.memHavoc.Load())
-	rep.Stats.CacheHits = int(rc.cacheHits.Load())
-	rep.Stats.CacheRevalidated = int(rc.cacheReval.Load())
-	rep.Stats.CacheMisses = int(rc.cacheMiss.Load())
-	rep.Stats.CacheStores = int(rc.cacheStores.Load())
-	rep.Stats.CacheBadEntries = int(rc.cacheBad.Load())
-	rep.Stats.CacheCertRejected = int(rc.cacheRej.Load())
-	rep.Stats.FixpointIterations = int(rc.fixIters.Load())
 	return rep, nil
 }
 
@@ -448,13 +443,13 @@ func AnalyzeSource(filename, src string, opts Options) (*Report, error) {
 // synthesized unresolved violation, so the run completes (with a nonzero
 // message count) instead of crashing. Sibling procedures are unaffected.
 func guardedAnalyzeProc(orig *cast.File, prog *corec.Program, name string, opts Options,
-	cc *cacheCtx, rc *runCounters, exclusive bool, done <-chan struct{}) (pr *ProcReport, err error) {
+	cc *cacheCtx, exclusive bool, done <-chan struct{}) (pr *ProcReport, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			pr, err = panicReport(name, r, debug.Stack()), nil
 		}
 	}()
-	return analyzeProc(orig, prog, name, opts, cc, rc, exclusive, done)
+	return analyzeProc(orig, prog, name, opts, cc, exclusive, done)
 }
 
 // panicReport builds the conservative report for a procedure whose
@@ -513,7 +508,7 @@ func withContract(prog *corec.Program, proc string, ct *cast.Contract) *corec.Pr
 // a failing sibling cancels the pipeline promptly. exclusive marks that no
 // sibling runs concurrently, enabling the Space measurement.
 func analyzeProc(orig *cast.File, prog *corec.Program, name string, opts Options,
-	cc *cacheCtx, rc *runCounters, exclusive bool, done <-chan struct{}) (*ProcReport, error) {
+	cc *cacheCtx, exclusive bool, done <-chan struct{}) (*ProcReport, error) {
 	var allocBefore uint64
 	if exclusive {
 		allocBefore = heapAllocBytes()
@@ -558,7 +553,7 @@ func analyzeProc(orig *cast.File, prog *corec.Program, name string, opts Options
 		ckey, cacheable = cc.keyFor(prog, name)
 	}
 	if cacheable {
-		if hit := cc.tryHit(ckey, opts, rc); hit != nil {
+		if hit := cc.tryHit(ckey, pr, opts); hit != nil {
 			hit.CPU = time.Since(start)
 			if exclusive {
 				hit.Space = heapAllocBytes() - allocBefore
@@ -584,7 +579,6 @@ func analyzeProc(orig *cast.File, prog *corec.Program, name string, opts Options
 		return nil, fmt.Errorf("inlined procedure is not CoreC: %w", err)
 	}
 	pr.SLOC = cast.CountLines(cast.FuncString(fd))
-	pr.Inlined = fd
 
 	if cancelled(done) {
 		return nil, errCancelled
@@ -593,9 +587,8 @@ func analyzeProc(orig *cast.File, prog *corec.Program, name string, opts Options
 	// Phase 2: whole-program flow-insensitive pointer analysis of this
 	// procedure's inlined program + PPT.
 	g := pointer.Analyze(nprog, opts.PointerMode)
-	rc.pointerRuns.Add(1)
+	pr.Counts.PointerCacheMisses++
 	pt := ppt.Build(nprog, fd, g, opts.PPT)
-	pr.PPT = pt
 
 	if cancelled(done) {
 		return nil, errCancelled
@@ -610,8 +603,8 @@ func analyzeProc(orig *cast.File, prog *corec.Program, name string, opts Options
 	pr.Warnings = res.Warnings
 	pr.IPVars = res.Prog.NumVars()
 	pr.IPSize = res.Prog.Size()
-	rc.memResolved.Add(int64(res.MemberResolved))
-	rc.memHavoc.Add(int64(res.MemberHavocked))
+	pr.Counts.MemberResolved = res.MemberResolved
+	pr.Counts.MemberHavocked = res.MemberHavocked
 
 	if cancelled(done) {
 		return nil, errCancelled
@@ -626,8 +619,8 @@ func analyzeProc(orig *cast.File, prog *corec.Program, name string, opts Options
 	// changed.
 	var revalidatedFrom *cache.Entry
 	if cacheable {
-		if revalidatedFrom = cc.tryRevalidate(ckey, pr, res.Prog, opts, rc); revalidatedFrom == nil {
-			rc.cacheMiss.Add(1)
+		if revalidatedFrom = cc.tryRevalidate(ckey, pr, res.Prog, opts); revalidatedFrom == nil {
+			pr.Counts.CacheMisses++
 		}
 	}
 	revalidated := revalidatedFrom != nil
@@ -685,11 +678,11 @@ func analyzeProc(orig *cast.File, prog *corec.Program, name string, opts Options
 			}
 			exhausted = ares.Exhausted
 		}
-		rc.fixIters.Add(int64(pr.Iterations))
-		// Ray-cap drops are counted per run; budget-induced constraint drops
-		// are timing-dependent and deliberately uncounted (determinism).
-		rc.drops.Add(pcfg.DroppedConstraints())
-		rc.arenaBytes.Add(ar.Recycled())
+		pr.Counts.FixpointIterations = pr.Iterations
+		// Ray-cap drops are counted; budget-induced constraint drops are
+		// timing-dependent and deliberately uncounted (determinism).
+		pr.Counts.PrecisionDrops = int(pcfg.DroppedConstraints())
+		pr.Counts.ArenaRecycledBytes = ar.Recycled()
 		if exhausted != "" {
 			unresolved := 0
 			for _, v := range pr.Violations {
@@ -759,8 +752,8 @@ func analyzeProc(orig *cast.File, prog *corec.Program, name string, opts Options
 	// they depend on budgets and timing, and their checks are unresolved.
 	if cacheable && pr.Degraded == nil {
 		if revalidated {
-			cc.refresh(ckey, pr, nAnalysis, res.MemberResolved, res.MemberHavocked, revalidatedFrom, rc)
-		} else if cc.put(ckey, pr, nAnalysis, res.MemberResolved, res.MemberHavocked, certs, pr.Certification, rc) {
+			cc.refresh(ckey, pr, nAnalysis, revalidatedFrom)
+		} else if cc.put(ckey, pr, nAnalysis, certs, pr.Certification) {
 			pr.CacheStatus = "stored"
 		}
 	}

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"os"
+	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/analysis"
@@ -142,6 +145,60 @@ func TestRunStatsAccounting(t *testing.T) {
 	// The libc header is certainly cached by now.
 	if !rep2.Stats.LibcHeaderReused {
 		t.Errorf("LibcHeaderReused = false on a repeated run")
+	}
+}
+
+// TestRunStatsIsSumOfProcedureCounts checks that every count in RunStats
+// is the sum of the per-procedure counts — on a cold cache, an exact rerun
+// and an appended-procedure edit — and that each procedure's counts are
+// the same under one worker and eight.
+func TestRunStatsIsSumOfProcedureCounts(t *testing.T) {
+	for _, suite := range []string{"airbus", "fixwrites"} {
+		raw, err := os.ReadFile(filepath.Join("../../testdata", suite, suite+".c"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		src := string(raw)
+		edits := []struct{ name, src string }{
+			{"cold", src},
+			{"rerun", src},
+			{"append", src + "\nvoid cssv_appended(void) { int x; x = 0; }\n"},
+		}
+		perProc := map[int][][]Counts{}
+		for _, workers := range []int{1, 8} {
+			opts := Options{Workers: workers, Cascade: true, CacheDir: t.TempDir()}
+			for _, e := range edits {
+				rep, err := AnalyzeSource(suite+".c", e.src, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				counts := make([]Counts, len(rep.Procs))
+				for i := range rep.Procs {
+					counts[i] = rep.Procs[i].Counts
+				}
+				perProc[workers] = append(perProc[workers], counts)
+				stats := reflect.ValueOf(rep.Stats.Counts)
+				var total int64
+				for f := 0; f < stats.NumField(); f++ {
+					var sum int64
+					for _, c := range counts {
+						sum += reflect.ValueOf(c).Field(f).Int()
+					}
+					if got := stats.Field(f).Int(); got != sum {
+						t.Errorf("%s/workers=%d/%s: Stats.%s = %d, procedures sum to %d",
+							suite, workers, e.name, stats.Type().Field(f).Name, got, sum)
+					}
+					total += sum
+				}
+				if total == 0 {
+					t.Errorf("%s/workers=%d/%s: every count is zero", suite, workers, e.name)
+				}
+			}
+		}
+		if !reflect.DeepEqual(perProc[1], perProc[8]) {
+			t.Errorf("%s: per-procedure counts differ between 1 and 8 workers\n1: %+v\n8: %+v",
+				suite, perProc[1], perProc[8])
+		}
 	}
 }
 

@@ -37,7 +37,7 @@ func faultStrip(rep *Report) []ProcReport {
 	out := make([]ProcReport, len(rep.Procs))
 	for i, p := range rep.Procs {
 		p.CPU, p.Space = 0, 0
-		p.IP, p.Inlined, p.PPT, p.Derived = nil, nil, nil, nil
+		p.IP, p.Derived = nil, nil
 		p.Certification = nil
 		if p.Degraded != nil {
 			d := *p.Degraded

@@ -98,25 +98,21 @@ type Options struct {
 	SkipDerivation bool
 	// Procs restricts to specific functions.
 	Procs []string
-	// Stats, when non-nil, accumulates substrate statistics (arena
-	// recycling, precision drops, member accesses) across every analysis
-	// run the suite performs, including the per-procedure vacuous/auto
-	// derivation re-runs.
+	// Stats, when non-nil, accumulates the per-procedure counts (arena
+	// recycling, precision drops, member accesses, ...) and the degraded
+	// procedures across every analysis run the suite performs, including
+	// the per-procedure vacuous/auto derivation re-runs.
 	Stats *core.RunStats
 }
 
-// accumulate folds one run's substrate counters into the caller's
-// accumulator.
+// accumulate folds one run's counters into the caller's accumulator.
 func (o Options) accumulate(s core.RunStats) {
 	if o.Stats == nil {
 		return
 	}
-	o.Stats.ArenaRecycledBytes += s.ArenaRecycledBytes
-	o.Stats.PrecisionDrops += s.PrecisionDrops
+	o.Stats.Counts.Add(s.Counts)
 	o.Stats.DegradedProcs += s.DegradedProcs
 	o.Stats.UnresolvedChecks += s.UnresolvedChecks
-	o.Stats.MemberResolved += s.MemberResolved
-	o.Stats.MemberHavocked += s.MemberHavocked
 }
 
 // RunSuite analyzes every procedure of a benchmark source file.

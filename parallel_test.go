@@ -14,8 +14,11 @@ import (
 )
 
 // stripTimings zeroes every field whose value legitimately varies between
-// runs (cost measurements), leaving violations, warnings, iterations and
-// cascade provenance for the deep comparison.
+// runs (cost measurements), leaving messages, warnings, iterations, the
+// residual program and cascade provenance for the deep comparison. The
+// cascade's certificates and analysis violations are dropped too: a cache
+// hit carries no certificates, a replayed violation differs from a fresh
+// one only in representation, and the violations are compared as Messages.
 func stripTimings(r *Report) {
 	r.Stats = RunStats{}
 	for i := range r.Procedures {
@@ -27,6 +30,8 @@ func stripTimings(r *Report) {
 			for j := range p.Cascade.Tiers {
 				p.Cascade.Tiers[j].CPU = 0
 			}
+			p.Cascade.Certificates = nil
+			p.Cascade.Violations = nil
 		}
 	}
 }

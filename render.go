@@ -5,6 +5,8 @@ import (
 	"io"
 	"sort"
 	"strings"
+
+	"repro/internal/certify"
 )
 
 // RenderOptions selects what Render prints beyond the reported messages.
@@ -71,7 +73,7 @@ func Render(w io.Writer, rep *Report, o RenderOptions) (messages, certFailed int
 			if o.Stats {
 				for _, t := range p.Cascade.Tiers {
 					fmt.Fprintf(w, "%s: cascade %s: %dx%d IP, discharged %d/%d, cpu=%s\n",
-						p.Name, t.Domain, t.IPVars, t.IPSize, t.Discharged, t.Asserts,
+						p.Name, t.Domain, t.Vars, t.Stmts, t.Discharged, t.Asserts,
 						t.CPU.Round(1e6))
 				}
 				fmt.Fprintf(w, "%s: cascade residual: %d vars x %d stmts (full IP %d x %d)\n",
@@ -83,21 +85,25 @@ func Render(w io.Writer, rep *Report, o RenderOptions) (messages, certFailed int
 						verdict = "violated in " + c.Tier
 					}
 					fmt.Fprintf(w, "%s: check %s (%s): %s on %dx%d\n",
-						p.Name, c.Check, c.Pos, verdict, c.IPVars, c.IPSize)
+						p.Name, c.Msg, c.Pos, verdict, c.Vars, c.Stmts)
 				}
 			}
 			if o.DumpReducedIP {
-				fmt.Fprintln(w, p.Cascade.ReducedProgram)
+				if r := p.Cascade.Residual; r != nil {
+					fmt.Fprintln(w, r.String())
+				} else {
+					fmt.Fprintln(w)
+				}
 			}
 		}
 		if p.Certification != nil {
 			c := p.Certification
 			for _, ck := range c.Checks {
-				line := fmt.Sprintf("%s: certify %s (%s): %s", p.Name, ck.Check, ck.Pos, ck.Status)
+				line := fmt.Sprintf("%s: certify %s (%s): %s", p.Name, ck.Msg, ck.Pos, ck.Status)
 				if ck.Tier != "" {
 					line += " [" + ck.Tier + "]"
 				}
-				if ck.Detail != "" && (ck.Status == "certificate-failed" || !o.Quiet) {
+				if ck.Detail != "" && (ck.Status == certify.StatusFailed || !o.Quiet) {
 					line += ": " + ck.Detail
 				}
 				fmt.Fprintln(w, line)
