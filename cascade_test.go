@@ -95,7 +95,7 @@ func TestConvertProcNilIP(t *testing.T) {
 	if p.Messages[0].Text == "" {
 		t.Error("empty message text")
 	}
-	if p.IntegerProgram != "" {
-		t.Errorf("IntegerProgram = %q, want empty for nil IP", p.IntegerProgram)
+	if got := p.IntegerProgram(); got != "" {
+		t.Errorf("IntegerProgram() = %q, want empty for nil IP", got)
 	}
 }

@@ -44,6 +44,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/ctypes"
 	"repro/internal/derive"
+	"repro/internal/ip"
 	"repro/internal/linear"
 	"repro/internal/ppt"
 )
@@ -169,8 +170,6 @@ type Procedure struct {
 	// under Contracts: "auto".
 	DerivedRequires string
 	DerivedEnsures  string
-	// IntegerProgram is the pretty-printed C2IP output.
-	IntegerProgram string
 	// Cascade holds the tier statistics and per-check provenance under
 	// Config.Cascade (nil otherwise).
 	Cascade *CascadeStats
@@ -186,6 +185,19 @@ type Procedure struct {
 	// re-proved, no fixpoint), "stored" (fresh result written), "uncached"
 	// (result not storable), or "" (caching disabled).
 	CacheStatus string
+
+	// prog is the C2IP output, nil when a stage upstream of C2IP produced
+	// the violations.
+	prog *ip.Program
+}
+
+// IntegerProgram returns the pretty-printed C2IP output, or "" when the
+// pipeline stopped before C2IP. It renders the program on each call.
+func (p Procedure) IntegerProgram() string {
+	if p.prog == nil {
+		return ""
+	}
+	return p.prog.String()
 }
 
 // Degradation explains why a procedure's analysis fell short of a full
@@ -349,12 +361,12 @@ func convertProc(pr *core.ProcReport) Procedure {
 		Certification: pr.Certification,
 		Degraded:      pr.Degraded,
 		CacheStatus:   pr.CacheStatus,
+		prog:          pr.IP,
 	}
 	// The IP can be nil when a pipeline stage upstream of C2IP produced the
 	// violations; formatting must not dereference it.
 	var space *linear.Space
 	if pr.IP != nil {
-		p.IntegerProgram = pr.IP.String()
 		space = pr.IP.Space
 	}
 	for _, v := range pr.Violations {

@@ -50,7 +50,7 @@ func TestRunningExampleAPI(t *testing.T) {
 	if sl.LOC == 0 || sl.SLOC < sl.LOC || sl.IPVars == 0 || sl.IPSize == 0 {
 		t.Errorf("statistics not populated: %+v", sl)
 	}
-	if !strings.Contains(sl.IntegerProgram, "integer program for SkipLine") {
+	if !strings.Contains(sl.IntegerProgram(), "integer program for SkipLine") {
 		t.Error("IP text missing")
 	}
 }

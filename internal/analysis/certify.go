@@ -54,13 +54,12 @@ func certifiedInvariants(p *ip.Program, states []State, asserts []int) []linear.
 	return out
 }
 
-// CertifyResult builds a certificate for every check a plain Analyze run
-// discharged (reachable, verifiable asserts with no reported violation,
-// restricted to opts.CheckOnly when set). The carrier program is the
-// analyzed program itself, so the certificates carry no mapping and the
-// reduction passes are not in the trust chain.
-func CertifyResult(res *Result, opts Options) []*certify.Certificate {
-	opts.fill()
+// certificates builds a certificate for every check a completed Analyze
+// run discharged (reachable, verifiable asserts with no reported
+// violation, restricted to opts.CheckOnly when set). The carrier program
+// is the analyzed program itself, so the certificates carry no mapping and
+// the reduction passes are not in the trust chain.
+func certificates(res *Result, opts Options) []*certify.Certificate {
 	violated := map[int]bool{}
 	for _, v := range res.Violations {
 		violated[v.Index] = true

@@ -21,7 +21,7 @@ func TestCounterExampleIntegralSnapping(t *testing.T) {
 	p.Emit(&ip.Assume{C: ip.Conj(lo, linear.NewGe(hi))})
 	// assert(x >= 1): violated by x = 0 only.
 	one := linear.VarExpr(x)
-	one.AddConst(-1)
+	one = one.Add(linear.ConstExpr(-1))
 	p.Emit(&ip.Assert{C: ip.Single(linear.NewGe(one)), Msg: "x >= 1"})
 	res, err := Analyze(p, Options{})
 	if err != nil {
@@ -47,10 +47,9 @@ func TestCounterExampleRationalOnly(t *testing.T) {
 	p := ip.New("t")
 	x := p.Space.Var("x")
 	y := p.Space.Var("y")
-	diff := linear.NewExpr()
-	diff.AddTerm(x, 2)
-	diff.AddTerm(y, -2)
-	diff.AddConst(-1) // 2x - 2y - 1 = 0
+	diff := linear.VarExpr(x).Scale(2)
+	diff = diff.Add(linear.VarExpr(y).Scale(-2))
+	diff = diff.Add(linear.ConstExpr(-1)) // 2x - 2y - 1 = 0
 	bounds := func(v int) []linear.Constraint {
 		hi := linear.ConstExpr(3)
 		hi = hi.Sub(linear.VarExpr(v))
@@ -64,10 +63,9 @@ func TestCounterExampleRationalOnly(t *testing.T) {
 	p.Emit(&ip.Assume{C: ip.DNF{conj}})
 	// assert(2x - 2y >= 2): always violated (the region has 2x - 2y = 1),
 	// and its integer negation 2x - 2y <= 1 keeps the fractional region.
-	c := linear.NewExpr()
-	c.AddTerm(x, 2)
-	c.AddTerm(y, -2)
-	c.AddConst(-2)
+	c := linear.VarExpr(x).Scale(2)
+	c = c.Add(linear.VarExpr(y).Scale(-2))
+	c = c.Add(linear.ConstExpr(-2))
 	p.Emit(&ip.Assert{C: ip.Single(linear.NewGe(c)), Msg: "2x - 2y >= 2"})
 	res, err := Analyze(p, Options{})
 	if err != nil {
@@ -97,16 +95,14 @@ func TestCounterExampleRationalOnly(t *testing.T) {
 func TestCounterExampleSnapsInsideRegion(t *testing.T) {
 	p := ip.New("t")
 	x := p.Space.Var("x")
-	lo := linear.NewExpr()
-	lo.AddTerm(x, 2)
-	lo.AddConst(-1) // 2x - 1 >= 0
-	hi := linear.NewExpr()
-	hi.AddTerm(x, -2)
-	hi.AddConst(5) // 5 - 2x >= 0
+	lo := linear.VarExpr(x).Scale(2)
+	lo = lo.Add(linear.ConstExpr(-1)) // 2x - 1 >= 0
+	hi := linear.VarExpr(x).Scale(-2)
+	hi = hi.Add(linear.ConstExpr(5)) // 5 - 2x >= 0
 	p.Emit(&ip.Assume{C: ip.Conj(linear.NewGe(lo), linear.NewGe(hi))})
 	// assert(x >= 100): everything in the region violates it.
 	big100 := linear.VarExpr(x)
-	big100.AddConst(-100)
+	big100 = big100.Add(linear.ConstExpr(-100))
 	p.Emit(&ip.Assert{C: ip.Single(linear.NewGe(big100)), Msg: "x >= 100"})
 	res, err := Analyze(p, Options{})
 	if err != nil {
@@ -128,18 +124,18 @@ func TestCounterExampleSnapsInsideRegion(t *testing.T) {
 	}
 }
 
-// TestCertifyResultPlainRun: certificates from a plain Analyze run over the
-// canonical loop verify, and cover exactly the discharged checks.
+// TestCertifyResultPlainRun: the Result.Certificates of a plain Analyze
+// run over the canonical loop verify, and cover exactly the discharged
+// checks.
 func TestCertifyResultPlainRun(t *testing.T) {
-	opts := Options{Certify: true}
-	res, err := Analyze(buildLoop(true), opts)
+	res, err := Analyze(buildLoop(true), Options{Certify: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Violations) != 0 {
 		t.Fatalf("unexpected violations: %v", res.Violations)
 	}
-	certs := CertifyResult(res, opts)
+	certs := res.Certificates
 	if len(certs) != 2 {
 		t.Fatalf("want certificates for both asserts, got %d", len(certs))
 	}
@@ -150,17 +146,17 @@ func TestCertifyResultPlainRun(t *testing.T) {
 	}
 }
 
-// TestCertifyResultSkipsViolated: the violated check gets no certificate.
+// TestCertifyResultSkipsViolated: the violated check gets no certificate
+// in Result.Certificates.
 func TestCertifyResultSkipsViolated(t *testing.T) {
-	opts := Options{Certify: true}
-	res, err := Analyze(buildLoop(false), opts)
+	res, err := Analyze(buildLoop(false), Options{Certify: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Violations) != 1 {
 		t.Fatalf("want 1 violation, got %d", len(res.Violations))
 	}
-	certs := CertifyResult(res, opts)
+	certs := res.Certificates
 	if len(certs) != 1 {
 		t.Fatalf("want 1 certificate, got %d", len(certs))
 	}
@@ -211,7 +207,7 @@ func TestCascadeUnreachableCertificate(t *testing.T) {
 	p.Emit(&ip.Assign{V: x, E: linear.ConstExpr(0)})
 	p.Emit(&ip.Goto{Target: "end"})
 	bad := linear.VarExpr(x)
-	bad.AddConst(-100)
+	bad = bad.Add(linear.ConstExpr(-100))
 	p.Emit(&ip.Assert{C: ip.Single(linear.NewGe(bad)), Msg: "dead check"})
 	p.Emit(&ip.Label{Name: "end"})
 	res, err := AnalyzeCascade(p, Options{Certify: true})
@@ -258,12 +254,12 @@ func buildBranchy() *ip.Program {
 	p.Emit(&ip.Assign{V: x, E: linear.ConstExpr(0)})
 	p.Emit(&ip.Assign{V: y, E: linear.ConstExpr(0)})
 	big5 := linear.VarExpr(n)
-	big5.AddConst(-5)
+	big5 = big5.Add(linear.ConstExpr(-5))
 	p.Emit(&ip.IfGoto{C: ip.Single(linear.NewGe(big5)), Target: "B"})
 	p.Emit(&ip.Label{Name: "L"})
 	p.Emit(&ip.Assert{C: ip.Single(linear.NewGe(linear.VarExpr(x))), Msg: "x >= 0"})
 	inc := linear.VarExpr(x)
-	inc.AddConst(1)
+	inc = inc.Add(linear.ConstExpr(1))
 	p.Emit(&ip.Assign{V: x, E: inc})
 	p.Emit(&ip.IfGoto{C: ip.Single(linear.NewGe(linear.ConstExpr(9).Sub(linear.VarExpr(x)))), Target: "L"})
 	p.Emit(&ip.Assign{V: y, E: linear.VarExpr(x)})
@@ -272,7 +268,7 @@ func buildBranchy() *ip.Program {
 	p.Emit(&ip.Assign{V: y, E: linear.ConstExpr(1)})
 	p.Emit(&ip.Label{Name: "E"})
 	incY := linear.VarExpr(y)
-	incY.AddConst(1)
+	incY = incY.Add(linear.ConstExpr(1))
 	p.Emit(&ip.Assign{V: y, E: incY})
 	return p
 }
@@ -309,12 +305,11 @@ func reachesAny(p *ip.Program, targets map[int]bool) []bool {
 // be reached, the empty (true) system everywhere else, and still
 // verifies — in a plain run and in every tier of the cascade.
 func TestCertifiedInvariantsOnlyWhereNeeded(t *testing.T) {
-	opts := Options{Certify: true}
-	res, err := Analyze(buildBranchy(), opts)
+	res, err := Analyze(buildBranchy(), Options{Certify: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	certs := CertifyResult(res, opts)
+	certs := res.Certificates
 	if len(certs) != 1 {
 		t.Fatalf("want 1 certificate, got %d", len(certs))
 	}
@@ -344,7 +339,7 @@ func TestCertifiedInvariantsOnlyWhereNeeded(t *testing.T) {
 	}
 
 	for _, p := range []*ip.Program{buildBranchy(), buildLoop(true), buildLoop(false)} {
-		cres, err := AnalyzeCascade(p, opts)
+		cres, err := AnalyzeCascade(p, Options{Certify: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -439,33 +434,34 @@ func TestCertifyConvertsNothingWithoutDischarge(t *testing.T) {
 			certified, plain)
 	}
 
-	var n int
-	dom := countingDomain{PolyDomain{}, &n}
-	p := buildLoop(false)
-	violated := p.Asserts()[0] // x <= 9
-	opts := Options{Domain: dom, Certify: true, CheckOnly: map[int]bool{violated: true}}
-	ares, err := Analyze(p, opts)
-	if err != nil {
-		t.Fatal(err)
+	// plainSystems counts the System calls of a plain run, which also
+	// convert states for its violations.
+	plainSystems := func(p *ip.Program, opts Options, certifyOn bool) (int, *Result) {
+		var n int
+		opts.Domain, opts.Certify = countingDomain{PolyDomain{}, &n}, certifyOn
+		res, err := Analyze(p, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n, res
 	}
-	before := n
-	if certs := CertifyResult(ares, opts); len(certs) != 0 {
-		t.Fatalf("certified a violated check: %+v", certs[0].Check)
+	violated := buildLoop(false).Asserts()[0] // x <= 9
+	only := Options{CheckOnly: map[int]bool{violated: true}}
+	without, _ := plainSystems(buildLoop(false), only, false)
+	with, ares := plainSystems(buildLoop(false), only, true)
+	if len(ares.Certificates) != 0 {
+		t.Fatalf("certified a violated check: %+v", ares.Certificates[0].Check)
 	}
-	if n != before {
-		t.Errorf("CertifyResult certified nothing, yet made %d System calls", n-before)
+	if with != without {
+		t.Errorf("certifying certified nothing, yet made %d System calls", with-without)
 	}
 
-	opts = Options{Domain: dom, Certify: true}
-	ares, err = Analyze(buildLoop(true), opts)
-	if err != nil {
-		t.Fatal(err)
+	without, _ = plainSystems(buildLoop(true), Options{}, false)
+	with, ares = plainSystems(buildLoop(true), Options{}, true)
+	if len(ares.Certificates) != 2 {
+		t.Fatalf("want 2 certificates, got %d", len(ares.Certificates))
 	}
-	before = n
-	if certs := CertifyResult(ares, opts); len(certs) != 2 {
-		t.Fatalf("want 2 certificates, got %d", len(certs))
-	}
-	if got, want := n-before, len(ares.States)-1; got != want {
-		t.Errorf("CertifyResult made %d System calls, want %d (every point but the exit)", got, want)
+	if got, want := with-without, len(ares.States)-1; got != want {
+		t.Errorf("certifying made %d System calls, want %d (every point but the exit)", got, want)
 	}
 }

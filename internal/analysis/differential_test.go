@@ -18,7 +18,7 @@ func genIP(rng *rand.Rand) *ip.Program {
 		e := linear.ConstExpr(rng.Int63n(7) - 3)
 		for _, v := range vars {
 			if rng.Intn(2) == 0 {
-				e.AddTerm(v, rng.Int63n(5)-2)
+				e = e.Add(linear.VarExpr(v).Scale(rng.Int63n(5) - 2))
 			}
 		}
 		return e
@@ -66,7 +66,7 @@ func genIP(rng *rand.Rand) *ip.Program {
 	p.Emit(&ip.IfGoto{C: ip.Single(linear.NewGe(linear.VarExpr(x).Sub(linear.ConstExpr(3)))), Target: "out"})
 	_ = bound
 	inc := linear.VarExpr(x)
-	inc.AddConst(1)
+	inc = inc.Add(linear.ConstExpr(1))
 	p.Emit(&ip.Assign{V: x, E: inc})
 	p.Emit(&ip.Goto{Target: "loop"})
 	p.Emit(&ip.Label{Name: "out"})

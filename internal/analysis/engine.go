@@ -3,26 +3,16 @@ package analysis
 import (
 	"fmt"
 	"math/big"
-	"os"
 	"sort"
-	"strconv"
 	"strings"
-	"sync"
 
 	"repro/internal/budget"
+	"repro/internal/certify"
 	"repro/internal/clex"
 	"repro/internal/ip"
 	"repro/internal/linear"
 	"repro/internal/zone"
 )
-
-// debugIterEvery reads CSSV_DEBUG_ITER once per process. The trace is a
-// human debugging aid: it must go to stderr, never stdout, because
-// stdout carries the machine-readable report stream (CLI reports and
-// daemon responses are byte-compared against goldens).
-var debugIterEvery = sync.OnceValue(func() int {
-	return osGetenvInt("CSSV_DEBUG_ITER")
-})
 
 // Options tunes the fixpoint iteration.
 type Options struct {
@@ -36,10 +26,9 @@ type Options struct {
 	// The cascade uses it to keep already-discharged asserts as transfer
 	// functions without re-reporting them.
 	CheckOnly map[int]bool
-	// Certify makes AnalyzeCascade export a certificate (per-point
-	// invariant systems over the discharging tier's sliced sub-program) for
-	// every check it discharges, in CascadeResult.Certificates. For plain
-	// Analyze runs use CertifyResult instead.
+	// Certify makes Analyze and AnalyzeCascade export a certificate
+	// (per-point invariant systems) for every check they discharge, in
+	// Result.Certificates and CascadeResult.Certificates.
 	Certify bool
 	// Token, when non-nil, bounds the analysis: each worklist iteration
 	// consumes one budget step, and the deadline is polled alongside.
@@ -105,6 +94,9 @@ type Result struct {
 	// universe, and every requested check appears as an unresolved
 	// Violation.
 	Exhausted string
+	// Certificates carries, under Options.Certify, one certificate per
+	// discharged check (see certificates); nil when Exhausted.
+	Certificates []*certify.Certificate
 }
 
 // cfgEdge is a control-flow edge with the condition assumed along it.
@@ -183,12 +175,8 @@ func Analyze(p *ip.Program, opts Options) (*Result, error) {
 	// kicks in.
 	const wideningDelay = 1
 	const wideningEscalation = 12
-	debugEvery := debugIterEvery()
 	for work.Len() > 0 {
 		iterations++
-		if debugEvery > 0 && iterations%debugEvery == 0 {
-			fmt.Fprintf(os.Stderr, "[engine] iter %d\n", iterations)
-		}
 		if iterations > maxIterations {
 			return nil, fmt.Errorf("analysis: fixpoint iteration budget exceeded")
 		}
@@ -317,6 +305,9 @@ func Analyze(p *ip.Program, opts Options) (*Result, error) {
 		// canonical exhausted outcome so reports stay deterministic.
 		return exhaustedResult(p, opts, dom, nvars, iterations), nil
 	}
+	if opts.Certify {
+		res.Certificates = certificates(res, opts)
+	}
 	return res, nil
 }
 
@@ -346,11 +337,6 @@ func exhaustedResult(p *ip.Program, opts Options, dom Domain, nvars, iterations 
 		})
 	}
 	return res
-}
-
-func osGetenvInt(k string) int {
-	v, _ := strconv.Atoi(os.Getenv(k))
-	return v
 }
 
 // applyDNF over-approximates assume(d): the join of the per-disjunct meets.
@@ -442,9 +428,7 @@ func lexMinCorner(region State, mentioned map[int]bool, sp *linear.Space) (map[s
 		}
 		// pin intersects the region with vr = x (den*vr - num == 0).
 		pin := func(x *big.Rat) State {
-			e := linear.NewExpr()
-			e.SetCoef(vr, x.Denom())
-			e.Const.Neg(x.Num())
+			e := linear.NewExpr(new(big.Int).Neg(x.Num()), linear.Term{V: vr, K: x.Denom()})
 			return region.MeetSystem(linear.System{linear.NewEq(e)})
 		}
 		chosen, pinned := val, pin(val)

@@ -39,7 +39,7 @@ func buildLoop(assumeN bool) *ip.Program {
 	p.Emit(&ip.Assert{C: ip.Single(ge(nine)), Msg: "x <= 9"})
 	// x := x + 1
 	inc := linear.VarExpr(x)
-	inc.AddConst(1)
+	inc = inc.Add(linear.ConstExpr(1))
 	p.Emit(&ip.Assign{V: x, E: inc})
 	p.Emit(&ip.Goto{Target: "head"})
 	p.Emit(&ip.Label{Name: "end"})
@@ -86,7 +86,7 @@ func TestEngineHavocAndAssume(t *testing.T) {
 	p.Emit(&ip.Havoc{V: x})
 	// assert(x == 5) must now fail.
 	e := linear.VarExpr(x)
-	e.AddConst(-5)
+	e = e.Add(linear.ConstExpr(-5))
 	p.Emit(&ip.Assert{C: ip.Single(linear.NewEq(e)), Msg: "x == 5"})
 	res, err := Analyze(p, Options{})
 	if err != nil {
@@ -108,12 +108,12 @@ func TestEngineNondeterministicBranch(t *testing.T) {
 	p.Emit(&ip.Assign{V: x, E: linear.ConstExpr(2)})
 	p.Emit(&ip.Label{Name: "join"})
 	lo := linear.VarExpr(x)
-	lo.AddConst(-1)
+	lo = lo.Add(linear.ConstExpr(-1))
 	hi := linear.ConstExpr(2)
 	hi = hi.Sub(linear.VarExpr(x))
 	p.Emit(&ip.Assert{C: ip.Conj(linear.NewGe(lo), linear.NewGe(hi)), Msg: "1<=x<=2"})
 	exact := linear.VarExpr(x)
-	exact.AddConst(-1)
+	exact = exact.Add(linear.ConstExpr(-1))
 	p.Emit(&ip.Assert{C: ip.Single(linear.NewEq(exact)), Msg: "x==1"})
 	res, err := Analyze(p, Options{})
 	if err != nil {

@@ -16,7 +16,7 @@ import (
 func lin(c int64, terms ...int64) linear.Expr {
 	e := linear.ConstExpr(c)
 	for i := 0; i+1 < len(terms); i += 2 {
-		e.AddTerm(int(terms[i+1]), terms[i])
+		e = e.Add(linear.VarExpr(int(terms[i+1])).Scale(terms[i]))
 	}
 	return e
 }

@@ -235,7 +235,7 @@ func (x *xform) lenInvariant(r ppt.LocID) ip.DNF {
 	nt := linear.VarExpr(x.ntV(r))
 	size := linear.VarExpr(x.sizeV(r))
 	return ip.Conj(
-		linear.NewGe(ln.Clone()),
+		linear.NewGe(ln),
 		linear.NewGe(size.Sub(ln).Sub(nt)),
 	)
 }

@@ -214,7 +214,7 @@ func (x *xform) allocCall(dst string, c *cast.Call) error {
 		weak := !strong || x.pt.Loc(r).Summary
 		x.weakly(weak, func() {
 			if sizeOK {
-				x.assign(x.sizeV(r), size.Clone())
+				x.assign(x.sizeV(r), size)
 			} else {
 				x.havoc(x.sizeV(r))
 				x.assume(ip.Single(geConst(x.sizeV(r), 0)))
@@ -454,24 +454,24 @@ func (x *xform) formatCall(dst string, c *cast.Call, pos clex.Pos) error {
 			continue
 		}
 		size := linear.VarExpr(x.sizeV(r))
-		need := maxLen.Add(linear.ConstExpr(1)).Add(off.Clone())
+		need := maxLen.Add(linear.ConstExpr(1)).Add(off)
 		x.emit(&ip.Assert{
-			C:   ip.Conj(linear.NewGe(size.Sub(need)), linear.NewGe(off.Clone())),
+			C:   ip.Conj(linear.NewGe(size.Sub(need)), linear.NewGe(off)),
 			Msg: fmt.Sprintf("%s output fits the destination buffer", name),
 			Pos: pos,
 		})
 		x.weakly(!strong || x.pt.Loc(r).Summary, func() {
 			x.assign(x.ntV(r), linear.ConstExpr(1))
 			if exact {
-				x.assign(x.lenV(r), off.Clone().Add(minLen.Clone()))
+				x.assign(x.lenV(r), off.Add(minLen))
 			} else {
 				x.havoc(x.lenV(r))
-				lo := off.Clone().Add(minLen.Clone())
-				hi := off.Clone().Add(maxLen.Clone())
+				lo := off.Add(minLen)
+				hi := off.Add(maxLen)
 				lv := linear.VarExpr(x.lenV(r))
 				x.assume(ip.Conj(
 					linear.NewGe(lv.Sub(lo)),
-					linear.NewGe(hi.Sub(lv.Clone())),
+					linear.NewGe(hi.Sub(lv)),
 				))
 			}
 			x.havoc(x.valV(r))
@@ -504,16 +504,15 @@ func (x *xform) constantFormat(e cast.Expr) (string, bool) {
 // expressions; exact reports min == max. It returns the %s arguments for
 // null-termination checks.
 func (x *xform) formatLength(format string, args []cast.Expr, pos clex.Pos, name string) (minLen, maxLen linear.Expr, exact bool, sArgs []cast.Expr, err error) {
-	minLen = linear.ConstExpr(0)
-	maxLen = linear.ConstExpr(0)
+	var minK, maxK int64 // the constant parts, added last
 	exact = true
 	argi := 0
 	i := 0
 	for i < len(format) {
 		ch := format[i]
 		if ch != '%' {
-			minLen.AddConst(1)
-			maxLen.AddConst(1)
+			minK++
+			maxK++
 			i++
 			continue
 		}
@@ -531,15 +530,15 @@ func (x *xform) formatLength(format string, args []cast.Expr, pos clex.Pos, name
 		}
 		switch format[i] {
 		case '%':
-			minLen.AddConst(1)
-			maxLen.AddConst(1)
+			minK++
+			maxK++
 		case 'c':
-			minLen.AddConst(1)
-			maxLen.AddConst(1)
+			minK++
+			maxK++
 			argi++
 		case 'd', 'i', 'u', 'x', 'X', 'o':
-			minLen.AddConst(1)
-			maxLen.AddConst(11)
+			minK++
+			maxK += 11
 			exact = false
 			argi++
 		case 's':
@@ -568,5 +567,5 @@ func (x *xform) formatLength(format string, args []cast.Expr, pos clex.Pos, name
 		}
 		i++
 	}
-	return minLen, maxLen, exact, sArgs, nil
+	return minLen.Add(linear.ConstExpr(minK)), maxLen.Add(linear.ConstExpr(maxK)), exact, sArgs, nil
 }

@@ -255,7 +255,7 @@ func (x *xform) contractDNF(e cast.Expr, ev env, weakenOK bool) (ip.DNF, bool) {
 				off := linear.VarExpr(x.offV(cr.cell, cr.region))
 				size := linear.VarExpr(x.sizeV(cr.region))
 				return ip.Conj(
-					linear.NewGe(off.Clone()),
+					linear.NewGe(off),
 					linear.NewGe(size.Sub(off)),
 				), true
 			}

@@ -178,11 +178,11 @@ func (x *xform) assignUnary(dst aval, weak bool, u *cast.Unary, a *cast.Assign) 
 			}
 			x.choose(
 				func() {
-					x.assume(ip.Single(linear.NewEq(ve.Clone())))
+					x.assume(ip.Single(linear.NewEq(ve)))
 					x.assign(x.valV(dst.cell), linear.ConstExpr(1))
 				},
 				func() {
-					x.assume(relDNF(cast.Ne, ve.Clone(), linear.ConstExpr(0)))
+					x.assume(relDNF(cast.Ne, ve, linear.ConstExpr(0)))
 					x.assign(x.valV(dst.cell), linear.ConstExpr(0))
 				},
 			)

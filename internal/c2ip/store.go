@@ -212,12 +212,12 @@ func (x *xform) wideStore(r ppt.LocID, p aval) {
 	nt := x.ntV(r)
 	ln := x.lenV(r)
 	beyond := ip.Conj(eqConst(nt, 0)).
-		Or(ip.Conj(eqConst(nt, 1), linear.NewGe(linear.VarExpr(ln).Sub(off.Clone()))))
+		Or(ip.Conj(eqConst(nt, 1), linear.NewGe(linear.VarExpr(ln).Sub(off))))
 	x.choose(
 		func() { // A: an earlier terminator survives; nothing changes.
 			x.assume(ip.Conj(
 				eqConst(nt, 1),
-				linear.NewGt(off.Clone().Sub(linear.VarExpr(ln))),
+				linear.NewGt(off.Sub(linear.VarExpr(ln))),
 			))
 		},
 		func() { // B: any new first terminator is at or beyond off.
@@ -225,7 +225,7 @@ func (x *xform) wideStore(r ppt.LocID, p aval) {
 			x.havocBool(nt)
 			x.havocLen(r)
 			x.assume(ip.Conj(eqConst(nt, 0)).
-				Or(ip.Conj(eqConst(nt, 1), linear.NewGe(linear.VarExpr(ln).Sub(off.Clone())))))
+				Or(ip.Conj(eqConst(nt, 1), linear.NewGe(linear.VarExpr(ln).Sub(off)))))
 		},
 	)
 }
@@ -233,7 +233,7 @@ func (x *xform) wideStore(r ppt.LocID, p aval) {
 // storeCell updates the stored-value channels of the region cell.
 func (x *xform) storeCell(r ppt.LocID, sv storeVal) {
 	if sv.valOK {
-		x.assign(x.valV(r), sv.val.Clone())
+		x.assign(x.valV(r), sv.val)
 	} else {
 		x.havoc(x.valV(r))
 	}
@@ -275,7 +275,7 @@ func (x *xform) storeChar(r ppt.LocID, p aval, sv storeVal) {
 			// assigning a null-termination byte it is the first one",
 			// §3.4.2.2). See DESIGN.md for the discussion of this
 			// assumption's scope.
-			x.assign(ln, off.Clone())
+			x.assign(ln, off)
 			x.assign(nt, linear.ConstExpr(1))
 			return
 		}
@@ -287,14 +287,14 @@ func (x *xform) storeChar(r ppt.LocID, p aval, sv storeVal) {
 		x.choose(
 			func() {
 				x.assume(ip.Conj(eqConst(nt, 0)).
-					Or(ip.Conj(eqConst(nt, 1), linear.NewGe(linear.VarExpr(ln).Sub(off.Clone())))))
-				x.assign(ln, off.Clone())
+					Or(ip.Conj(eqConst(nt, 1), linear.NewGe(linear.VarExpr(ln).Sub(off)))))
+				x.assign(ln, off)
 				x.assign(nt, linear.ConstExpr(1))
 			},
 			func() {
 				x.assume(ip.Conj(
 					eqConst(nt, 1),
-					linear.NewGt(off.Clone().Sub(linear.VarExpr(ln))),
+					linear.NewGt(off.Sub(linear.VarExpr(ln))),
 				))
 			},
 		)
@@ -304,19 +304,19 @@ func (x *xform) storeChar(r ppt.LocID, p aval, sv storeVal) {
 		// remains, now lies strictly beyond off.
 		x.assume(ip.Conj(
 			eqConst(nt, 1),
-			linear.NewEq(linear.VarExpr(ln).Sub(off.Clone())),
+			linear.NewEq(linear.VarExpr(ln).Sub(off)),
 		))
 		x.havocBool(nt)
 		x.havoc(ln)
 		x.assume(x.lenInvariant(r))
-		x.assume(ip.Single(linear.NewGt(linear.VarExpr(ln).Sub(off.Clone()))).
+		x.assume(ip.Single(linear.NewGt(linear.VarExpr(ln).Sub(off))).
 			Or(ip.Conj(eqConst(nt, 0))))
 	}
 	benignCase := func() {
 		// Nonzero char away from the terminator: properties unchanged.
 		notAt := ip.Conj(eqConst(nt, 0)).
-			Or(ip.Conj(eqConst(nt, 1), linear.NewGt(linear.VarExpr(ln).Sub(off.Clone())))).
-			Or(ip.Conj(eqConst(nt, 1), linear.NewGt(off.Clone().Sub(linear.VarExpr(ln)))))
+			Or(ip.Conj(eqConst(nt, 1), linear.NewGt(linear.VarExpr(ln).Sub(off)))).
+			Or(ip.Conj(eqConst(nt, 1), linear.NewGt(off.Sub(linear.VarExpr(ln)))))
 		x.assume(notAt)
 	}
 
@@ -329,15 +329,15 @@ func (x *xform) storeChar(r ppt.LocID, p aval, sv storeVal) {
 		ve := sv.val
 		x.choose(
 			func() {
-				x.assume(ip.Single(linear.NewEq(ve.Clone())))
+				x.assume(ip.Single(linear.NewEq(ve)))
 				zeroCase()
 			},
 			func() {
-				x.assume(relDNF(cast.Ne, ve.Clone(), linear.ConstExpr(0)))
+				x.assume(relDNF(cast.Ne, ve, linear.ConstExpr(0)))
 				overwriteCase()
 			},
 			func() {
-				x.assume(relDNF(cast.Ne, ve.Clone(), linear.ConstExpr(0)))
+				x.assume(relDNF(cast.Ne, ve, linear.ConstExpr(0)))
 				benignCase()
 			},
 		)
@@ -428,8 +428,8 @@ func (x *xform) enrichLoadCond(e *cast.Binary, l, r aval, trueD, falseD *ip.DNF)
 			linear.NewEq(linear.VarExpr(ln).Sub(off)),
 		))
 		offTerm = offTerm.Or(ip.Conj(eqConst(nt, 0))).
-			Or(ip.Conj(eqConst(nt, 1), linear.NewGt(linear.VarExpr(ln).Sub(off.Clone())))).
-			Or(ip.Conj(eqConst(nt, 1), linear.NewGt(off.Clone().Sub(linear.VarExpr(ln)))))
+			Or(ip.Conj(eqConst(nt, 1), linear.NewGt(linear.VarExpr(ln).Sub(off)))).
+			Or(ip.Conj(eqConst(nt, 1), linear.NewGt(off.Sub(linear.VarExpr(ln)))))
 	}
 
 	isEqZero := e.Op == cast.Eq && lit.lit == 0

@@ -208,10 +208,10 @@ func (x *xform) derefCheck(off linear.Expr, r ppt.LocID, elem int64, isRead bool
 	}
 	nt := linear.VarExpr(x.ntV(r))
 	ntTrue := linear.NewEq(nt.Sub(linear.ConstExpr(1)))
-	ntFalse := linear.NewEq(nt.Clone())
+	ntFalse := linear.NewEq(nt)
 	beforeNull := linear.NewGe(linear.VarExpr(x.lenV(r)).Sub(off))
 	d1 := []linear.Constraint{nonneg, ntTrue, beforeNull}
-	d2 := []linear.Constraint{nonneg.Clone(), ntFalse, inBounds}
+	d2 := []linear.Constraint{nonneg, ntFalse, inBounds}
 	return ip.DNF{d1, d2}
 }
 

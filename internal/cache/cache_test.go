@@ -28,9 +28,7 @@ func sampleProgram(t *testing.T) *ip.Program {
 	p.PreludeEnd = 2
 
 	huge := new(big.Int).Lsh(big.NewInt(1), 80) // 2^80: not an int64
-	e := linear.VarExpr(x)
-	e.SetCoef(y, huge)
-	e.AddConst(-7)
+	e := linear.NewExpr(big.NewInt(-7), linear.Term{V: x, K: big.NewInt(1)}, linear.Term{V: y, K: huge})
 
 	ge := linear.NewGe(linear.VarExpr(y))
 	eq := linear.NewEq(e)

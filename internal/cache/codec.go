@@ -198,19 +198,12 @@ func EncodeExpr(e linear.Expr) Expr {
 	return Expr(appendExpr(nil, e))
 }
 
-// appendExpr appends the text form of e; a zero coefficient (absent by
-// linear.Expr's own invariant) is skipped, so the output always decodes.
+// appendExpr appends the text form of e. A linear.Expr holds no zero
+// coefficient, so the output always decodes.
 func appendExpr(buf []byte, e linear.Expr) []byte {
-	if e.Const == nil {
-		buf = append(buf, '0')
-	} else {
-		buf = appendInt(buf, e.Const)
-	}
+	buf = appendInt(buf, e.Const())
 	for _, v := range e.Vars() {
 		c := e.Coef(v)
-		if c.Sign() == 0 {
-			continue
-		}
 		buf = append(buf, ' ')
 		buf = strconv.AppendInt(buf, int64(v), 10)
 		buf = append(buf, ':')
@@ -357,15 +350,16 @@ func EncodeCertificates(certs []*certify.Certificate) *CertBatch {
 // ascending order is an error rather than a guess.
 func DecodeExpr(d Expr) (linear.Expr, error) {
 	s := string(d)
-	e := linear.NewExpr()
+	var e linear.Expr
 	i := strings.IndexByte(s, ' ')
 	if i < 0 {
 		i = len(s)
 	}
-	if !parseInt(s[:i], e.Const) {
+	var konst big.Int
+	if !parseInt(s[:i], &konst) {
 		return e, fmt.Errorf("cache: bad integer constant in %q", d)
 	}
-	var c big.Int
+	terms := make([]linear.Term, 0, 4)
 	last := -1
 	for i < len(s) {
 		s = s[i+1:] // past the separating space
@@ -381,13 +375,14 @@ func DecodeExpr(d Expr) (linear.Expr, error) {
 		if !ok || v <= last {
 			return e, fmt.Errorf("cache: bad or unordered variable in %q", d)
 		}
-		if !parseInt(term[colon+1:], &c) || c.Sign() == 0 {
+		c := new(big.Int)
+		if !parseInt(term[colon+1:], c) || c.Sign() == 0 {
 			return e, fmt.Errorf("cache: bad coefficient in %q", d)
 		}
-		e.SetCoef(v, &c)
+		terms = append(terms, linear.Term{V: v, K: c})
 		last = v
 	}
-	return e, nil
+	return linear.NewExpr(&konst, terms...), nil
 }
 
 // parseInt sets dst to the canonical decimal integer tok: "0", or an

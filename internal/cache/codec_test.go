@@ -49,15 +49,14 @@ func FuzzCacheCodec(f *testing.F) {
 		}
 
 		// Encode∘decode on a value: k·2^shift plus c·x_v and c·2^shift·x_{v+1}.
-		e := linear.NewExpr()
-		e.Const.Lsh(big.NewInt(k), uint(shift))
-		e.SetCoef(int(v), big.NewInt(c))
-		e.SetCoef(int(v)+1, new(big.Int).Lsh(big.NewInt(c), uint(shift)))
+		e := linear.NewExpr(new(big.Int).Lsh(big.NewInt(k), uint(shift)),
+			linear.Term{V: int(v), K: big.NewInt(c)},
+			linear.Term{V: int(v) + 1, K: new(big.Int).Lsh(big.NewInt(c), uint(shift))})
 		dec, err := DecodeExpr(EncodeExpr(e))
 		if err != nil {
 			t.Fatalf("EncodeExpr output %q does not decode: %v", EncodeExpr(e), err)
 		}
-		if dec.Const.Cmp(e.Const) != 0 || len(dec.Vars()) != len(e.Vars()) {
+		if dec.Const().Cmp(e.Const()) != 0 || len(dec.Vars()) != len(e.Vars()) {
 			t.Fatalf("round trip changed %q into %q", EncodeExpr(e), EncodeExpr(dec))
 		}
 		for _, x := range e.Vars() {

@@ -2,7 +2,6 @@ package certify
 
 import (
 	"fmt"
-	"math/big"
 
 	"repro/internal/clex"
 	"repro/internal/ip"
@@ -196,7 +195,7 @@ func (cert *Certificate) excludes(cr *carrierRows, negated ip.DNF) bool {
 	}
 	inv := cert.Inv[cert.AssertIdx]
 	for _, nd := range negated {
-		if !Unsat(append(inv.Clone(), nd...), cert.Prog.NumVars()) {
+		if !Unsat(append(inv[:len(inv):len(inv)], nd...), cert.Prog.NumVars()) {
 			return false
 		}
 	}
@@ -304,10 +303,7 @@ func transfer(s ip.Stmt, nv int) (primed int, extra linear.System, disjuncts ip.
 	case *ip.Assign:
 		primed = s.V
 		// x' = e  (over the unprimed pre-state).
-		d := linear.NewExpr()
-		d = d.Add(s.E)
-		d.AddTerm(nv, -1) // e - x' == 0
-		extra = linear.System{linear.NewEq(d)}
+		extra = linear.System{linear.NewEq(s.E.Sub(linear.VarExpr(nv)))} // e - x' == 0
 	case *ip.Havoc:
 		primed = s.V
 	case *ip.Assume:
@@ -345,13 +341,7 @@ func normDNF(d ip.DNF) ip.DNF {
 func renameVar(sys linear.System, v, w int) linear.System {
 	out := make(linear.System, len(sys))
 	for i, c := range sys {
-		e := c.E.Clone()
-		k := e.Coef(v)
-		if k.Sign() != 0 {
-			e.SetCoef(w, k)
-			e.SetCoef(v, new(big.Int))
-		}
-		out[i] = linear.Constraint{E: e, Rel: c.Rel}
+		out[i] = linear.Constraint{E: c.E.Subst(v, linear.VarExpr(w)), Rel: c.Rel}
 	}
 	return out
 }

@@ -28,7 +28,7 @@ func loopProgram(t *testing.T) *Certificate {
 		Msg: "x within [0,10]",
 	})
 	inc := linear.VarExpr(x)
-	inc.AddConst(1)
+	inc = inc.Add(linear.ConstExpr(1))
 	p.Emit(&ip.Assign{V: x, E: inc})
 	p.Emit(&ip.IfGoto{C: ip.Single(ge(10, -1)), Target: "L"})
 	if err := p.Resolve(); err != nil {

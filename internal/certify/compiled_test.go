@@ -132,8 +132,8 @@ func corruptions(rng *rand.Rand, inv []linear.System, assertIdx int) [][]linear.
 		i = nonEmpty[rng.Intn(len(nonEmpty))]
 		j = rng.Intn(len(inv[i]))
 		tight := append([]linear.System(nil), inv...)
-		tight[i] = inv[i].Clone()
-		tight[i][j].E.AddConst(-1)
+		tight[i] = append(linear.System(nil), inv[i]...)
+		tight[i][j].E = tight[i][j].E.Add(linear.ConstExpr(-1))
 		out = append(out, tight)
 	}
 	if len(inv) > 1 {
@@ -174,17 +174,11 @@ func wideCertificate(t *testing.T, a, b *big.Int, k int64) *certify.Certificate 
 	p := ip.New("wide")
 	x := p.Space.Var("x")
 	y := p.Space.Var("y")
-	c1 := linear.NewExpr()
-	c1.SetCoef(x, a)
-	c1.AddTerm(y, 3)
-	c1.AddConst(-5)
-	c2 := linear.NewExpr()
-	c2.SetCoef(x, new(big.Int).Neg(b))
-	c2.AddTerm(y, 7)
-	c2.AddConst(1)
+	c1 := linear.NewExpr(big.NewInt(-5), linear.Term{V: x, K: a}, linear.Term{V: y, K: big.NewInt(3)})
+	c2 := linear.NewExpr(big.NewInt(1), linear.Term{V: x, K: new(big.Int).Neg(b)}, linear.Term{V: y, K: big.NewInt(7)})
 	assumed := linear.System{linear.NewGe(c1), linear.NewGe(c2)}
 	yk := linear.VarExpr(y)
-	yk.AddConst(-k)
+	yk = yk.Add(linear.ConstExpr(-k))
 	bound := linear.NewGe(yk)
 
 	p.Emit(&ip.Assume{C: ip.DNF{assumed}})
@@ -193,7 +187,7 @@ func wideCertificate(t *testing.T, a, b *big.Int, k int64) *certify.Certificate 
 	if err := p.Resolve(); err != nil {
 		t.Fatal(err)
 	}
-	withBound := append(assumed.Clone(), bound)
+	withBound := append(assumed[:len(assumed):len(assumed)], bound)
 	return &certify.Certificate{
 		Check:     certify.Check{OrigIndex: 2, Msg: "y bounded", Tier: "test"},
 		Prog:      p,

@@ -20,13 +20,13 @@ import (
 func randomSystem(rng *rand.Rand, n, maxCons int) linear.System {
 	var sys linear.System
 	for i, k := 0, rng.Intn(maxCons+1); i < k; i++ {
-		e := linear.NewExpr()
+		e := linear.Expr{}
 		for v := 0; v < n; v++ {
 			if rng.Intn(2) == 0 {
-				e.AddTerm(v, int64(rng.Intn(7)-3))
+				e = e.Add(linear.VarExpr(v).Scale(int64(rng.Intn(7) - 3)))
 			}
 		}
-		e.AddConst(int64(rng.Intn(21) - 10))
+		e = e.Add(linear.ConstExpr(int64(rng.Intn(21) - 10)))
 		if rng.Intn(4) == 0 {
 			sys = append(sys, linear.NewEq(e))
 		} else {
@@ -103,7 +103,7 @@ func decodeFuzzSystem(data []byte) (linear.System, linear.Constraint) {
 		return int64(b%15) - 7, true
 	}
 	readCons := func() (linear.Constraint, bool) {
-		e := linear.NewExpr()
+		e := linear.Expr{}
 		any := false
 		for v := 0; v < n; v++ {
 			k, ok := next()
@@ -111,11 +111,11 @@ func decodeFuzzSystem(data []byte) (linear.System, linear.Constraint) {
 				break
 			}
 			any = true
-			e.AddTerm(v, k%4)
+			e = e.Add(linear.VarExpr(v).Scale(k % 4))
 		}
 		k, ok := next()
 		if ok {
-			e.AddConst(k)
+			e = e.Add(linear.ConstExpr(k))
 		}
 		if !any && !ok {
 			return linear.Constraint{}, false
@@ -178,10 +178,9 @@ func FuzzEntails(f *testing.F) {
 func TestOverflowDemotionAgreesWithPolyhedra(t *testing.T) {
 	const a, b = 1<<62 - 1, 1<<62 - 3
 	ge := func(k int64, terms ...int64) linear.Constraint {
-		e := linear.NewExpr()
-		e.AddConst(k)
+		e := linear.ConstExpr(k)
 		for v, c := range terms {
-			e.AddTerm(v, c)
+			e = e.Add(linear.VarExpr(v).Scale(c))
 		}
 		return linear.NewGe(e)
 	}
@@ -197,10 +196,9 @@ func TestOverflowDemotionAgreesWithPolyhedra(t *testing.T) {
 	}
 	// x = 3 - 2y: substituting it doubles a, which overflows int64 already
 	// during equality elimination; it pins y near 1.5 and x near 0.
-	eqE := linear.NewExpr()
-	eqE.AddTerm(0, 1)
-	eqE.AddTerm(1, 2)
-	eqE.AddConst(-3)
+	eqE := linear.VarExpr(0)
+	eqE = eqE.Add(linear.VarExpr(1).Scale(2))
+	eqE = eqE.Add(linear.ConstExpr(-3))
 	systems := []linear.System{
 		base,
 		append(linear.System{ge(0, 0, -1)}, base...), // y <= 0: unsat

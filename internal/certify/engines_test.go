@@ -13,13 +13,13 @@ import (
 func engineSystem(rng *rand.Rand, n, maxCons int) linear.System {
 	var sys linear.System
 	for i, k := 0, rng.Intn(maxCons+1); i < k; i++ {
-		e := linear.NewExpr()
+		e := linear.Expr{}
 		for v := 0; v < n; v++ {
 			if rng.Intn(2) == 0 {
-				e.AddTerm(v, int64(rng.Intn(9)-4))
+				e = e.Add(linear.VarExpr(v).Scale(int64(rng.Intn(9) - 4)))
 			}
 		}
-		e.AddConst(int64(rng.Intn(21) - 10))
+		e = e.Add(linear.ConstExpr(int64(rng.Intn(21) - 10)))
 		if rng.Intn(4) == 0 {
 			sys = append(sys, linear.NewEq(e))
 		} else {
@@ -37,8 +37,7 @@ func engineSystem(rng *rand.Rand, n, maxCons int) linear.System {
 func engineTarget(rng *rand.Rand, sys linear.System, n int) linear.Constraint {
 	if len(sys) > 0 && rng.Intn(2) == 0 {
 		c := sys[rng.Intn(len(sys))]
-		e := c.E.Clone()
-		e.AddConst(int64(rng.Intn(3)))
+		e := c.E.Add(linear.ConstExpr(int64(rng.Intn(3))))
 		if c.Rel == linear.Eq && rng.Intn(2) == 0 {
 			return linear.NewEq(e)
 		}

@@ -18,11 +18,10 @@ func eq(k int64, terms ...int64) linear.Constraint {
 
 // expr builds sum(terms[i] * x_i) + k from positional coefficients.
 func expr(k int64, terms ...int64) linear.Expr {
-	e := linear.NewExpr()
-	e.AddConst(k)
+	e := linear.ConstExpr(k)
 	for v, c := range terms {
 		if c != 0 {
-			e.AddTerm(v, c)
+			e = e.Add(linear.VarExpr(v).Scale(c))
 		}
 	}
 	return e
@@ -118,24 +117,22 @@ func TestUnsatHighDimension(t *testing.T) {
 	const n = 12
 	var sys linear.System
 	for i := 0; i+1 < n; i++ {
-		e := linear.NewExpr()
-		e.AddTerm(i, 1)
-		e.AddTerm(i+1, -1)
-		e.AddConst(-1) // x_i - x_{i+1} - 1 >= 0
+		e := linear.VarExpr(i)
+		e = e.Add(linear.VarExpr(i + 1).Scale(-1))
+		e = e.Add(linear.ConstExpr(-1)) // x_i - x_{i+1} - 1 >= 0
 		sys = append(sys, linear.NewGe(e))
 	}
-	closing := linear.NewExpr()
-	closing.AddTerm(n-1, 1)
-	closing.AddTerm(0, -1)
+	closing := linear.VarExpr(n - 1)
+	closing = closing.Add(linear.VarExpr(0).Scale(-1))
 	// x_{n-1} - x_0 + (n-2) >= 0 contradicts the chain (which forces
 	// x_0 - x_{n-1} >= n-1).
-	closing.AddConst(int64(n - 2))
+	closing = closing.Add(linear.ConstExpr(int64(n - 2)))
 	sys = append(sys, linear.NewGe(closing))
 	if !Unsat(sys, n) {
 		t.Errorf("chain system should be unsat")
 	}
 	// Relaxing the closing constraint by 1 makes it satisfiable.
-	sys[len(sys)-1].E.AddConst(1)
+	sys[len(sys)-1].E = closing.Add(linear.ConstExpr(1))
 	if Unsat(sys, n) {
 		t.Errorf("relaxed chain system should be sat")
 	}

@@ -87,12 +87,11 @@ func iRowFromExpr(e linear.Expr, vs []int, n int) *irow {
 		}
 		r.c[v] = c.Int64()
 	}
-	if e.Const != nil { // a nil constant is 0
-		if !e.Const.IsInt64() {
-			panic(fmOverflow{})
-		}
-		r.k = e.Const.Int64()
+	k := e.Const()
+	if !k.IsInt64() {
+		panic(fmOverflow{})
 	}
+	r.k = k.Int64()
 	r.reduce()
 	return r
 }

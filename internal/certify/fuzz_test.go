@@ -37,7 +37,7 @@ func mutateCertificates(certs []*certify.Certificate, op uint8, at, v int) {
 		at %= n
 		for _, sys := range cert.Inv {
 			if at < len(sys) {
-				sys[at].E.AddTerm(v, 1)
+				sys[at].E = sys[at].E.Add(linear.VarExpr(v))
 				return
 			}
 			at -= len(sys)

@@ -14,7 +14,7 @@ func wideProgram(k int64) *ip.Program {
 	x := p.Space.Var("x")
 	y := p.Space.Var("y")
 	eq := linear.VarExpr(x)
-	eq.AddConst(-k)
+	eq = eq.Add(linear.ConstExpr(-k))
 	p.Emit(&ip.Havoc{V: x})
 	p.Emit(&ip.Assume{C: ip.Single(linear.NewEq(eq))})
 	p.Emit(&ip.Assign{V: y, E: linear.VarExpr(x).Scale(4)})

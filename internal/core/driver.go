@@ -673,9 +673,7 @@ func analyzeProc(orig *cast.File, prog *corec.Program, name string, opts Options
 			}
 			pr.Violations = ares.Violations
 			pr.Iterations = ares.Iterations
-			if opts.Certify || cacheable {
-				certs = analysis.CertifyResult(ares, aopts)
-			}
+			certs = ares.Certificates
 			exhausted = ares.Exhausted
 		}
 		pr.Counts.FixpointIterations = pr.Iterations

@@ -304,7 +304,7 @@ func allPreAtoms(atoms []string) bool {
 // atoms used.
 func (wb *writeback) renderConstraint(c linear.Constraint, prog *ip.Program, isPost bool) (string, []string, bool) {
 	t := newTerms()
-	t.konst.Set(c.E.Const)
+	t.konst.Set(c.E.Const())
 	for _, v := range c.E.Vars() {
 		atoms, ok := wb.atomsFor(prog.Space.Name(v), isPost)
 		if !ok {

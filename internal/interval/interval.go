@@ -152,8 +152,8 @@ func (b *Box) Includes(o *Box) bool {
 
 // evalRange returns interval bounds of a linear expression over the box.
 func (b *Box) evalRange(e linear.Expr) Itv {
-	lo := new(big.Int).Set(e.Const)
-	hi := new(big.Int).Set(e.Const)
+	lo := new(big.Int).Set(e.Const())
+	hi := new(big.Int).Set(e.Const())
 	loOK, hiOK := true, true
 	for _, v := range e.Vars() {
 		k := e.Coef(v)
@@ -208,8 +208,7 @@ func (b *Box) MeetConstraint(c linear.Constraint) *Box {
 		// rest.
 		for _, j := range cc.E.Vars() {
 			kj := cc.E.Coef(j)
-			rest := cc.E.Clone()
-			rest.SetCoef(j, new(big.Int))
+			rest := cc.E.Subst(j, linear.Expr{})
 			r := out.evalRange(rest)
 			// k_j x_j >= -rest. Upper bound of -rest needs Hi of rest.
 			if r.Hi == nil {
@@ -237,7 +236,7 @@ func (b *Box) MeetConstraint(c linear.Constraint) *Box {
 			}
 		}
 		// Constant check.
-		if len(cc.E.Vars()) == 0 && cc.E.Const.Sign() < 0 {
+		if len(cc.E.Vars()) == 0 && cc.E.Const().Sign() < 0 {
 			out.empty = true
 		}
 	}
@@ -280,6 +279,8 @@ func (b *Box) Entails(c linear.Constraint) bool {
 	return r.Lo != nil && r.Lo.Sign() >= 0
 }
 
+var bigOne, bigMinusOne = big.NewInt(1), big.NewInt(-1)
+
 // System renders the box as bound constraints.
 func (b *Box) System() linear.System {
 	var sys linear.System
@@ -287,15 +288,12 @@ func (b *Box) System() linear.System {
 		return linear.System{linear.NewGe(linear.ConstExpr(-1))}
 	}
 	for v, iv := range b.vars {
-		if iv.Lo != nil {
-			e := linear.VarExpr(v)
-			e.Const.Neg(iv.Lo)
-			sys = append(sys, linear.NewGe(e))
+		if iv.Lo != nil { // x - lo >= 0
+			lo := new(big.Int).Neg(iv.Lo)
+			sys = append(sys, linear.NewGe(linear.NewExpr(lo, linear.Term{V: v, K: bigOne})))
 		}
-		if iv.Hi != nil {
-			e := linear.VarExpr(v).Scale(-1)
-			e.Const.Set(iv.Hi)
-			sys = append(sys, linear.NewGe(e))
+		if iv.Hi != nil { // hi - x >= 0
+			sys = append(sys, linear.NewGe(linear.NewExpr(iv.Hi, linear.Term{V: v, K: bigMinusOne})))
 		}
 	}
 	return sys

@@ -11,7 +11,7 @@ import (
 func ge(c int64, terms ...int64) linear.Constraint {
 	e := linear.ConstExpr(c)
 	for i := 0; i+1 < len(terms); i += 2 {
-		e.AddTerm(int(terms[i+1]), terms[i])
+		e = e.Add(linear.VarExpr(int(terms[i+1])).Scale(terms[i]))
 	}
 	return linear.NewGe(e)
 }
@@ -89,7 +89,7 @@ func TestJoinWithEmptyShares(t *testing.T) {
 func TestAssignHavoc(t *testing.T) {
 	b := Universe(2).MeetConstraint(ge(-2, 1, 0)).MeetConstraint(ge(2, -1, 0)) // x == 2
 	e := linear.VarExpr(0).Scale(3)
-	e.AddConst(1)
+	e = e.Add(linear.ConstExpr(1))
 	b2 := b.Assign(1, e) // y := 3x + 1 = 7
 	if iv := b2.Var(1); iv.Lo.Int64() != 7 || iv.Hi.Int64() != 7 {
 		t.Errorf("y = %s", iv)

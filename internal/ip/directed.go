@@ -254,10 +254,7 @@ func (p *Program) compileDirected(target int, hints map[int]*big.Int, opts Direc
 }
 
 func compileExpr(e linear.Expr) dexpr {
-	var out dexpr
-	if e.Const != nil {
-		out.k = int64Of(e.Const)
-	}
+	out := dexpr{k: int64Of(e.Const())}
 	vs := e.Vars()
 	out.terms = make([]dterm, len(vs))
 	for i, v := range vs {

@@ -16,7 +16,7 @@ func geC(k int64, terms ...int64) linear.Constraint {
 	e := linear.ConstExpr(k)
 	for v, c := range terms {
 		if c != 0 {
-			e.AddTerm(v, c)
+			e = e.Add(linear.VarExpr(v).Scale(c))
 		}
 	}
 	return linear.NewGe(e)
@@ -247,7 +247,7 @@ func genDirected(rng *rand.Rand, huge bool) (*Program, int, map[int]*big.Int, Di
 		e := linear.ConstExpr(constant())
 		for v := 0; v < nv; v++ {
 			if rng.Intn(2) == 0 {
-				e.AddTerm(v, rng.Int63n(7)-3)
+				e = e.Add(linear.VarExpr(v).Scale(rng.Int63n(7) - 3))
 			}
 		}
 		return e
@@ -284,7 +284,7 @@ func genDirected(rng *rand.Rand, huge bool) (*Program, int, map[int]*big.Int, Di
 			p.Emit(&Havoc{V: v})
 			if rng.Intn(3) > 0 {
 				e := expr()
-				e.AddTerm(v, 1+rng.Int63n(3))
+				e = e.Add(linear.VarExpr(v).Scale(1 + rng.Int63n(3)))
 				p.Emit(&Assume{C: Conj(linear.NewGe(e), cons())})
 			}
 		case 3:

@@ -143,21 +143,6 @@ func (d DNF) String(sp *linear.Space) string {
 	return strings.Join(parts, " || ")
 }
 
-// Clone deep-copies d.
-func (d DNF) Clone() DNF {
-	if d == nil {
-		return nil
-	}
-	out := make(DNF, len(d))
-	for i, conj := range d {
-		out[i] = make([]linear.Constraint, len(conj))
-		for j, c := range conj {
-			out[i][j] = c.Clone()
-		}
-	}
-	return out
-}
-
 // ---------------------------------------------------------------------------
 // Statements
 

@@ -11,7 +11,7 @@ import (
 func c(coefs ...int64) linear.Constraint {
 	e := linear.ConstExpr(coefs[0])
 	for i := 1; i+1 < len(coefs); i += 2 {
-		e.AddTerm(int(coefs[i+1]), coefs[i])
+		e = e.Add(linear.VarExpr(int(coefs[i+1])).Scale(coefs[i]))
 	}
 	return linear.NewGe(e)
 }
@@ -85,7 +85,7 @@ func TestDNFNegateInvolution(t *testing.T) {
 		for _, conj := range d {
 			all := true
 			for _, cc := range conj {
-				v := cc.E.Coef(0).Int64()*x + cc.E.Coef(1).Int64()*y + cc.E.Const.Int64()
+				v := cc.E.Coef(0).Int64()*x + cc.E.Coef(1).Int64()*y + cc.E.Const().Int64()
 				if cc.Rel == linear.Eq && v != 0 {
 					all = false
 				}
@@ -102,8 +102,8 @@ func TestDNFNegateInvolution(t *testing.T) {
 	f := func(a1, b1, c1, a2, b2, c2 int8, x, y int8) bool {
 		mk := func(a, b, cc int8) linear.Constraint {
 			e := linear.ConstExpr(int64(cc))
-			e.AddTerm(0, int64(a))
-			e.AddTerm(1, int64(b))
+			e = e.Add(linear.VarExpr(0).Scale(int64(a)))
+			e = e.Add(linear.VarExpr(1).Scale(int64(b)))
 			return linear.NewGe(e)
 		}
 		d := Single(mk(a1, b1, c1)).Or(Single(mk(a2, b2, c2)))

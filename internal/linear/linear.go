@@ -61,126 +61,115 @@ func (s *Space) Dim() int { return len(s.names) }
 // ---------------------------------------------------------------------------
 // Expressions
 
-// Expr is a linear expression sum(coef_i * x_i) + Const with exact integer
+// Expr is a linear expression sum(coef_i * x_i) + c with exact integer
 // coefficients. The zero value is the constant 0.
+//
+// An Expr is never written after it is built: every operation returns a
+// new value, which may share its coefficient map and its big.Int values
+// with its operands. So Exprs, and the Constraints, Systems and DNFs made
+// of them, are passed and stored without copying.
 type Expr struct {
-	coef  map[int]*big.Int
-	Const *big.Int
+	coef  map[int]*big.Int // nonzero coefficients only
+	konst *big.Int         // nil is 0
 }
 
-// NewExpr returns the zero expression.
-func NewExpr() Expr {
-	return Expr{coef: map[int]*big.Int{}, Const: new(big.Int)}
+// Term is one product k*x_V of an expression built by NewExpr.
+type Term struct {
+	V int
+	K *big.Int
+}
+
+// small holds the values -smallMax..smallMax, shared by every expression
+// that has one of them as a coefficient or constant. Like every value
+// Const and Coef return, they are never modified.
+const smallMax = 16
+
+var small = func() (s [2*smallMax + 1]*big.Int) {
+	for i := range s {
+		s[i] = big.NewInt(int64(i - smallMax))
+	}
+	return s
+}()
+
+var zero, one, minusOne = small[smallMax], small[smallMax+1], small[smallMax-1]
+
+// own returns a value equal to k that no caller can write: a shared small
+// value or a copy.
+func own(k *big.Int) *big.Int {
+	if k.IsInt64() {
+		if v := k.Int64(); -smallMax <= v && v <= smallMax {
+			return small[v+smallMax]
+		}
+	}
+	return new(big.Int).Set(k)
+}
+
+// NewExpr returns konst + sum(t.K * x_t.V) over terms; a nil konst is 0.
+// It copies konst and every coefficient (see own), so the caller may reuse
+// them. Zero coefficients are dropped; the variables must be distinct.
+func NewExpr(konst *big.Int, terms ...Term) Expr {
+	var e Expr
+	if konst != nil && konst.Sign() != 0 {
+		e.konst = own(konst)
+	}
+	for _, t := range terms {
+		if t.K.Sign() == 0 {
+			continue
+		}
+		if e.coef == nil {
+			e.coef = make(map[int]*big.Int, len(terms))
+		}
+		e.coef[t.V] = own(t.K)
+	}
+	return e
 }
 
 // ConstExpr returns the constant expression c.
 func ConstExpr(c int64) Expr {
-	e := NewExpr()
-	e.Const.SetInt64(c)
-	return e
+	if c == 0 {
+		return Expr{}
+	}
+	return Expr{konst: big.NewInt(c)}
 }
 
 // VarExpr returns the expression 1*x_v.
 func VarExpr(v int) Expr {
-	e := NewExpr()
-	e.coef[v] = big.NewInt(1)
-	return e
+	return Expr{coef: map[int]*big.Int{v: one}}
 }
 
-// Clone returns a deep copy.
-func (e Expr) Clone() Expr {
-	c := NewExpr()
-	c.Const.Set(e.constOrZero())
-	for v, k := range e.coef {
-		c.coef[v] = new(big.Int).Set(k)
+// Const returns the constant term. The result is shared and must not be
+// modified.
+func (e Expr) Const() *big.Int {
+	if e.konst == nil {
+		return zero
 	}
-	return c
+	return e.konst
 }
 
-func (e Expr) constOrZero() *big.Int {
-	if e.Const == nil {
-		return new(big.Int)
-	}
-	return e.Const
-}
-
-// Coef returns the coefficient of variable v (zero if absent).
+// Coef returns the coefficient of variable v (zero if absent). The result
+// is shared and must not be modified.
 func (e Expr) Coef(v int) *big.Int {
 	if k, ok := e.coef[v]; ok {
 		return k
 	}
-	return new(big.Int)
-}
-
-// SetCoef sets the coefficient of v.
-func (e *Expr) SetCoef(v int, k *big.Int) {
-	if e.coef == nil {
-		e.coef = map[int]*big.Int{}
-	}
-	if k.Sign() == 0 {
-		delete(e.coef, v)
-		return
-	}
-	e.coef[v] = new(big.Int).Set(k)
-}
-
-// AddTerm adds k*x_v to e in place.
-func (e *Expr) AddTerm(v int, k int64) {
-	if e.coef == nil {
-		e.coef = map[int]*big.Int{}
-	}
-	c, ok := e.coef[v]
-	if !ok {
-		c = new(big.Int)
-		e.coef[v] = c
-	}
-	c.Add(c, big.NewInt(k))
-	if c.Sign() == 0 {
-		delete(e.coef, v)
-	}
-}
-
-// AddConst adds k to the constant term in place.
-func (e *Expr) AddConst(k int64) {
-	if e.Const == nil {
-		e.Const = new(big.Int)
-	}
-	e.Const.Add(e.Const, big.NewInt(k))
+	return zero
 }
 
 // Add returns e + f.
-func (e Expr) Add(f Expr) Expr {
-	r := e.Clone()
-	r.Const.Add(r.Const, f.constOrZero())
-	for v, k := range f.coef {
-		c, ok := r.coef[v]
-		if !ok {
-			c = new(big.Int)
-			r.coef[v] = c
-		}
-		c.Add(c, k)
-		if c.Sign() == 0 {
-			delete(r.coef, v)
-		}
-	}
-	return r
-}
+func (e Expr) Add(f Expr) Expr { return e.addScaled(f, one, -1) }
 
 // Sub returns e - f.
-func (e Expr) Sub(f Expr) Expr { return e.Add(f.Scale(-1)) }
+func (e Expr) Sub(f Expr) Expr { return e.addScaled(f, minusOne, -1) }
 
 // Scale returns k*e.
 func (e Expr) Scale(k int64) Expr {
-	r := e.Clone()
-	bk := big.NewInt(k)
-	r.Const.Mul(r.Const, bk)
-	for v := range r.coef {
-		r.coef[v].Mul(r.coef[v], bk)
-		if r.coef[v].Sign() == 0 {
-			delete(r.coef, v)
-		}
+	switch k {
+	case 0:
+		return Expr{}
+	case 1:
+		return e
 	}
-	return r
+	return Expr{}.addScaled(e, big.NewInt(k), -1)
 }
 
 // IsConst reports whether e has no variable terms.
@@ -200,21 +189,63 @@ func (e Expr) Vars() []int {
 func (e Expr) Subst(v int, r Expr) Expr {
 	k, ok := e.coef[v]
 	if !ok {
-		return e.Clone()
+		return e
 	}
-	out := e.Clone()
-	delete(out.coef, v)
-	scaled := r.Clone()
-	scaled.Const.Mul(scaled.Const, k)
-	for u := range scaled.coef {
-		scaled.coef[u].Mul(scaled.coef[u], k)
+	return e.addScaled(r, k, v)
+}
+
+// addScaled returns e + k*f without e's term in variable drop (-1 drops
+// none). A coefficient the sum leaves as it is stays shared, and so does a
+// map the sum leaves as it is.
+func (e Expr) addScaled(f Expr, k *big.Int, drop int) Expr {
+	r := Expr{konst: mulAdd(e.konst, f.konst, k)}
+	_, dropped := e.coef[drop]
+	switch {
+	case len(f.coef) == 0 && !dropped:
+		r.coef = e.coef
+		return r
+	case len(e.coef) == 0 && k == one:
+		r.coef = f.coef
+		return r
 	}
-	return out.Add(scaled)
+	r.coef = make(map[int]*big.Int, len(e.coef)+len(f.coef))
+	for v, c := range e.coef {
+		if v != drop {
+			r.coef[v] = c
+		}
+	}
+	for v, c := range f.coef {
+		if s := mulAdd(r.coef[v], c, k); s != nil {
+			r.coef[v] = s
+		} else {
+			delete(r.coef, v)
+		}
+	}
+	return r
+}
+
+// mulAdd returns x + k*y, where a nil x or y is 0 and a nil result is 0.
+// It returns x itself when y is 0 and never writes an operand.
+func mulAdd(x, y, k *big.Int) *big.Int {
+	if y == nil || y.Sign() == 0 {
+		return x
+	}
+	if k == one && x == nil {
+		return y
+	}
+	t := new(big.Int).Mul(y, k)
+	if x != nil {
+		t.Add(t, x)
+	}
+	if t.Sign() == 0 {
+		return nil
+	}
+	return t
 }
 
 // Eval evaluates e at the given integer point (indexed by variable).
 func (e Expr) Eval(point []*big.Int) *big.Int {
-	r := new(big.Int).Set(e.constOrZero())
+	r := new(big.Int).Set(e.Const())
 	for v, k := range e.coef {
 		if v < len(point) && point[v] != nil {
 			t := new(big.Int).Mul(k, point[v])
@@ -234,15 +265,15 @@ func (e Expr) String(sp *Space) string {
 			name = sp.Name(v)
 		}
 		switch {
-		case k.Cmp(big.NewInt(1)) == 0:
+		case k.Cmp(one) == 0:
 			parts = append(parts, name)
-		case k.Cmp(big.NewInt(-1)) == 0:
+		case k.Cmp(minusOne) == 0:
 			parts = append(parts, "-"+name)
 		default:
 			parts = append(parts, k.String()+"*"+name)
 		}
 	}
-	c := e.constOrZero()
+	c := e.Const()
 	if c.Sign() != 0 || len(parts) == 0 {
 		parts = append(parts, c.String())
 	}
@@ -280,35 +311,23 @@ type Constraint struct {
 // NewGe returns the constraint e >= 0.
 func NewGe(e Expr) Constraint { return Constraint{E: e, Rel: Ge} }
 
-// NewGt returns e > 0 as the integer constraint e - 1 >= 0.
+// NewGt returns e > 0 as the integer constraint e - 1 >= 0, which shares
+// e's coefficients.
 func NewGt(e Expr) Constraint {
-	r := e.Clone()
-	r.AddConst(-1)
-	return Constraint{E: r, Rel: Ge}
+	return Constraint{E: Expr{coef: e.coef, konst: mulAdd(e.konst, minusOne, one)}, Rel: Ge}
 }
 
 // NewEq returns the constraint e == 0.
 func NewEq(e Expr) Constraint { return Constraint{E: e, Rel: Eq} }
-
-// Clone returns a deep copy.
-func (c Constraint) Clone() Constraint {
-	return Constraint{E: c.E.Clone(), Rel: c.Rel}
-}
 
 // Negate returns the integer negation of c as a disjunction of constraints:
 // not(e == 0) is {e >= 1} or {-e >= 1}; not(e >= 0) is {-e >= 1}.
 func (c Constraint) Negate() []Constraint {
 	switch c.Rel {
 	case Eq:
-		pos := c.E.Clone()
-		pos.AddConst(-1)
-		neg := c.E.Scale(-1)
-		neg.AddConst(-1)
-		return []Constraint{{E: pos, Rel: Ge}, {E: neg, Rel: Ge}}
+		return []Constraint{NewGt(c.E), NewGt(c.E.Scale(-1))}
 	default:
-		neg := c.E.Scale(-1)
-		neg.AddConst(-1)
-		return []Constraint{{E: neg, Rel: Ge}}
+		return []Constraint{NewGt(c.E.Scale(-1))}
 	}
 }
 
@@ -328,9 +347,9 @@ func (c Constraint) IsTautology() bool {
 		return false
 	}
 	if c.Rel == Eq {
-		return c.E.constOrZero().Sign() == 0
+		return c.E.Const().Sign() == 0
 	}
-	return c.E.constOrZero().Sign() >= 0
+	return c.E.Const().Sign() >= 0
 }
 
 // IsContradiction reports whether c fails for all assignments.
@@ -339,21 +358,23 @@ func (c Constraint) IsContradiction() bool {
 		return false
 	}
 	if c.Rel == Eq {
-		return c.E.constOrZero().Sign() != 0
+		return c.E.Const().Sign() != 0
 	}
-	return c.E.constOrZero().Sign() < 0
+	return c.E.Const().Sign() < 0
 }
 
 // String renders the constraint in "e >= 0" normal form but moving the
 // constant to the right-hand side for readability: "x - y >= 3".
 func (c Constraint) String(sp *Space) string {
-	lhs := c.E.Clone()
-	k := new(big.Int).Neg(lhs.constOrZero())
-	lhs.Const.SetInt64(0)
+	lhs := Expr{coef: c.E.coef}
+	k := new(big.Int).Neg(c.E.Const())
 	return fmt.Sprintf("%s %s %s", lhs.String(sp), c.Rel, k)
 }
 
-// System is a conjunction of constraints.
+// System is a conjunction of constraints. Like its constraints, a System
+// is never written once built: to extend one that may be shared, append to
+// a fresh slice or through a full slice expression (s[:len(s):len(s)]),
+// never into its spare capacity.
 type System []Constraint
 
 // String renders the system.
@@ -363,13 +384,4 @@ func (s System) String(sp *Space) string {
 		parts = append(parts, c.String(sp))
 	}
 	return strings.Join(parts, " && ")
-}
-
-// Clone deep-copies the system.
-func (s System) Clone() System {
-	out := make(System, len(s))
-	for i, c := range s {
-		out[i] = c.Clone()
-	}
-	return out
 }

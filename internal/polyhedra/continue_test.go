@@ -82,7 +82,7 @@ func continuationScript(t *testing.T, data []byte, pure bool) ([]string, contSta
 				// Sparse rows leave variables unconstrained, so operands
 				// keep lines for the new rows to consume.
 				if next()%3 == 0 {
-					e.AddTerm(v, hybridCoef(next()))
+					e = e.Add(linear.VarExpr(v).Scale(hybridCoef(next())))
 				}
 			}
 			if next()%5 == 0 {
@@ -278,7 +278,7 @@ func TestRayHashesStayCurrent(t *testing.T) {
 			e := linear.ConstExpr(int64(rng.Intn(13) - 6))
 			for v := 0; v < n; v++ {
 				if rng.Intn(3) == 0 {
-					e.AddTerm(v, int64(rng.Intn(7)-3))
+					e = e.Add(linear.VarExpr(v).Scale(int64(rng.Intn(7) - 3)))
 				}
 			}
 			c.add(rowOf(linear.NewGe(e), n, nil))

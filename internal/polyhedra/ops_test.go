@@ -55,7 +55,7 @@ func runHybridScript(data []byte, cfg *Config) []string {
 		e := linear.ConstExpr(hybridCoef(next()))
 		for v := 0; v < dim; v++ {
 			if next()%2 == 0 {
-				e.AddTerm(v, hybridCoef(next()))
+				e = e.Add(linear.VarExpr(v).Scale(hybridCoef(next())))
 			}
 		}
 		if next()%4 == 0 {
@@ -93,7 +93,7 @@ func runHybridScript(data []byte, cfg *Config) []string {
 			e := linear.ConstExpr(hybridCoef(next()))
 			for v := 0; v < dim; v++ {
 				if next()%2 == 0 {
-					e.AddTerm(v, hybridCoef(next()))
+					e = e.Add(linear.VarExpr(v).Scale(hybridCoef(next())))
 				}
 			}
 			cur = keep(cur.Assign(int(next())%dim, e))
@@ -179,7 +179,7 @@ func TestHybridDifferentialRandom(t *testing.T) {
 func TestHybridPromotionOccurs(t *testing.T) {
 	huge := int64(3037000500)
 	e := linear.ConstExpr(0)
-	e.AddTerm(0, huge)
+	e = e.Add(linear.VarExpr(0).Scale(huge))
 	p := FromSystem(linear.System{linear.NewGe(e)}, 1) // huge*x >= 0
 	q := p.Assign(0, scaleExpr(huge))                  // x := huge*x, bound becomes huge^2*x >= 0 pre-normalize
 	if q.IsEmpty() {
@@ -264,7 +264,7 @@ func TestSparseDotMatchesDense(t *testing.T) {
 
 func scaleExpr(k int64) linear.Expr {
 	e := linear.ConstExpr(0)
-	e.AddTerm(0, k)
+	e = e.Add(linear.VarExpr(0).Scale(k))
 	return e
 }
 
@@ -333,7 +333,7 @@ func TestRayCapDropSoundRandom(t *testing.T) {
 			e := linear.ConstExpr(int64(rng.Intn(27) - 13))
 			for v := 0; v < n; v++ {
 				if rng.Intn(2) == 0 {
-					e.AddTerm(v, int64(rng.Intn(5)-2))
+					e = e.Add(linear.VarExpr(v).Scale(int64(rng.Intn(5) - 2)))
 				}
 			}
 			sys = append(sys, linear.NewGe(e))
@@ -369,7 +369,7 @@ func TestRandomizedSubstitution(t *testing.T) {
 		e := linear.ConstExpr(rng.Int63n(5) - 2)
 		for u := 0; u < 3; u++ {
 			if rng.Intn(2) == 0 {
-				e.AddTerm(u, rng.Int63n(5)-2)
+				e = e.Add(linear.VarExpr(u).Scale(rng.Int63n(5) - 2))
 			}
 		}
 		sub := p.Substitute(v, e)

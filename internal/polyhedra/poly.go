@@ -70,7 +70,7 @@ func (p *Poly) Dim() int { return p.n }
 // rowOf converts a linear.Constraint to a dense row governed by cfg.
 func rowOf(c linear.Constraint, n int, cfg *Config) row {
 	v := newVecAr(cfg.ar(), n+1, cfg.pure())
-	v.setBig(0, c.E.Const)
+	v.setBig(0, c.E.Const())
 	for _, i := range c.E.Vars() {
 		if i < n {
 			v.setBig(i+1, c.E.Coef(i))
@@ -81,18 +81,17 @@ func rowOf(c linear.Constraint, n int, cfg *Config) row {
 
 // rowToConstraint converts a dense row back to a linear.Constraint.
 func rowToConstraint(r row, n int) linear.Constraint {
-	e := linear.NewExpr()
-	e.Const.Set(r.v.bigAt(0))
+	terms := make([]linear.Term, 0, 4)
 	for i := 1; i <= n; i++ {
 		if r.v.sign(i) != 0 {
-			e.SetCoef(i-1, r.v.bigAt(i))
+			terms = append(terms, linear.Term{V: i - 1, K: r.v.bigAt(i)})
 		}
 	}
 	rel := linear.Ge
 	if r.eq {
 		rel = linear.Eq
 	}
-	return linear.Constraint{E: e, Rel: rel}
+	return linear.Constraint{E: linear.NewExpr(r.v.bigAt(0), terms...), Rel: rel}
 }
 
 // FromSystem returns the polyhedron of the conjunction sys over n
@@ -355,11 +354,11 @@ func (p *Poly) Entails(c linear.Constraint) bool {
 	return ok
 }
 
-// evalHom evaluates e homogeneously on generator g: e.Const*g[0] +
+// evalHom evaluates e homogeneously on generator g: e.Const()*g[0] +
 // Σ e.Coef(u)*g[u+1], on the machine tier when everything fits.
 func evalHom(e linear.Expr, g vec) scalar {
-	if g.xs == nil && e.Const.IsInt64() {
-		acc, ok := numkernel.MulOK(e.Const.Int64(), g.w[0])
+	if g.xs == nil && e.Const().IsInt64() {
+		acc, ok := numkernel.MulOK(e.Const().Int64(), g.w[0])
 		if ok {
 			for _, u := range e.Vars() {
 				c := e.Coef(u)
@@ -383,7 +382,7 @@ func evalHom(e linear.Expr, g vec) scalar {
 	sc := getScratch()
 	defer putScratch(sc)
 	t, tv := sc.t[0], sc.t[1]
-	nv := new(big.Int).Mul(e.Const, g.bigRef(0, tv))
+	nv := new(big.Int).Mul(e.Const(), g.bigRef(0, tv))
 	for _, u := range e.Vars() {
 		t.Mul(e.Coef(u), g.bigRef(u+1, tv))
 		nv.Add(nv, t)

@@ -14,7 +14,7 @@ import (
 func expr(c int64, terms ...int64) linear.Expr {
 	e := linear.ConstExpr(c)
 	for i := 0; i+1 < len(terms); i += 2 {
-		e.AddTerm(int(terms[i+1]), terms[i])
+		e = e.Add(linear.VarExpr(int(terms[i+1])).Scale(terms[i]))
 	}
 	return e
 }
@@ -511,7 +511,7 @@ func randSystem(rng *rand.Rand, ncons int) linear.System {
 		e := linear.ConstExpr(rng.Int63n(9) - 4)
 		for v := 0; v < 3; v++ {
 			if rng.Intn(2) == 0 {
-				e.AddTerm(v, rng.Int63n(5)-2)
+				e = e.Add(linear.VarExpr(v).Scale(rng.Int63n(5) - 2))
 			}
 		}
 		if rng.Intn(4) == 0 {
@@ -605,7 +605,7 @@ func TestRandomizedAssignSound(t *testing.T) {
 		e := linear.ConstExpr(rng.Int63n(7) - 3)
 		for u := 0; u < 3; u++ {
 			if rng.Intn(2) == 0 {
-				e.AddTerm(u, rng.Int63n(5)-2)
+				e = e.Add(linear.VarExpr(u).Scale(rng.Int63n(5) - 2))
 			}
 		}
 		res := p.Assign(v, e)

@@ -69,8 +69,7 @@ func TestPropagateCollapsesChains(t *testing.T) {
 	p := ip.New("chain")
 	x, y, z := p.Space.Var("x"), p.Space.Var("y"), p.Space.Var("z")
 	p.Emit(&ip.Assign{V: x, E: linear.ConstExpr(3)})
-	e := linear.VarExpr(x)
-	e.Const.SetInt64(1)
+	e := linear.VarExpr(x).Add(linear.ConstExpr(1))
 	p.Emit(&ip.Assign{V: y, E: e}) // y := x + 1 -> y := 4
 	p.Emit(&ip.Assume{C: ip.Single(eq(z, y))})
 
@@ -79,7 +78,7 @@ func TestPropagateCollapsesChains(t *testing.T) {
 		t.Fatal(err)
 	}
 	ay := out.Stmts[1].(*ip.Assign)
-	if !ay.E.IsConst() || ay.E.Const.Int64() != 4 {
+	if !ay.E.IsConst() || ay.E.Const().Int64() != 4 {
 		t.Errorf("y := %s, want the folded constant 4", ay.E.String(out.Space))
 	}
 	as := out.Stmts[2].(*ip.Assume)
@@ -180,8 +179,7 @@ func TestSliceTransitiveDeps(t *testing.T) {
 	d := p.Space.Var("d")
 	p.Emit(&ip.Havoc{V: a})
 	p.Emit(&ip.Assume{C: ip.Single(eq(b, a))}) // couples b to a
-	e := linear.VarExpr(b)
-	e.Const.SetInt64(1)
+	e := linear.VarExpr(b).Add(linear.ConstExpr(1))
 	p.Emit(&ip.Assign{V: c, E: e}) // c := b + 1
 	p.Emit(&ip.IfGoto{Target: "L"})
 	p.Emit(&ip.Assign{V: d, E: linear.ConstExpr(99)}) // no dataflow to c

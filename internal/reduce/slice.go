@@ -219,12 +219,12 @@ func mentionsDNF(d ip.DNF, set map[int]bool) bool {
 // remapExpr rewrites e's variables through varOf; every variable of e must
 // be mapped.
 func remapExpr(e linear.Expr, varOf map[int]int) linear.Expr {
-	out := linear.NewExpr()
-	out.Const.Set(e.Clone().Const)
-	for _, v := range e.Vars() {
-		out.SetCoef(varOf[v], e.Coef(v))
+	vs := e.Vars()
+	terms := make([]linear.Term, len(vs))
+	for i, v := range vs {
+		terms[i] = linear.Term{V: varOf[v], K: e.Coef(v)}
 	}
-	return out
+	return linear.NewExpr(e.Const(), terms...)
 }
 
 // remapDNF rewrites a condition through varOf (nil stays nil).

@@ -81,9 +81,9 @@ func runZoneScriptDim(data []byte, cfg *Config, dim int) []string {
 			e := linear.ConstExpr(zoneCoef(next()))
 			switch next() % 3 {
 			case 0:
-				e.AddTerm(v, 1) // v := v + c
+				e = e.Add(linear.VarExpr(v)) // v := v + c
 			case 1:
-				e.AddTerm((v+1)%dim, 1) // v := w + c
+				e = e.Add(linear.VarExpr((v + 1) % dim)) // v := w + c
 			}
 			cur = cur.Assign(v, e)
 		case 4:
@@ -201,7 +201,7 @@ func TestZonePromotionRoundTrip(t *testing.T) {
 	d = d.MeetConstraint(ge(0, 1, 0))     // x >= 0
 	// x := x + huge: upper bound becomes 2^63 > MaxInt64, promoting.
 	e := linear.ConstExpr(huge)
-	e.AddTerm(0, 1)
+	e = e.Add(linear.VarExpr(0))
 	d = d.Assign(0, e)
 	if d.mx == nil {
 		t.Fatal("expected the shifted DBM to live on the exact tier")
@@ -216,7 +216,7 @@ func TestZonePromotionRoundTrip(t *testing.T) {
 	}
 	// Shifting back down must demote again.
 	e2 := linear.ConstExpr(-huge)
-	e2.AddTerm(0, 1)
+	e2 = e2.Add(linear.VarExpr(0))
 	d = d.Assign(0, e2)
 	if d.mw == nil {
 		t.Errorf("expected demotion back to the machine tier")

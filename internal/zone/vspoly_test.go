@@ -89,11 +89,11 @@ func runZonePolyScript(t *testing.T, data []byte, cfg *Config) {
 			e := linear.ConstExpr(zoneCoef(next()))
 			switch next() % 4 {
 			case 0:
-				e.AddTerm(v, 1)
+				e = e.Add(linear.VarExpr(v))
 			case 1:
-				e.AddTerm((v+1)%dim, 1)
+				e = e.Add(linear.VarExpr((v + 1) % dim))
 			case 2:
-				e.AddTerm((v+1)%dim, -1)
+				e = e.Add(linear.VarExpr((v + 1) % dim).Scale(-1))
 			}
 			op = fmt.Sprintf("assign v%d", v)
 			z = z.Assign(v, e)

@@ -470,7 +470,7 @@ func (d *DBM) MeetConstraint(c linear.Constraint) *DBM {
 		vars := e.Vars()
 		switch len(vars) {
 		case 0:
-			if e.Const.Sign() < 0 {
+			if e.Const().Sign() < 0 {
 				out.empty = true
 			}
 		case 1:
@@ -479,10 +479,10 @@ func (d *DBM) MeetConstraint(c linear.Constraint) *DBM {
 			// k*x + c >= 0
 			if k.Cmp(bigOne) == 0 {
 				// x >= -c: 0 - x <= c
-				out.setBound(0, v+1, e.Const)
+				out.setBound(0, v+1, e.Const())
 			} else if k.Cmp(bigMinusOne) == 0 {
 				// x <= c
-				out.setBound(v+1, 0, e.Const)
+				out.setBound(v+1, 0, e.Const())
 			}
 		case 2:
 			a, b := vars[0], vars[1]
@@ -490,9 +490,9 @@ func (d *DBM) MeetConstraint(c linear.Constraint) *DBM {
 			switch {
 			case ka.Cmp(bigOne) == 0 && kb.Cmp(bigMinusOne) == 0:
 				// x_a - x_b + c >= 0: x_b - x_a <= c
-				out.setBound(b+1, a+1, e.Const)
+				out.setBound(b+1, a+1, e.Const())
 			case ka.Cmp(bigMinusOne) == 0 && kb.Cmp(bigOne) == 0:
-				out.setBound(a+1, b+1, e.Const)
+				out.setBound(a+1, b+1, e.Const())
 			}
 		}
 	}
@@ -727,13 +727,13 @@ func (d *DBM) Assign(v int, e linear.Expr) *DBM {
 		out := d.Clone()
 		out.close()
 		i := v + 1
-		if out.mx == nil && e.Const.IsInt64() {
-			if out.shiftNodeW(i, e.Const.Int64()) {
+		if out.mx == nil && e.Const().IsInt64() {
+			if out.shiftNodeW(i, e.Const().Int64()) {
 				return out
 			}
 		}
 		out.promote()
-		out.shiftNodeX(i, e.Const)
+		out.shiftNodeX(i, e.Const())
 		out.demote()
 		return out
 	}
@@ -742,16 +742,16 @@ func (d *DBM) Assign(v int, e linear.Expr) *DBM {
 	out := d.Havoc(v)
 	if len(vars) == 0 {
 		// v := c
-		out.setBound(v+1, 0, e.Const)
-		out.setBound(0, v+1, new(big.Int).Neg(e.Const))
+		out.setBound(v+1, 0, e.Const())
+		out.setBound(0, v+1, new(big.Int).Neg(e.Const()))
 		out.close()
 		return out
 	}
 	if len(vars) == 1 && vars[0] != v && e.Coef(vars[0]).Cmp(bigOne) == 0 {
 		// v := w + c: v - w <= c and w - v <= -c.
 		w := vars[0]
-		out.setBound(v+1, w+1, e.Const)
-		out.setBound(w+1, v+1, new(big.Int).Neg(e.Const))
+		out.setBound(v+1, w+1, e.Const())
+		out.setBound(w+1, v+1, new(big.Int).Neg(e.Const()))
 		out.close()
 		return out
 	}
@@ -772,25 +772,25 @@ func (d *DBM) Entails(c linear.Constraint) bool {
 		vars := e.Vars()
 		switch len(vars) {
 		case 0:
-			return e.Const.Sign() >= 0
+			return e.Const().Sign() >= 0
 		case 1:
 			v := vars[0]
 			k := e.Coef(v)
 			if k.Cmp(bigOne) == 0 {
 				// need x >= -c, i.e. 0 - x <= c entailed
-				return d.cellLE(0, v+1, e.Const)
+				return d.cellLE(0, v+1, e.Const())
 			}
 			if k.Cmp(bigMinusOne) == 0 {
-				return d.cellLE(v+1, 0, e.Const)
+				return d.cellLE(v+1, 0, e.Const())
 			}
 		case 2:
 			a, b := vars[0], vars[1]
 			ka, kb := e.Coef(a), e.Coef(b)
 			if ka.Cmp(bigOne) == 0 && kb.Cmp(bigMinusOne) == 0 {
-				return d.cellLE(b+1, a+1, e.Const)
+				return d.cellLE(b+1, a+1, e.Const())
 			}
 			if ka.Cmp(bigMinusOne) == 0 && kb.Cmp(bigOne) == 0 {
-				return d.cellLE(a+1, b+1, e.Const)
+				return d.cellLE(a+1, b+1, e.Const())
 			}
 		}
 		return false
@@ -875,15 +875,14 @@ func (d *DBM) System() linear.System {
 				continue
 			}
 			// x_i - x_j <= c  ==>  c - x_i + x_j >= 0
-			e := linear.NewExpr()
-			e.Const.Set(c)
+			terms := make([]linear.Term, 0, 2)
 			if i > 0 {
-				e.AddTerm(i-1, -1)
+				terms = append(terms, linear.Term{V: i - 1, K: bigMinusOne})
 			}
 			if j > 0 {
-				e.AddTerm(j-1, 1)
+				terms = append(terms, linear.Term{V: j - 1, K: bigOne})
 			}
-			sys = append(sys, linear.NewGe(e))
+			sys = append(sys, linear.NewGe(linear.NewExpr(c, terms...)))
 		}
 	}
 	return sys

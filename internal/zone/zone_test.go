@@ -11,7 +11,7 @@ import (
 func ge(c int64, terms ...int64) linear.Constraint {
 	e := linear.ConstExpr(c)
 	for i := 0; i+1 < len(terms); i += 2 {
-		e.AddTerm(int(terms[i+1]), terms[i])
+		e = e.Add(linear.VarExpr(int(terms[i+1])).Scale(terms[i]))
 	}
 	return linear.NewGe(e)
 }
@@ -76,7 +76,7 @@ func TestZoneAssign(t *testing.T) {
 	d := Universe(2).MeetConstraint(eq(-1, 1, 0)) // x == 1
 	// y := x + 4
 	e := linear.VarExpr(0)
-	e.AddConst(4)
+	e = e.Add(linear.ConstExpr(4))
 	d2 := d.Assign(1, e)
 	if !d2.Entails(eq(-4, -1, 0, 1, 1)) { // y - x == 4
 		t.Errorf("relation missing: %s", d2.String(nil))
@@ -86,7 +86,7 @@ func TestZoneAssign(t *testing.T) {
 	}
 	// x := x + 1 (shift)
 	inc := linear.VarExpr(0)
-	inc.AddConst(1)
+	inc = inc.Add(linear.ConstExpr(1))
 	d3 := d2.Assign(0, inc)
 	if !d3.Entails(eq(-2, 1, 0)) { // x == 2
 		t.Errorf("shift wrong: %s", d3.String(nil))

@@ -67,7 +67,7 @@ func Render(w io.Writer, rep *Report, o RenderOptions) (messages, certFailed int
 			fmt.Fprintln(w, line)
 		}
 		if o.DumpIP {
-			fmt.Fprintln(w, p.IntegerProgram)
+			fmt.Fprintln(w, p.IntegerProgram())
 		}
 		if p.Cascade != nil {
 			if o.Stats {
