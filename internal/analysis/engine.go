@@ -139,6 +139,9 @@ func Analyze(p *ip.Program, opts Options) (*Result, error) {
 	}
 	in[0] = dom.Universe(nvars)
 
+	// outs[i] is transfer(i, in[i]) for the current in[i], or nil: the
+	// worklist stores each transfer it computes and narrowing reuses it.
+	outs := make([]State, n+1)
 	visits := make([]int, n+1)
 	work := &intHeap{0}
 	inWork := make([]bool, n+1)
@@ -189,6 +192,7 @@ func Analyze(p *ip.Program, opts Options) (*Result, error) {
 			continue
 		}
 		out := transfer(i, in[i])
+		outs[i] = out
 		for _, e := range succ[i] {
 			s := out
 			if e.cond != nil {
@@ -212,7 +216,7 @@ func Analyze(p *ip.Program, opts Options) (*Result, error) {
 			if in[e.to].Includes(joined) {
 				continue
 			}
-			in[e.to] = joined
+			in[e.to], outs[e.to] = joined, nil
 			if !inWork[e.to] {
 				work.push(e.to)
 				inWork[e.to] = true
@@ -232,7 +236,11 @@ func Analyze(p *ip.Program, opts Options) (*Result, error) {
 	// recompute the same state from identical inputs. changed[i] is the
 	// clock tick at which in[i] last took a new representation (see
 	// State.SameRepr), computed[j] the tick at which node j was last
-	// recomputed; pass 0 recomputes every node.
+	// recomputed; pass 0 recomputes every node. A recomputation takes each
+	// predecessor's transfer from outs, which the worklist left current for
+	// every node it reached (it pops a node after the node's last change),
+	// and computes only the transfers of nodes refined since, or never
+	// reached, once each.
 	changed := make([]int, n+1)
 	computed := make([]int, n+1)
 	clock := 0
@@ -257,7 +265,11 @@ func Analyze(p *ip.Program, opts Options) (*Result, error) {
 			computed[j] = clock
 			acc := dom.Bottom(nvars)
 			for _, pe := range preds[j] {
-				s := transfer(pe.to, in[pe.to])
+				s := outs[pe.to]
+				if s == nil {
+					s = transfer(pe.to, in[pe.to])
+					outs[pe.to] = s
+				}
 				if pe.cond != nil {
 					s = applyDNF(s, pe.cond, dom, nvars)
 				}
@@ -267,9 +279,9 @@ func Analyze(p *ip.Program, opts Options) (*Result, error) {
 			// stay above the true fixpoint; intersecting a post-fixpoint
 			// with a recomputed value is safe). A refinement with in[j]'s
 			// own representation keeps the old object, which may already
-			// hold generators.
+			// hold generators, and its transfer in outs.
 			if !in[j].SameRepr(acc) && in[j].Includes(acc) {
-				in[j] = acc
+				in[j], outs[j] = acc, nil
 				changed[j] = clock
 			}
 		}

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/ip"
@@ -184,4 +185,138 @@ func TestNarrowingKeylessAlwaysRecomputed(t *testing.T) {
 	wantState(t, dom, res, 3, linear.System{
 		linear.NewEq(lin(-10, 1, int64(x))), linear.NewEq(lin(-10, 1, int64(y))),
 	})
+}
+
+// assignDomain wraps a domain so that its states are pointers, giving every
+// in-state the engine holds an identity, and logs each Assign: how many ran,
+// and how often each ran on one state object.
+type assignDomain struct {
+	Domain
+	log *assignLog
+}
+
+type assignLog struct {
+	calls int
+	runs  map[assignRun]int
+}
+
+// assignRun is one assignment transfer applied to one state object.
+type assignRun struct {
+	in   *assignState
+	stmt string
+}
+
+func (d assignDomain) Universe(n int) State { return d.log.wrap(d.Domain.Universe(n)) }
+func (d assignDomain) Bottom(n int) State   { return d.log.wrap(d.Domain.Bottom(n)) }
+
+type assignState struct {
+	State
+	log *assignLog
+}
+
+func (l *assignLog) wrap(st State) State { return &assignState{st, l} }
+
+func inner(o State) State { return o.(*assignState).State }
+
+func (s *assignState) Join(o State) State  { return s.log.wrap(s.State.Join(inner(o))) }
+func (s *assignState) Widen(o State) State { return s.log.wrap(s.State.Widen(inner(o))) }
+func (s *assignState) WidenSimple(o State) State {
+	return s.log.wrap(s.State.WidenSimple(inner(o)))
+}
+func (s *assignState) MeetSystem(sys linear.System) State { return s.log.wrap(s.State.MeetSystem(sys)) }
+func (s *assignState) Havoc(v int) State                  { return s.log.wrap(s.State.Havoc(v)) }
+func (s *assignState) Includes(o State) bool              { return s.State.Includes(inner(o)) }
+func (s *assignState) SameRepr(o State) bool              { return s.State.SameRepr(inner(o)) }
+func (s *assignState) Assign(v int, e linear.Expr) State {
+	s.log.calls++
+	s.log.runs[assignRun{s, fmt.Sprintf("v%d := %s", v, e.String(nil))}]++
+	return s.log.wrap(s.State.Assign(v, e))
+}
+
+// countAssigns analyzes p under dom and returns its log.
+func countAssigns(t *testing.T, p *ip.Program, dom Domain) *assignLog {
+	t.Helper()
+	log := &assignLog{runs: map[assignRun]int{}}
+	if _, err := Analyze(p, Options{Domain: assignDomain{dom, log}}); err != nil {
+		t.Fatal(err)
+	}
+	return log
+}
+
+// buildStraight returns k assignments v_i := i in a row, with no branch.
+func buildStraight(k int) *ip.Program {
+	p := ip.New("straight")
+	for i := 0; i < k; i++ {
+		p.Emit(&ip.Assign{V: p.Space.Var(fmt.Sprintf("v%d", i)), E: linear.ConstExpr(int64(i))})
+	}
+	return p
+}
+
+// TestNarrowingReusesTransfers: narrowing takes each predecessor's transfer
+// from the worklist's last computation of it, and computes only those of
+// nodes refined since, once each. Only assignments call into the domain in
+// these programs (labels, gotos and branches transfer their in-state as it
+// is), so Assign calls count transfers, and no assignment may run twice on
+// one in-state object.
+func TestNarrowingReusesTransfers(t *testing.T) {
+	for _, k := range []int{1, 4} {
+		// The worklist pops each assignment once: k calls. Polyhedra and
+		// zones narrow every in-state to its own representation, so
+		// nothing is refined and every transfer narrowing needs is the
+		// worklist's. Intervals count every narrowed state as refined:
+		// pass 0 recomputes node j >= 2 from the refined in[j-1], which
+		// is k-1 calls; node 1's predecessor, the entry, is never refined.
+		// In pass 1 no node is stale, since in[j-1] was refined before j
+		// was last recomputed. The engine used to make 2k calls in all
+		// three domains: pass 0 recomputed every transfer.
+		for _, tc := range []struct {
+			dom  Domain
+			want int
+		}{{PolyDomain{}, k}, {ZoneDomain{}, k}, {IntervalDomain{}, 2*k - 1}} {
+			log := countAssigns(t, buildStraight(k), tc.dom)
+			if log.calls != tc.want {
+				t.Errorf("%s, %d assignments in a row: %d Assign calls, want %d", tc.dom.Name(), k, log.calls, tc.want)
+			}
+			checkNoRerun(t, tc.dom, "straight", log)
+		}
+	}
+
+	// buildSelfLoop. The worklist pops x := 0 and y := 0 once each, and the
+	// loop body once per change of L: y := 2*x three times and x := x + 1
+	// twice under polyhedra and intervals (the third pass of the body
+	// stops at x := x + 1, whose in-state it does not change), and each
+	// twice under zones, which stabilize one widening earlier. That is
+	// 7, 6 and 7 calls. Narrowing pass 0 refines L and every node of the
+	// body, so it recomputes the transfers of y := 2*x and x := x + 1 on
+	// their refined in-states: 2 calls. Pass 1 revisits L, whose
+	// back-edge predecessor pass 0 refined, and takes y := 0's transfer
+	// from the worklist; L keeps its representation under polyhedra and
+	// zones, so nothing more runs: 9 and 8 in all. Intervals refine every narrowed
+	// state: pass 0 also recomputes y := 0 from its refined in-state (3
+	// calls), and pass 1 refines L again and recomputes the body's two
+	// assignments (2 calls): 12. The engine used to make 12, 11 and 14.
+	for _, tc := range []struct {
+		dom  Domain
+		want int
+	}{{PolyDomain{}, 9}, {ZoneDomain{}, 8}, {IntervalDomain{}, 12}} {
+		p, _, _ := buildSelfLoop()
+		log := countAssigns(t, p, tc.dom)
+		if log.calls != tc.want {
+			t.Errorf("%s, self loop: %d Assign calls, want %d", tc.dom.Name(), log.calls, tc.want)
+		}
+		checkNoRerun(t, tc.dom, "self loop", log)
+
+		p, _, _ = buildLateExit()
+		checkNoRerun(t, tc.dom, "late exit", countAssigns(t, p, tc.dom))
+	}
+}
+
+// checkNoRerun fails if an assignment ran twice on one in-state object.
+func checkNoRerun(t *testing.T, dom Domain, name string, log *assignLog) {
+	t.Helper()
+	for run, n := range log.runs {
+		if n > 1 {
+			t.Errorf("%s, %s: %s ran %d times on one in-state", dom.Name(), name, run.stmt, n)
+		}
+	}
 }

@@ -57,22 +57,10 @@ type row struct {
 	eq bool
 }
 
-// satRay pairs a ray with the set of added constraints it saturates and
-// its value hash, computed on first use and kept while the ray's vector
-// is (0 means not yet computed).
+// satRay pairs a ray with the set of added constraints it saturates.
 type satRay struct {
 	v   vec
 	sat bitset
-	h   uint64
-}
-
-// hash returns the ray's value hash (vec.hash, with the low bit set so
-// that no hash is 0).
-func (r *satRay) hash() uint64 {
-	if r.h == 0 {
-		r.h = r.v.hash() | 1
-	}
-	return r.h
 }
 
 // cone is the incremental double-description state used during
@@ -108,7 +96,6 @@ type coneBufs struct {
 	lines             []vec
 	rays, spare       []satRay
 	plusBuf, minusBuf []classified
-	dedup             vecSet
 	nz                []int
 }
 
@@ -212,7 +199,7 @@ func (c *cone) add(r row) bool {
 			old := ry.v
 			p2 := dot(r.v, old, nz)
 			if p2.sign() != 0 {
-				ry.v, ry.h = combine(c.ar, p, old, p2.neg(), l), 0
+				ry.v = combine(c.ar, p, old, p2.neg(), l)
 				old.release(c.ar)
 			}
 			ry.sat.set(idx)
@@ -302,7 +289,8 @@ func (c *cone) add(r row) bool {
 			newRays = append(newRays, satRay{v: w, sat: sat})
 		}
 	}
-	c.rays = c.dedupRays(newRays)
+	// No step makes two equal rays, so newRays needs no dedup (DESIGN §6.1).
+	c.rays = newRays
 	// The minus rays never survive the constraint; plus rays survive only
 	// for inequalities. Their storage is released strictly after the
 	// combination loop, which reads it through allRays.
@@ -337,29 +325,6 @@ func adjacent(ar *arena.Arena, i1, i2 int, all []satRay) bool {
 	}
 	common.release(ar)
 	return adj
-}
-
-// dedupRays drops later duplicates by value, keeping first occurrences in
-// order. Dropped duplicates are released to the arena. Every ray arrives
-// normalized (combine normalizes, add normalizes a line it turns into a
-// ray, and the universe rays are unit vectors), so equal rays are equal
-// vectors. Each ray's hash is computed once, on its first dedup.
-func (c *cone) dedupRays(rays []satRay) []satRay {
-	kept := 0
-	c.dedup.reset(len(rays))
-	for i := range rays {
-		ry := &rays[i]
-		if !c.dedup.add(ry.hash(), kept, func(k int) bool { return rays[k].v.equal(ry.v) }) {
-			ry.v.release(c.ar)
-			ry.sat.release(c.ar)
-			continue
-		}
-		if kept != i {
-			rays[kept] = *ry
-		}
-		kept++
-	}
-	return rays[:kept]
 }
 
 // result extracts the generator set, which keeps the cone's end state
@@ -429,15 +394,13 @@ func continueGens(base *genset, rows []row, n int, cfg *Config) *genset {
 	return c.convert(rows, base.nrows)
 }
 
-// consOf converts generators to a minimized constraint system via the dual
-// cone: the constraints of cone(G) are the generators of
-// {c : c.g >= 0 for rays, c.l == 0 for lines}, where G is the union of
-// gs, taken lines first and each kind in the order given. The dual
+// dualOf returns the dual cone of the union G of gs,
+// {c : c.g >= 0 for rays, c.l == 0 for lines}, converted from G's
+// generators taken lines first and each kind in the order given. The dual
 // conversion is never capped or budget-dropped: skipping a generator would
 // shrink the represented set, which is unsound for the forward analysis.
-func consOf(n int, cfg *Config, gs ...*genset) []row {
-	ar := cfg.ar()
-	dual := universeCone(n+1, 0, cfg.pure(), ar)
+func dualOf(n int, cfg *Config, gs ...*genset) *cone {
+	dual := universeCone(n+1, 0, cfg.pure(), cfg.ar())
 	for _, g := range gs {
 		for _, l := range g.lines {
 			dual.add(row{v: l, eq: true})
@@ -448,6 +411,14 @@ func consOf(n int, cfg *Config, gs ...*genset) []row {
 			dual.add(row{v: r, eq: false})
 		}
 	}
+	return dual
+}
+
+// consOf converts generators to a minimized constraint system: the
+// constraints of cone(G) are the generators of its dual cone (dualOf).
+func consOf(n int, cfg *Config, gs ...*genset) []row {
+	ar := cfg.ar()
+	dual := dualOf(n, cfg, gs...)
 	// The dual cone's vectors become the output rows; only the trivial
 	// rows and the saturation bitsets are released. add only reads the
 	// generators it is given, so none of the dual's storage aliases gs.

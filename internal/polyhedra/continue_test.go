@@ -54,8 +54,8 @@ type contStats struct {
 // the meet results keep their rows as given, unnormalized ones such as
 // 2x - 4 >= 0 included, and the widening must leave them as they were.
 // The transcript (each member's system and each widening's) must not
-// depend on the kernel.
-func continuationScript(t *testing.T, data []byte, pure bool) ([]string, contStats) {
+// depend on the kernel. The chain is returned too.
+func continuationScript(t *testing.T, data []byte, pure bool) ([]string, contStats, []*Poly) {
 	t.Helper()
 	pos := 0
 	next := func() byte {
@@ -187,15 +187,15 @@ func continuationScript(t *testing.T, data []byte, pure bool) ([]string, contSta
 			}
 		}
 	}
-	return trace, st
+	return trace, st, chain
 }
 
 // diffContinuation runs the continuation script on the hybrid kernel and on
 // the PureBig reference and compares their transcripts.
 func diffContinuation(t *testing.T, data []byte) contStats {
 	t.Helper()
-	want, _ := continuationScript(t, data, true)
-	got, st := continuationScript(t, data, false)
+	want, _, _ := continuationScript(t, data, true)
+	got, st, _ := continuationScript(t, data, false)
 	if len(got) != len(want) {
 		t.Fatalf("transcript lengths differ: %d vs reference %d", len(got), len(want))
 	}
@@ -207,29 +207,39 @@ func diffContinuation(t *testing.T, data []byte) contStats {
 	return st
 }
 
-// FuzzContinuedConversion: a continued conversion must equal a conversion
-// from scratch, leave every operand intact, and agree with the reference
-// kernel.
-func FuzzContinuedConversion(f *testing.F) {
-	// Over (x, y): 2x - 4 >= 0, so y is a line; x <= 6 and y >= x + 1
-	// continue it, consuming the line. Then the minimized rows and y == 4
-	// start afresh, and (2^62)(1 - x) >= 0 continues that into an empty
-	// result on the exact tier.
-	f.Add([]byte{1, 0, 0, 2, 0, 8, 1, 1,
-		1, 1, 12, 0, 5, 1, 1, 5, 0, 5, 0, 7, 1,
-		0, 0, 2, 1, 0, 7, 0,
-		1, 0, 15, 0, 14, 1, 1})
-	// Over (x0, x1, x2), ray cap 3: x0 == x1 and x2 == 3 hold no
-	// inequality, so x0 == 2*x2 and x0 >= 0 continue them; then x1 <= 6,
-	// x0 + x1 + x2 >= 2 and x0 == 6 add an equality after inequalities,
-	// which starts afresh.
-	f.Add([]byte{2, 3, 1, 6, 0, 7, 0, 5, 1, 0, 3, 1, 1, 0, 7, 0,
-		1, 1, 6, 0, 7, 1, 0, 4, 0, 6, 0, 7, 1, 1, 1,
-		1, 2, 12, 1, 0, 5, 1, 1, 4, 0, 7, 0, 7, 0, 7, 1, 0, 0, 7, 1, 1, 0})
+// continuationSeeds are FuzzContinuedConversion's seed scripts.
+func continuationSeeds() [][]byte {
+	seeds := [][]byte{
+		// Over (x, y): 2x - 4 >= 0, so y is a line; x <= 6 and y >= x + 1
+		// continue it, consuming the line. Then the minimized rows and
+		// y == 4 start afresh, and (2^62)(1 - x) >= 0 continues that into
+		// an empty result on the exact tier.
+		{1, 0, 0, 2, 0, 8, 1, 1,
+			1, 1, 12, 0, 5, 1, 1, 5, 0, 5, 0, 7, 1,
+			0, 0, 2, 1, 0, 7, 0,
+			1, 0, 15, 0, 14, 1, 1},
+		// Over (x0, x1, x2), ray cap 3: x0 == x1 and x2 == 3 hold no
+		// inequality, so x0 == 2*x2 and x0 >= 0 continue them; then
+		// x1 <= 6, x0 + x1 + x2 >= 2 and x0 == 6 add an equality after
+		// inequalities, which starts afresh.
+		{2, 3, 1, 6, 0, 7, 0, 5, 1, 0, 3, 1, 1, 0, 7, 0,
+			1, 1, 6, 0, 7, 1, 0, 4, 0, 6, 0, 7, 1, 1, 1,
+			1, 2, 12, 1, 0, 5, 1, 1, 4, 0, 7, 0, 7, 0, 7, 1, 0, 0, 7, 1, 1, 0},
+	}
 	rng := rand.New(rand.NewSource(29))
 	for i := 0; i < 8; i++ {
 		seed := make([]byte, 16+rng.Intn(48))
 		rng.Read(seed)
+		seeds = append(seeds, seed)
+	}
+	return seeds
+}
+
+// FuzzContinuedConversion: a continued conversion must equal a conversion
+// from scratch, leave every operand intact, and agree with the reference
+// kernel.
+func FuzzContinuedConversion(f *testing.F) {
+	for _, seed := range continuationSeeds() {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -262,32 +272,5 @@ func TestContinuedConversionMatchesScratch(t *testing.T) {
 		if c == 0 {
 			t.Errorf("the sweep made no continued conversion %s", what)
 		}
-	}
-}
-
-// TestRayHashesStayCurrent holds every ray's cached hash to its vector's
-// after each conversion step. No conversion is known to make two equal
-// rays, so a stale hash would not show as a wrong result; it would only
-// let a duplicate through the dedup.
-func TestRayHashesStayCurrent(t *testing.T) {
-	rng := rand.New(rand.NewSource(37))
-	for trial := 0; trial < 300; trial++ {
-		n := 2 + rng.Intn(4)
-		c := universePolyCone(n, 0, false, nil, arena.New())
-		for k, m := 0, 3+rng.Intn(8); k < m; k++ {
-			e := linear.ConstExpr(int64(rng.Intn(13) - 6))
-			for v := 0; v < n; v++ {
-				if rng.Intn(3) == 0 {
-					e = e.Add(linear.VarExpr(v).Scale(int64(rng.Intn(7) - 3)))
-				}
-			}
-			c.add(rowOf(linear.NewGe(e), n, nil))
-			for i := range c.rays {
-				if h := c.rays[i].h; h != 0 && h != c.rays[i].v.hash()|1 {
-					t.Fatalf("trial %d, row %d: ray %d's cached hash is stale", trial, k, i)
-				}
-			}
-		}
-		c.recycle()
 	}
 }

@@ -39,8 +39,8 @@ func hybridCoef(b byte) int64 {
 // PureBig = exact reference). Every polyhedron the script builds is kept
 // and its system re-emitted at the end, so an operation that writes into,
 // or releases, a row or generator shared with an earlier polyhedron shows
-// as a divergence.
-func runHybridScript(data []byte, cfg *Config) []string {
+// as a divergence. The kept polyhedra are returned too.
+func runHybridScript(data []byte, cfg *Config) ([]string, []*Poly) {
 	const dim = 3
 	pos := 0
 	next := func() byte {
@@ -108,12 +108,12 @@ func runHybridScript(data []byte, cfg *Config) []string {
 			lo, hi := cur.Bounds(v)
 			emit("entails=%v bounds(%d)=[%v,%v]", cur.Entails(c), v, lo, hi)
 		}
-		emit("state=%s empty=%v n=%d", cur.System().String(nil), cur.IsEmpty(), cur.NumConstraints())
+		emit("state=%s empty=%v n=%d", cur.System().String(nil), cur.IsEmpty(), len(cur.System()))
 	}
 	for i, p := range states {
 		emit("kept %d=%s", i, p.System().String(nil))
 	}
-	return trace
+	return trace, states
 }
 
 // diffHybrid runs the script on the hybrid kernel — with and without an
@@ -123,7 +123,7 @@ func runHybridScript(data []byte, cfg *Config) []string {
 // diverges from the reference.
 func diffHybrid(t *testing.T, data []byte) {
 	t.Helper()
-	want := runHybridScript(data, &Config{PureBig: true})
+	want, _ := runHybridScript(data, &Config{PureBig: true})
 	for _, kernel := range []struct {
 		name string
 		cfg  *Config
@@ -131,7 +131,7 @@ func diffHybrid(t *testing.T, data []byte) {
 		{"hybrid", nil},
 		{"arena", &Config{Arena: arena.New()}},
 	} {
-		got := runHybridScript(data, kernel.cfg)
+		got, _ := runHybridScript(data, kernel.cfg)
 		if len(got) != len(want) {
 			t.Fatalf("%s: transcript lengths differ: %d vs reference %d", kernel.name, len(got), len(want))
 		}
@@ -144,17 +144,27 @@ func diffHybrid(t *testing.T, data []byte) {
 	}
 }
 
-// FuzzHybridOps: randomized op sequences must be bit-identical between the
-// hybrid kernel and the pure-big.Int reference.
-func FuzzHybridOps(f *testing.F) {
-	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
-	f.Add([]byte{13, 13, 13, 14, 14, 15, 15, 15, 13, 14, 15, 0, 1, 5, 6})
-	f.Add([]byte{5, 255, 254, 253, 3, 250, 249, 248, 5, 247, 6, 246, 245})
-	f.Add([]byte{2, 15, 1, 15, 2, 15, 1, 15, 2, 15, 5, 15, 6, 15})
+// hybridSeeds are FuzzHybridOps' seed scripts.
+func hybridSeeds() [][]byte {
+	seeds := [][]byte{
+		{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12},
+		{13, 13, 13, 14, 14, 15, 15, 15, 13, 14, 15, 0, 1, 5, 6},
+		{5, 255, 254, 253, 3, 250, 249, 248, 5, 247, 6, 246, 245},
+		{2, 15, 1, 15, 2, 15, 1, 15, 2, 15, 5, 15, 6, 15},
+	}
 	rng := rand.New(rand.NewSource(77))
 	for i := 0; i < 8; i++ {
 		seed := make([]byte, 8+rng.Intn(40))
 		rng.Read(seed)
+		seeds = append(seeds, seed)
+	}
+	return seeds
+}
+
+// FuzzHybridOps: randomized op sequences must be bit-identical between the
+// hybrid kernel and the pure-big.Int reference.
+func FuzzHybridOps(f *testing.F) {
+	for _, seed := range hybridSeeds() {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -464,7 +474,7 @@ func TestNumConstraintsMinimal(t *testing.T) {
 		ge(0, 1, 0), ge(1, 1, 0), ge(2, 1, 0), // x >= 0 subsumes the rest
 	}, 1)
 	p.System() // force minimization
-	if n := p.NumConstraints(); n != 1 {
+	if n := len(p.System()); n != 1 {
 		t.Errorf("minimized to %d constraints, want 1", n)
 	}
 }

@@ -694,11 +694,3 @@ func (p *Poly) String(sp *linear.Space) string {
 	}
 	return p.System().String(sp)
 }
-
-// NumConstraints returns the size of the minimized constraint system.
-func (p *Poly) NumConstraints() int {
-	if p.IsEmpty() {
-		return 1
-	}
-	return len(p.System())
-}

@@ -241,25 +241,16 @@ func TestOperationsLeaveOperandsIntact(t *testing.T) {
 		}
 	}
 
-	// No conversion is known to hand dedupRays a duplicate, so it gets one
-	// directly: a borrowed ray it drops stays its owner's. And normalize
-	// copies a borrowed vector before dividing it.
+	// normalize copies a borrowed vector before dividing it.
 	cfg := &Config{Arena: arena.New()}
 	p := operands[0].mk(cfg)
 	p.IsEmpty()
 	want := snap(p)
-	c := newCone(n+1, 0, false, cfg.Arena)
-	r := p.gens.rays[0]
-	dup := []satRay{{v: r.borrow(), sat: newBitsetAr(cfg.Arena, 1)}, {v: r.borrow(), sat: newBitsetAr(cfg.Arena, 1)}}
-	if kept := c.dedupRays(dup); len(kept) != 1 {
-		t.Fatalf("dedupRays kept %d of two equal rays", len(kept))
-	}
-	c.recycle()
 	row := p.cons[0].v // 2x - 4 >= 0, unnormalized
 	row.borrow().normalize()
 	churn(cfg.Arena)
 	if got := snap(p); got != want {
-		t.Errorf("a borrowed duplicate or normalization changed its owner:\ngot  %+v\nwant %+v", got, want)
+		t.Errorf("normalizing a borrowed row changed its owner:\ngot  %+v\nwant %+v", got, want)
 	}
 }
 
