@@ -266,6 +266,38 @@ func TestCacheFormat1EntryRejected(t *testing.T) {
 	}
 }
 
+// TestCacheColdStoresIdentical stores the same file cold into two cache
+// directories. The report files must be byte-identical: an entry holds
+// what the analysis found, not how long its tiers took, so a hit cannot
+// replay another run's timings.
+func TestCacheColdStoresIdentical(t *testing.T) {
+	const path = "testdata/airbus/airbus.c"
+	var dirs [2]string
+	for i := range dirs {
+		dirs[i] = t.TempDir()
+		if _, err := AnalyzeFile(path, Config{Workers: 1, Cascade: true, Certify: true, CacheDir: dirs[i]}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reps := repFiles(t, dirs[0])
+	if others := repFiles(t, dirs[1]); len(others) != len(reps) {
+		t.Fatalf("the stores wrote %d and %d report files", len(reps), len(others))
+	}
+	for _, f := range reps {
+		a, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(filepath.Join(dirs[1], filepath.Base(f)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a, b) {
+			t.Errorf("%s differs between two cold stores", filepath.Base(f))
+		}
+	}
+}
+
 // repFiles returns every report file in a cache directory.
 func repFiles(t *testing.T, dir string) []string {
 	t.Helper()

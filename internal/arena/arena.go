@@ -1,8 +1,8 @@
 // Package arena provides a run-scoped free-list allocator for the fixed
-// slice shapes the numeric substrates churn through: int64 coefficient
-// vectors and DBM rows, and uint64 saturation bitsets. It exists to
-// eliminate the per-operation allocation counts BENCH_numeric.json
-// records on the Chernikova and closure hot paths.
+// slice shapes the polyhedra kernel churns through: int64 coefficient
+// vectors and uint64 saturation bitsets. It exists to eliminate the
+// per-operation allocation counts BENCH_numeric.json records on the
+// Chernikova hot path.
 //
 // An Arena is instance-based per-run state, exactly like the substrate
 // Configs that carry it: there is no package-level pool, so concurrent

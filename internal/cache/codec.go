@@ -96,8 +96,11 @@ type Warning struct {
 	Msg string   `json:"msg"`
 }
 
-// Tier mirrors analysis.TierStat. CPUNs preserves the cold run's tier
-// timing (reported, like ProcReport CPU, as historical cost on a hit).
+// Tier mirrors analysis.TierStat. The driver leaves CPUNs zero and never
+// reads it: a hit or a revalidation runs no tier, so it reports no tier
+// CPU (its ProcReport CPU is its own time), and an entry's bytes do not
+// depend on the clock. The field stays because the frozen benchmark
+// harness (cssvbench) still sets it.
 type Tier struct {
 	Domain     string `json:"domain"`
 	Vars       int    `json:"vars"`

@@ -36,7 +36,6 @@ import (
 	"io"
 	"os"
 	"sort"
-	"time"
 
 	"repro/internal/analysis"
 	"repro/internal/c2ip"
@@ -206,7 +205,7 @@ func encodeCascade(c *analysis.CascadeResult) *cache.Cascade {
 		out.Tiers = append(out.Tiers, cache.Tier{
 			Domain: t.Domain, Vars: t.Vars, Stmts: t.Stmts,
 			Asserts: t.Asserts, Discharged: t.Discharged,
-			Iterations: t.Iterations, CPUNs: int64(t.CPU),
+			Iterations: t.Iterations,
 		})
 	}
 	for _, ch := range c.Checks {
@@ -231,7 +230,7 @@ func decodeCascade(d *cache.Cascade) (*analysis.CascadeResult, error) {
 		tiers = append(tiers, analysis.TierStat{
 			Domain: t.Domain, Vars: t.Vars, Stmts: t.Stmts,
 			Asserts: t.Asserts, Discharged: t.Discharged,
-			Iterations: t.Iterations, CPU: time.Duration(t.CPUNs),
+			Iterations: t.Iterations,
 		})
 	}
 	checks := make([]analysis.CheckProvenance, 0, len(d.Checks))

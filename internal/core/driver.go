@@ -638,13 +638,13 @@ func analyzeProc(orig *cast.File, prog *corec.Program, name string, opts Options
 			deadline = start.Add(opts.ProcDeadline)
 		}
 		tok := budget.New(deadline, opts.StepBudget)
-		// One arena per procedure, shared by every substrate of this pipeline
-		// (single-goroutine by construction) and freed wholesale when the
-		// procedure's report is built — the configs, and the arena with them,
+		// One arena per procedure for the polyhedra kernel of this pipeline
+		// (single-goroutine by construction), freed wholesale when the
+		// procedure's report is built — the config, and the arena with it,
 		// go out of scope at return.
 		ar := arena.New()
 		pcfg := &polyhedra.Config{MaxRays: opts.MaxRays, Token: tok, Arena: ar}
-		zcfg := &zone.Config{Token: tok, Arena: ar}
+		zcfg := &zone.Config{Token: tok}
 		// Certificates are exported whenever the result may be cached, not
 		// only under Options.Certify: revalidating a stored entry later
 		// requires its certificates. The flag is result-neutral — it only

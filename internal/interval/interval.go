@@ -38,7 +38,10 @@ func (i Itv) String() string {
 }
 
 // Box is a product of intervals over n variables. A nil vars slice with
-// empty=true is the bottom element.
+// empty=true is the bottom element. A box an operation returns is never
+// written afterwards, so operations share their operands: an operation
+// on an empty box returns it, and a join or widening with an empty
+// operand returns the other box.
 type Box struct {
 	vars  []Itv
 	empty bool
@@ -48,7 +51,7 @@ type Box struct {
 func Universe(n int) *Box { return &Box{vars: make([]Itv, n)} }
 
 // Bottom returns the empty box.
-func Bottom(n int) *Box { return &Box{vars: make([]Itv, n), empty: true} }
+func Bottom(n int) *Box { return &Box{empty: true} }
 
 // Clone returns a deep copy.
 func (b *Box) Clone() *Box {
@@ -60,8 +63,14 @@ func (b *Box) Clone() *Box {
 // IsEmpty reports whether the box is empty.
 func (b *Box) IsEmpty() bool { return b.empty }
 
-// Var returns the interval of variable v.
-func (b *Box) Var(v int) Itv { return b.vars[v] }
+// Var returns the interval of variable v, and an empty interval when the
+// box is empty.
+func (b *Box) Var(v int) Itv {
+	if b.empty {
+		return Itv{Lo: big.NewInt(1), Hi: new(big.Int)}
+	}
+	return b.vars[v]
+}
 
 func maxB(a, b *big.Int) *big.Int {
 	if a == nil || b == nil {
@@ -85,7 +94,7 @@ func minB(a, b *big.Int) *big.Int {
 
 // Join returns the smallest box containing both. With an empty operand
 // it returns the other box itself: no operation writes a box it did not
-// create (MeetConstraint, Assign and Havoc clone first).
+// create (MeetConstraint, Assign and Havoc clone a non-empty box first).
 func (b *Box) Join(o *Box) *Box {
 	if b.empty {
 		return o
@@ -199,7 +208,7 @@ func (b *Box) evalRange(e linear.Expr) Itv {
 // propagation on each variable.
 func (b *Box) MeetConstraint(c linear.Constraint) *Box {
 	if b.empty {
-		return b.Clone()
+		return b
 	}
 	out := b.Clone()
 	apply := func(cc linear.Constraint) {
@@ -250,7 +259,7 @@ func (b *Box) MeetConstraint(c linear.Constraint) *Box {
 // Assign sets v to the range of e.
 func (b *Box) Assign(v int, e linear.Expr) *Box {
 	if b.empty {
-		return b.Clone()
+		return b
 	}
 	out := b.Clone()
 	out.vars[v] = out.evalRange(e)
@@ -260,7 +269,7 @@ func (b *Box) Assign(v int, e linear.Expr) *Box {
 // Havoc forgets v.
 func (b *Box) Havoc(v int) *Box {
 	if b.empty {
-		return b.Clone()
+		return b
 	}
 	out := b.Clone()
 	out.vars[v] = Itv{}

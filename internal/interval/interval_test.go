@@ -84,6 +84,18 @@ func TestJoinWithEmptyShares(t *testing.T) {
 			t.Fatalf("%s: writing through the result changed the shared box: %s, want %s", name, got, want)
 		}
 	}
+	// Bottom holds no intervals; operations on it return it, and Var
+	// reports an empty interval.
+	bot := Bottom(2)
+	if bot.vars != nil {
+		t.Error("Bottom allocates intervals")
+	}
+	if bot.MeetConstraint(ge(0, 1, 0)) != bot || bot.Assign(0, linear.ConstExpr(1)) != bot || bot.Havoc(1) != bot {
+		t.Error("an operation on an empty box does not return it")
+	}
+	if iv := bot.Var(1); !iv.isEmpty() {
+		t.Errorf("Var on an empty box = %s, want an empty interval", iv)
+	}
 }
 
 func TestAssignHavoc(t *testing.T) {

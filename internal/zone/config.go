@@ -10,23 +10,23 @@ import (
 // Config carries per-run knobs for the zone domain. There is no mutable
 // package-level configuration: concurrent analyses each thread their own
 // Config, so they cannot race. A nil *Config is valid and means defaults
-// (hybrid kernel, no budget, no arena); DBMs propagate the Config of the
-// receiver (falling back to the other operand) through all operations.
+// (hybrid kernel, no budget); DBMs propagate the Config of the receiver
+// (falling back to the other operand) through all operations.
 type Config struct {
-	// Token, when non-nil, is polled before each closure: once it is
-	// exhausted the closure is skipped, leaving a partially tightened
-	// matrix — a sound over-approximation of the canonical form.
+	// Token, when non-nil, is polled before each closure and each
+	// repair: once it is exhausted they are skipped, leaving a partially
+	// tightened matrix — a sound over-approximation of the canonical form.
 	Token *budget.Token
 	// PureBig forces the exact big.Int tier everywhere and disables
 	// demotion. The differential tests use it to build a reference
 	// kernel; it must never be set in production code. The reference
-	// kernel also never reuses closures (no closed flag, no incremental
-	// repair), so it maximizes divergence detection against the
+	// kernel also never reuses closures (no closed flag, no repair on
+	// write), so it maximizes divergence detection against the
 	// optimized paths.
 	PureBig bool
-	// Arena, when non-nil, recycles dense matrix rows and repair
-	// scratch buffers across the run. Arenas are not safe for
-	// concurrent use; the driver threads one per procedure.
+	// Arena is never read: the zone allocates its matrices with make. The
+	// field stays because the frozen benchmark harness (cssvbench) still
+	// sets it.
 	Arena *arena.Arena
 }
 
@@ -37,13 +37,6 @@ func (c *Config) token() *budget.Token {
 		return nil
 	}
 	return c.Token
-}
-
-func (c *Config) ar() *arena.Arena {
-	if c == nil {
-		return nil
-	}
-	return c.Arena
 }
 
 // SparseSelections always returns (0, 0). It once counted the closure
@@ -66,27 +59,32 @@ func (c *Config) Universe(n int) *DBM {
 	return d
 }
 
-// Bottom returns the empty zone over n variables, governed by c.
+// Bottom returns the empty zone over n variables, governed by c. It holds
+// no matrix: every operation checks emptiness before reading one.
 func (c *Config) Bottom(n int) *DBM {
-	d := c.Universe(n)
-	d.empty = true
-	return d
+	return &DBM{n: n, empty: true, cfg: c}
 }
 
 // newDense returns a machine-tier dense all-infinity matrix (not marked
 // closed: internal callers overwrite cells directly).
 func (c *Config) newDense(n int) *DBM {
-	d := &DBM{n: n, cfg: c}
-	ar := c.ar()
-	d.mw = make([][]int64, n+1)
-	for i := range d.mw {
-		r := ar.Int64s(n + 1)
+	d := &DBM{n: n, cfg: c, mw: denseRows(n + 1)}
+	for _, r := range d.mw {
 		for j := range r {
 			r[j] = noBound
 		}
-		d.mw[i] = r
 	}
 	return d
+}
+
+// denseRows returns size rows of size cells over one backing array.
+func denseRows(size int) [][]int64 {
+	buf := make([]int64, size*size)
+	rows := make([][]int64, size)
+	for i := range rows {
+		rows[i] = buf[i*size : (i+1)*size]
+	}
+	return rows
 }
 
 // newExact returns an exact-tier all-infinity matrix.

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/arena"
 	"repro/internal/linear"
 )
 
@@ -29,8 +28,8 @@ func zoneCoef(b byte) int64 {
 // variables and returns the observable transcript. cfg selects the kernel
 // (nil = hybrid, PureBig = exact reference). The differential tests run
 // it at dim 3 and at dim 6, where variable pairs outnumber a script's
-// constraints and most cells stay +infinity, so incremental repair and
-// the arena see sparse, partly forgotten matrices.
+// constraints and most cells stay +infinity, so repair on write sees
+// sparse, partly forgotten matrices.
 func runZoneScriptDim(data []byte, cfg *Config, dim int) []string {
 	pos := 0
 	next := func() byte {
@@ -125,14 +124,11 @@ func diffZone(t *testing.T, data []byte) {
 }
 
 // diffZoneSparse runs the script at dim 6, where variable pairs outnumber
-// a script's constraints and most cells stay +infinity, both with the
-// default config and with an arena recycling matrix rows and repair
-// scratch. An incremental-repair bug on a sparsely constrained matrix or
-// an arena aliasing bug surfaces as a transcript divergence.
+// a script's constraints and most cells stay +infinity. A repair bug on a
+// sparsely constrained matrix surfaces as a transcript divergence.
 func diffZoneSparse(t *testing.T, data []byte) {
 	t.Helper()
 	diffZoneAt(t, data, "dim6", nil, 6)
-	diffZoneAt(t, data, "dim6+arena", &Config{Arena: arena.New()}, 6)
 }
 
 // FuzzHybridDBM: randomized DBM op sequences must be bit-identical between
@@ -164,8 +160,7 @@ func TestZoneHybridDifferential(t *testing.T) {
 }
 
 // FuzzSparseDBM: randomized op sequences over sparsely constrained dim-6
-// matrices, with and without an arena, must be bit-identical to the
-// pure-big.Int reference.
+// matrices must be bit-identical to the pure-big.Int reference.
 func FuzzSparseDBM(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
 	f.Add([]byte{3, 255, 254, 3, 253, 252, 3, 251, 250, 5, 249, 6, 248})

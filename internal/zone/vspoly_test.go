@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/arena"
 	"repro/internal/linear"
 	"repro/internal/polyhedra"
 )
@@ -15,8 +14,8 @@ import (
 // polyhedron (the more precise domain, exact for all ops used here) is
 // included in the zone: every constraint the zone claims must be entailed
 // by the polyhedron. A violation means the zone invented a bound —
-// unsoundness in the constraint encoding, the incremental closure, the
-// machine-tier overflow handling, or arena recycling. The script also
+// unsoundness in the constraint encoding, the repair on write, the
+// machine-tier overflow handling, or operand sharing. The script also
 // feeds ±x±y sum constraints, which the zone must drop or weaken
 // soundly.
 func runZonePolyScript(t *testing.T, data []byte, cfg *Config) {
@@ -116,10 +115,9 @@ func runZonePolyScript(t *testing.T, data []byte, cfg *Config) {
 }
 
 // vsPolyConfigs are the matrix configurations the cross-check covers:
-// the default hybrid kernel, the pure big.Int reference, and the hybrid
-// kernel over an arena.
+// the default hybrid kernel and the pure big.Int reference.
 func vsPolyConfigs() []*Config {
-	return []*Config{nil, {PureBig: true}, {Arena: arena.New()}}
+	return []*Config{nil, {PureBig: true}}
 }
 
 // FuzzZoneVsPolyhedra: the zone must never claim a bound the polyhedra

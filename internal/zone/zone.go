@@ -14,12 +14,20 @@
 //
 // The machine tier has one representation, a dense (n+1)×(n+1) matrix:
 // zone programs have tens of variables at most, where a dense row is a
-// few cache lines and nothing cheaper exists. Closure is incremental
-// whenever possible: a closed matrix that was tightened at a handful of
-// cells is repaired in O(n²) per edge instead of re-running the O(n³)
-// Floyd–Warshall loop, and an already-closed matrix is never re-closed.
-// The PureBig reference kernel opts out of both optimizations, so the
+// few cache lines and nothing cheaper exists. Closure is repaired on
+// write: tightening one cell of a closed matrix restores closure in
+// O(n²) on the spot instead of leaving the O(n³) Floyd–Warshall loop to
+// the next query, and an already-closed matrix is never re-closed. The
+// PureBig reference kernel opts out of both optimizations, so the
 // differential fuzzers check them against plain full-closure semantics.
+//
+// Ownership follows the rule of the other domains (DESIGN.md §9.2): a DBM
+// an operation returns is never written afterwards, except to close it in
+// place or to move it between tiers. Both preserve the set it denotes, and
+// Key ignores the tier. So operations share their operands: a join or
+// widening with an empty operand returns the other operand itself, an
+// operation on an empty DBM returns it, and a meet that tightens nothing
+// returns its receiver. Only an operation that writes a matrix copies one.
 package zone
 
 import (
@@ -27,7 +35,6 @@ import (
 	"math/big"
 	"strings"
 
-	"repro/internal/budget"
 	"repro/internal/linear"
 	"repro/internal/numkernel"
 )
@@ -38,15 +45,13 @@ import (
 // min/max and comparisons treat it as +infinity with no special casing.
 const noBound = math.MaxInt64
 
-// maxDirty caps the number of tightened edges the incremental closure
-// will repair one by one; past it a full closure is cheaper.
-const maxDirty = 8
-
 // DBM is a difference-bound matrix over n variables plus the designated
 // zero variable (index 0): the matrix bounds x_i - x_j <= m[i][j], with x_0
 // identically 0. Exactly one tier is active: the machine-word matrix mw
-// (noBound = +inf) or the exact matrix mx (nil entry = +inf). cfg carries
-// per-run knobs (budget token, kernel tier, arena); nil means defaults.
+// (noBound = +inf) or the exact matrix mx (nil entry = +inf), unless the
+// DBM came from Bottom, which holds neither. An exact cell is never
+// written in place, only replaced, so copies share them. cfg carries
+// per-run knobs (budget token, kernel tier); nil means defaults.
 type DBM struct {
 	n     int // number of program variables
 	mw    [][]int64
@@ -56,12 +61,7 @@ type DBM struct {
 	// repeated close() calls cost nothing. Never set under PureBig: the
 	// reference kernel recomputes the full closure every time.
 	closed bool
-	// dirty, when non-nil, lists the cells tightened since the matrix
-	// was last closed, oldest first; close() then repairs incrementally
-	// instead of re-running Floyd–Warshall. nil with closed unset means
-	// the delta is unknown and only a full closure restores canonicity.
-	dirty [][2]int32
-	cfg   *Config
+	cfg    *Config
 }
 
 // Universe returns the unconstrained zone with default configuration.
@@ -82,25 +82,19 @@ func (d *DBM) cfgOr(o *DBM) *Config {
 	return o.cfg
 }
 
-// promote moves d onto the exact tier (no-op if already there). Dense
-// rows are returned to the arena: the exact matrix copies their values.
+// promote moves d onto the exact tier (no-op if already there).
 func (d *DBM) promote() {
 	if d.mx != nil {
 		return
 	}
-	size := d.n + 1
-	mx := make([][]*big.Int, size)
-	for i := range mx {
-		mx[i] = make([]*big.Int, size)
-	}
-	ar := d.cfg.ar()
+	mx := make([][]*big.Int, len(d.mw))
 	for i, r := range d.mw {
+		mx[i] = make([]*big.Int, len(r))
 		for j, x := range r {
 			if x != noBound {
 				mx[i][j] = big.NewInt(x)
 			}
 		}
-		ar.PutInt64s(r)
 	}
 	d.mw = nil
 	d.mx = mx
@@ -119,48 +113,34 @@ func (d *DBM) demote() {
 			}
 		}
 	}
-	ar := d.cfg.ar()
-	mw := make([][]int64, len(d.mx))
+	mw := denseRows(len(d.mx))
 	for i, r := range d.mx {
-		wr := ar.Int64s(len(r))
 		for j, x := range r {
 			if x == nil {
-				wr[j] = noBound
+				mw[i][j] = noBound
 			} else {
-				wr[j] = x.Int64()
+				mw[i][j] = x.Int64()
 			}
 		}
-		mw[i] = wr
 	}
 	d.mw = mw
 	d.mx = nil
 }
 
-// Clone returns a deep copy.
-func (d *DBM) Clone() *DBM {
+// clone returns a DBM over a fresh matrix with d's cells, for an operation
+// to write. d must hold a matrix (it is not a Bottom header).
+func (d *DBM) clone() *DBM {
 	c := &DBM{n: d.n, empty: d.empty, closed: d.closed, cfg: d.cfg}
-	if d.dirty != nil {
-		c.dirty = append(make([][2]int32, 0, len(d.dirty)), d.dirty...)
-	}
 	if d.mw != nil {
-		ar := d.cfg.ar()
-		c.mw = make([][]int64, len(d.mw))
+		c.mw = denseRows(len(d.mw))
 		for i, r := range d.mw {
-			nr := ar.Int64s(len(r))
-			copy(nr, r)
-			c.mw[i] = nr
+			copy(c.mw[i], r)
 		}
-	} else {
-		c.mx = make([][]*big.Int, len(d.mx))
-		for i, r := range d.mx {
-			br := make([]*big.Int, len(r))
-			for j, x := range r {
-				if x != nil {
-					br[j] = new(big.Int).Set(x)
-				}
-			}
-			c.mx[i] = br
-		}
+		return c
+	}
+	c.mx = make([][]*big.Int, len(d.mx))
+	for i, r := range d.mx {
+		c.mx[i] = append([]*big.Int(nil), r...)
 	}
 	return c
 }
@@ -174,156 +154,23 @@ func (d *DBM) IsEmpty() bool {
 	return d.empty
 }
 
-// noteTighten records that cell (i, j) was tightened, invalidating the
-// closed flag and growing the incremental-repair worklist. The PureBig
-// reference never has closed set and never carries a dirty list, so it
-// always takes the full-closure path.
-func (d *DBM) noteTighten(i, j int) {
-	if d.closed {
-		d.closed = false
-		d.dirty = append(d.dirty[:0], [2]int32{int32(i), int32(j)})
-		return
-	}
-	if d.dirty == nil {
-		return
-	}
-	if len(d.dirty) >= maxDirty {
-		d.dirty = nil
-		return
-	}
-	d.dirty = append(d.dirty, [2]int32{int32(i), int32(j)})
-}
-
 // close computes the shortest-path closure (canonical form) and detects
-// negative cycles (emptiness). An already-closed matrix returns
-// immediately; a closed matrix tightened at a few recorded cells is
-// repaired incrementally (O(n²) per edge) instead of re-running the full
-// O(n³) Floyd–Warshall loop — sequential single-edge repairs compose to
-// the exact canonical closure (DESIGN.md §9).
+// negative cycles (emptiness): the complete Floyd–Warshall loop on
+// whichever tier holds the matrix, promoting on overflow and demoting
+// afterwards. An already-closed matrix returns immediately, and setBound
+// keeps a closed matrix closed when it can.
 func (d *DBM) close() {
 	if d.empty || d.closed {
 		return
 	}
-	tok := d.cfg.token()
-	if tok.Exhausted() {
+	if d.cfg.token().Exhausted() {
 		// Budget exhausted: skip the closure. The matrix keeps valid
 		// (possibly loose) bounds, so every later query sees a sound
 		// over-approximation of the canonical form; a negative cycle may
 		// go undetected, which errs toward "maybe non-empty" — also
-		// sound. A pending dirty list is kept, so a later close can
-		// still repair incrementally.
+		// sound.
 		return
 	}
-	if d.dirty != nil && d.mx == nil {
-		if d.repairAll(tok) {
-			return
-		}
-		// A repair overflowed the machine tier. The tightenings already
-		// written are valid path bounds, so the full closure below
-		// converges to the same canonical matrix.
-	}
-	d.dirty = nil
-	d.closeFull()
-}
-
-// repairAll incrementally restores closure after the recorded dirty
-// tightenings. It reports false when a machine-tier overflow forces the
-// caller onto the full-closure path. On success the matrix is canonical
-// — or empty, or (when the budget runs out mid-repair) a valid unclosed
-// matrix with the unrepaired edges still queued.
-func (d *DBM) repairAll(tok *budget.Token) bool {
-	for k := range d.dirty {
-		if k > 0 && tok.Exhausted() {
-			d.dirty = d.dirty[k:]
-			return true
-		}
-		if !d.repairDense(int(d.dirty[k][0]), int(d.dirty[k][1])) {
-			return false
-		}
-		if d.empty {
-			d.dirty = nil
-			return true
-		}
-	}
-	d.dirty = nil
-	d.closed = true
-	return true
-}
-
-// repairDense restores closure after the single tightening at (a, b):
-// with the prior matrix closed, the new canonical form is
-// m[i][j] = min(m[i][j], d(i,a) + m[a][b] + d(b,j)), where d(x,x) = 0.
-// A path may use the new edge at most once unless it closes a negative
-// cycle, which is detected up front (m[a][b] + m[b][a] < 0 ⇒ empty).
-func (d *DBM) repairDense(a, b int) bool {
-	m := d.mw
-	c := m[a][b]
-	if c == noBound {
-		// The tightened cell was since forgotten (Havoc after a skipped
-		// closure); nothing to propagate.
-		return true
-	}
-	ba := int64(0)
-	if a != b {
-		ba = m[b][a]
-	}
-	if ba != noBound {
-		s, ok := numkernel.AddOK(c, ba)
-		if !ok {
-			return false
-		}
-		if s < 0 {
-			d.empty = true
-			return true
-		}
-	}
-	size := len(m)
-	ar := d.cfg.ar()
-	// Snapshot column a and row b: the repair loop writes into arbitrary
-	// cells, including these.
-	colA := ar.Int64s(size)
-	rowB := ar.Int64s(size)
-	for i := 0; i < size; i++ {
-		colA[i] = m[i][a]
-	}
-	copy(rowB, m[b])
-	colA[a] = 0
-	rowB[b] = 0
-	ok := true
-	for i := 0; i < size && ok; i++ {
-		ia := colA[i]
-		if ia == noBound {
-			continue
-		}
-		via, vok := numkernel.AddOK(ia, c)
-		if !vok {
-			ok = false
-			break
-		}
-		ri := m[i]
-		for j := 0; j < size; j++ {
-			bj := rowB[j]
-			if bj == noBound {
-				continue
-			}
-			s, sok := numkernel.AddOK(via, bj)
-			if !sok || s == noBound {
-				ok = false
-				break
-			}
-			if s < ri[j] {
-				ri[j] = s
-			}
-		}
-	}
-	ar.PutInt64s(colA)
-	ar.PutInt64s(rowB)
-	return ok
-}
-
-// closeFull runs the complete Floyd–Warshall closure on whichever tier
-// holds the matrix, promoting on overflow and demoting afterwards.
-func (d *DBM) closeFull() {
 	if d.mw != nil {
 		if d.closeFast() {
 			for i := range d.mw {
@@ -370,6 +217,69 @@ func (d *DBM) closeFull() {
 	}
 }
 
+// repairDense restores closure after the single tightening at (a, b) of a
+// closed machine-tier matrix: the new canonical form is
+// m[i][j] = min(m[i][j], d(i,a) + m[a][b] + d(b,j)), where d(x,x) = 0.
+// A path may use the new edge at most once unless it closes a negative
+// cycle, which is detected up front (m[a][b] + m[b][a] < 0 ⇒ empty). It
+// reports false when a sum overflows the machine tier; the cells written
+// so far are valid path bounds, so a full closure still converges to the
+// canonical matrix.
+func (d *DBM) repairDense(a, b int) bool {
+	m := d.mw
+	c := m[a][b]
+	ba := int64(0)
+	if a != b {
+		ba = m[b][a]
+	}
+	if ba != noBound {
+		s, ok := numkernel.AddOK(c, ba)
+		if !ok {
+			return false
+		}
+		if s < 0 {
+			d.empty = true
+			return true
+		}
+	}
+	size := len(m)
+	// Snapshot column a and row b: the repair loop writes into arbitrary
+	// cells, including these.
+	scratch := make([]int64, 2*size)
+	colA, rowB := scratch[:size], scratch[size:]
+	for i := 0; i < size; i++ {
+		colA[i] = m[i][a]
+	}
+	copy(rowB, m[b])
+	colA[a] = 0
+	rowB[b] = 0
+	for i := 0; i < size; i++ {
+		ia := colA[i]
+		if ia == noBound {
+			continue
+		}
+		via, ok := numkernel.AddOK(ia, c)
+		if !ok {
+			return false
+		}
+		ri := m[i]
+		for j := 0; j < size; j++ {
+			bj := rowB[j]
+			if bj == noBound {
+				continue
+			}
+			s, ok := numkernel.AddOK(via, bj)
+			if !ok || s == noBound {
+				return false
+			}
+			if s < ri[j] {
+				ri[j] = s
+			}
+		}
+	}
+	return true
+}
+
 // closeFast is the machine-tier Floyd–Warshall loop; it reports false when
 // a sum overflows (or collides with the sentinel) and the caller must
 // promote.
@@ -404,14 +314,16 @@ func (d *DBM) closeFast() bool {
 }
 
 // setBound tightens x_i - x_j <= c (indices are 1-based for variables,
-// 0 for the zero var).
+// 0 for the zero var). A closed machine-tier matrix is repaired at once;
+// on overflow, an exhausted budget or the exact tier it is left unclosed
+// for the next close() to run the full closure.
 func (d *DBM) setBound(i, j int, c *big.Int) {
 	if d.mx == nil {
 		if c.IsInt64() {
 			if cv := c.Int64(); cv != noBound {
 				if cv < d.mw[i][j] {
 					d.mw[i][j] = cv
-					d.noteTighten(i, j)
+					d.closed = d.closed && !d.cfg.token().Exhausted() && d.repairDense(i, j)
 				}
 				return
 			}
@@ -426,7 +338,7 @@ func (d *DBM) setBound(i, j int, c *big.Int) {
 	}
 	if d.mx[i][j] == nil || c.Cmp(d.mx[i][j]) < 0 {
 		d.mx[i][j] = new(big.Int).Set(c)
-		d.noteTighten(i, j)
+		d.closed = false
 	}
 }
 
@@ -460,18 +372,28 @@ func (d *DBM) cellLE(i, j int, c *big.Int) bool {
 
 // MeetConstraint refines with a linear constraint when it has zone shape
 // (at most two unit-coefficient variables); other constraints are soundly
-// ignored.
+// ignored. A constraint that tightens no cell returns d itself.
 func (d *DBM) MeetConstraint(c linear.Constraint) *DBM {
-	out := d.Clone()
-	if out.empty {
-		return out
+	if d.empty {
+		return d
+	}
+	out := d
+	// bound meets x_i - x_j <= k, copying d before the first write.
+	bound := func(i, j int, k *big.Int) {
+		if out.empty || out.cellLE(i, j, k) {
+			return
+		}
+		if out == d {
+			out = d.clone()
+		}
+		out.setBound(i, j, k)
 	}
 	apply := func(e linear.Expr) {
 		vars := e.Vars()
 		switch len(vars) {
 		case 0:
 			if e.Const().Sign() < 0 {
-				out.empty = true
+				out = d.cfg.Bottom(d.n)
 			}
 		case 1:
 			v := vars[0]
@@ -479,10 +401,10 @@ func (d *DBM) MeetConstraint(c linear.Constraint) *DBM {
 			// k*x + c >= 0
 			if k.Cmp(bigOne) == 0 {
 				// x >= -c: 0 - x <= c
-				out.setBound(0, v+1, e.Const())
+				bound(0, v+1, e.Const())
 			} else if k.Cmp(bigMinusOne) == 0 {
 				// x <= c
-				out.setBound(v+1, 0, e.Const())
+				bound(v+1, 0, e.Const())
 			}
 		case 2:
 			a, b := vars[0], vars[1]
@@ -490,9 +412,9 @@ func (d *DBM) MeetConstraint(c linear.Constraint) *DBM {
 			switch {
 			case ka.Cmp(bigOne) == 0 && kb.Cmp(bigMinusOne) == 0:
 				// x_a - x_b + c >= 0: x_b - x_a <= c
-				out.setBound(b+1, a+1, e.Const())
+				bound(b+1, a+1, e.Const())
 			case ka.Cmp(bigMinusOne) == 0 && kb.Cmp(bigOne) == 0:
-				out.setBound(a+1, b+1, e.Const())
+				bound(a+1, b+1, e.Const())
 			}
 		}
 	}
@@ -509,13 +431,14 @@ var (
 	bigMinusOne = big.NewInt(-1)
 )
 
-// Join returns the pointwise maximum of closed forms.
+// Join returns the pointwise maximum of closed forms. With an empty
+// operand it returns the other operand itself.
 func (d *DBM) Join(o *DBM) *DBM {
 	if d.IsEmpty() {
-		return o.Clone()
+		return o
 	}
 	if o.IsEmpty() {
-		return d.Clone()
+		return d
 	}
 	d.close()
 	o.close()
@@ -543,9 +466,9 @@ func (d *DBM) Join(o *DBM) *DBM {
 		for j := range out.mx[i] {
 			if d.mx[i][j] != nil && o.mx[i][j] != nil {
 				if d.mx[i][j].Cmp(o.mx[i][j]) >= 0 {
-					out.mx[i][j] = new(big.Int).Set(d.mx[i][j])
+					out.mx[i][j] = d.mx[i][j]
 				} else {
-					out.mx[i][j] = new(big.Int).Set(o.mx[i][j])
+					out.mx[i][j] = o.mx[i][j]
 				}
 			}
 		}
@@ -557,15 +480,20 @@ func (d *DBM) Join(o *DBM) *DBM {
 	return out
 }
 
-// Widen drops bounds not stable between d (previous) and o (next). The
-// result is deliberately left unclosed: closing a widening result can
-// defeat termination.
+// Widen drops bounds not stable between d (previous) and o (next). Like
+// Join, it returns the other operand itself when one is empty. The result
+// is left unclosed, but that is not what bounds the iteration: the
+// fixpoint engine's next Join closes it in place (through IsEmpty) before
+// the following Widen, so the left operand of every zone widening is
+// closed, and widening closed left operands need not stabilize (Miné, "A
+// New Numerical Abstract Domain Based on Difference-Bound Matrices",
+// 2001). The engine's iteration cap (maxIterations) bounds it.
 func (d *DBM) Widen(o *DBM) *DBM {
 	if d.IsEmpty() {
-		return o.Clone()
+		return o
 	}
 	if o.IsEmpty() {
-		return d.Clone()
+		return d
 	}
 	o.close()
 	cfg := d.cfgOr(o)
@@ -589,7 +517,7 @@ func (d *DBM) Widen(o *DBM) *DBM {
 	for i := range out.mx {
 		for j := range out.mx[i] {
 			if d.mx[i][j] != nil && o.mx[i][j] != nil && o.mx[i][j].Cmp(d.mx[i][j]) <= 0 {
-				out.mx[i][j] = new(big.Int).Set(d.mx[i][j])
+				out.mx[i][j] = d.mx[i][j]
 			}
 		}
 	}
@@ -652,16 +580,12 @@ func (d *DBM) dropNode(i int) {
 	}
 }
 
-// Havoc forgets variable v.
+// Havoc forgets variable v. It returns a new matrix unless d is empty.
 func (d *DBM) Havoc(v int) *DBM {
-	out := d.Clone()
-	if out.empty {
-		return out
+	if d.IsEmpty() {
+		return d
 	}
-	out.close()
-	if out.empty {
-		return out
-	}
+	out := d.clone()
 	out.dropNode(v + 1)
 	return out
 }
@@ -719,13 +643,12 @@ func (d *DBM) shiftNodeX(i int, c *big.Int) {
 // right-hand sides degrade to havoc plus interval bounds when derivable.
 func (d *DBM) Assign(v int, e linear.Expr) *DBM {
 	if d.IsEmpty() {
-		return d.cfg.Bottom(d.n)
+		return d
 	}
 	vars := e.Vars()
 	// v := v + c: shift bounds (an exact translation, closure-preserving).
 	if len(vars) == 1 && vars[0] == v && e.Coef(v).Cmp(bigOne) == 0 {
-		out := d.Clone()
-		out.close()
+		out := d.clone()
 		i := v + 1
 		if out.mx == nil && e.Const().IsInt64() {
 			if out.shiftNodeW(i, e.Const().Int64()) {
@@ -737,8 +660,8 @@ func (d *DBM) Assign(v int, e linear.Expr) *DBM {
 		out.demote()
 		return out
 	}
-	// General: forget v, then constrain when the shape allows. The new
-	// bounds land on a closed matrix, so close() repairs incrementally.
+	// General: forget v, then constrain when the shape allows. Havoc
+	// returns a new closed matrix, which setBound repairs on each write.
 	out := d.Havoc(v)
 	if len(vars) == 0 {
 		// v := c

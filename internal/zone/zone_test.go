@@ -169,9 +169,9 @@ func TestZoneIgnoresNonZoneShapes(t *testing.T) {
 // machine tier's +infinity sentinel, which must not match +infinity.
 func TestSameReprAcrossTiers(t *testing.T) {
 	d := Universe(2).MeetConstraint(ge(3, -1, 0)).MeetConstraint(ge(0, 1, 1, -1, 0)) // x <= 3, y >= x
-	x := d.Clone()
+	x := d.clone()
 	x.promote()
-	sentinel := d.Clone()
+	sentinel := d.clone()
 	sentinel.promote()
 	sentinel.mx[2][0] = big.NewInt(noBound) // y <= MaxInt64, a finite bound
 	if d.mw[2][0] != noBound {
@@ -181,10 +181,10 @@ func TestSameReprAcrossTiers(t *testing.T) {
 		name string
 		a, b *DBM
 	}{
-		{"machine/machine", d, d.Clone()},
+		{"machine/machine", d, d.clone()},
 		{"machine/exact", d, x},
 		{"exact/machine", x, d},
-		{"exact/exact", x, x.Clone()},
+		{"exact/exact", x, x.clone()},
 		{"sentinel/machine", sentinel, d},
 		{"machine/sentinel", d, sentinel},
 		{"empty/machine", Bottom(2), d},
