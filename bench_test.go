@@ -532,6 +532,13 @@ func BenchmarkPolyhedra(b *testing.B) {
 	sysA, sysB := sparse(0), sparse(1)
 	q := polyhedra.FromSystem(sysB, dim)
 	q.IsEmpty() // generators once, outside the loop
+	// One constraint-to-generator conversion from scratch.
+	b.Run(fmt.Sprintf("convert/sparse-dim=%d", dim), func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			polyhedra.FromSystem(sysA, dim).IsEmpty()
+		}
+	})
 	b.Run(fmt.Sprintf("join/sparse-dim=%d", dim), func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

@@ -29,7 +29,7 @@ func main() {
 	timeout := flag.Duration("proc-timeout", 0, "wall-clock budget per procedure (0 = unlimited); expired procedures report unresolved checks")
 	steps := flag.Int("step-budget", 0, "fixpoint iteration budget per procedure (0 = unlimited)")
 	target := flag.String("target", "paper32", "object-layout data model: paper32, sysv64")
-	stats := flag.Bool("stats", false, "print substrate statistics (arena recycling, precision drops, member accesses) after the table")
+	stats := flag.Bool("stats", false, "print substrate statistics (precision drops, member accesses) after the table")
 	flag.Parse()
 
 	var runStats core.RunStats
@@ -64,8 +64,7 @@ func main() {
 	}
 	fmt.Print(table5.FormatSummary(table5.Summarize(rows)))
 	if *stats {
-		fmt.Printf("\nsubstrate: arena-recycled=%dB precision-drops=%d\n",
-			runStats.ArenaRecycledBytes, runStats.PrecisionDrops)
+		fmt.Printf("\nsubstrate: precision-drops=%d\n", runStats.PrecisionDrops)
 		fmt.Printf("substrate: target=%s member-accesses resolved=%d havocked=%d\n",
 			tgt, runStats.MemberResolved, runStats.MemberHavocked)
 	}

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/analysis"
-	"repro/internal/arena"
 	"repro/internal/budget"
 	"repro/internal/c2ip"
 	"repro/internal/cache"
@@ -184,10 +183,9 @@ type Counts struct {
 	// count means precision was lost — surfaced here (and on the cssv
 	// -stats line) instead of silently.
 	PrecisionDrops int
-	// ArenaRecycledBytes counts the bytes the procedure's slice arena
-	// served out of its free lists instead of the garbage-collected heap.
-	// Recycling decisions depend only on the procedure's operation
-	// sequence, so the count is deterministic.
+	// ArenaRecycledBytes is always 0: no substrate draws from an arena
+	// any more (DESIGN §9.2). The field stays because the benchmark
+	// harness reads it.
 	ArenaRecycledBytes int64
 	// MemberResolved / MemberHavocked count C2IP memory-access sites
 	// (member accesses lowered to byte arithmetic, plus ordinary derefs)
@@ -638,12 +636,7 @@ func analyzeProc(orig *cast.File, prog *corec.Program, name string, opts Options
 			deadline = start.Add(opts.ProcDeadline)
 		}
 		tok := budget.New(deadline, opts.StepBudget)
-		// One arena per procedure for the polyhedra kernel of this pipeline
-		// (single-goroutine by construction), freed wholesale when the
-		// procedure's report is built — the config, and the arena with it,
-		// go out of scope at return.
-		ar := arena.New()
-		pcfg := &polyhedra.Config{MaxRays: opts.MaxRays, Token: tok, Arena: ar}
+		pcfg := &polyhedra.Config{MaxRays: opts.MaxRays, Token: tok}
 		zcfg := &zone.Config{Token: tok}
 		// Certificates are exported whenever the result may be cached, not
 		// only under Options.Certify: revalidating a stored entry later
@@ -680,7 +673,6 @@ func analyzeProc(orig *cast.File, prog *corec.Program, name string, opts Options
 		// Ray-cap drops are counted; budget-induced constraint drops are
 		// timing-dependent and deliberately uncounted (determinism).
 		pr.Counts.PrecisionDrops = int(pcfg.DroppedConstraints())
-		pr.Counts.ArenaRecycledBytes = ar.Recycled()
 		if exhausted != "" {
 			unresolved := 0
 			for _, v := range pr.Violations {

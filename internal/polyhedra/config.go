@@ -32,12 +32,10 @@ type Config struct {
 	// disables demotion. The differential tests use it to build a
 	// reference kernel; it must never be set in production code.
 	PureBig bool
-	// Arena, when non-nil, recycles machine-tier coefficient vectors and
-	// saturation bitsets across the run: the Chernikova conversion frees
-	// provably dead rows (replaced generators, dropped duplicates,
-	// released gensets) back to it instead of leaving them to the
-	// garbage collector. Arenas are not safe for concurrent use; the
-	// driver threads one per procedure.
+	// Arena is not read: a conversion keeps its working vectors in
+	// per-cone slabs, pooled across conversions, and no operation draws
+	// from or returns to an arena any more (DESIGN §9.2). The field stays
+	// because the benchmark harness sets it.
 	Arena *arena.Arena
 
 	// dropped counts constraints dropped at the ray cap in this run.
@@ -65,13 +63,6 @@ func (c *Config) maxRays() int {
 }
 
 func (c *Config) pure() bool { return c != nil && c.PureBig }
-
-func (c *Config) ar() *arena.Arena {
-	if c == nil {
-		return nil
-	}
-	return c.Arena
-}
 
 func (c *Config) token() *budget.Token {
 	if c == nil {

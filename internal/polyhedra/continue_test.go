@@ -35,9 +35,21 @@ func genState(g *genset) string {
 		fmt.Fprintf(&sb, "\nline %s", vecState(l))
 	}
 	for i, r := range g.rays {
-		fmt.Fprintf(&sb, "\nray %s sat=%x", vecState(r), []uint64(g.sat[i]))
+		fmt.Fprintf(&sb, "\nray %s sat=%v", vecState(r), satState(g.satOf(i)))
 	}
 	return sb.String()
+}
+
+// satState lists the constraints a saturation row marks, whatever its
+// length.
+func satState(b bitset) []int {
+	var on []int
+	for i := 0; i < 64*len(b); i++ {
+		if b[i/64]&(1<<uint(i%64)) != 0 {
+			on = append(on, i)
+		}
+	}
+	return on
 }
 
 // contStats counts what a continuation script exercised.
@@ -159,7 +171,6 @@ func continuationScript(t *testing.T, data []byte, pure bool) ([]string, contSta
 			t.Fatalf("step %d (continued %v): generators differ from a conversion from scratch:\ngot  %s\nwant %s",
 				step, continued, genState(q.gens), genState(ref))
 		}
-		ref.release(cfg.Arena)
 		if !pure {
 			churn()
 		}

@@ -2,6 +2,7 @@ package polyhedra
 
 import (
 	"math/big"
+	"slices"
 	"strings"
 
 	"repro/internal/linear"
@@ -69,7 +70,11 @@ func (p *Poly) Dim() int { return p.n }
 
 // rowOf converts a linear.Constraint to a dense row governed by cfg.
 func rowOf(c linear.Constraint, n int, cfg *Config) row {
-	v := newVecAr(cfg.ar(), n+1, cfg.pure())
+	return fillRow(c, n, newVec(n+1, cfg.pure()))
+}
+
+// fillRow writes c into v, a zero vector of length n+1, as a row.
+func fillRow(c linear.Constraint, n int, v vec) row {
 	v.setBig(0, c.E.Const())
 	for _, i := range c.E.Vars() {
 		if i < n {
@@ -120,11 +125,8 @@ func (p *Poly) ensureGens() {
 	if !g.hasVertex() {
 		p.empty = true
 		// An empty polyhedron never consults either representation again.
-		// The fresh genset is dead, but a continued one's borrowed
-		// vectors are its base's, so release frees only what the
-		// conversion made. The rows may be shared with another live Poly,
-		// so they are dropped, not released.
-		g.release(p.cfg.ar())
+		// The rows may be shared with another live Poly, so both are
+		// dropped, not written.
 		p.gens = nil
 		p.cons = nil
 		return
@@ -348,9 +350,9 @@ func (p *Poly) Entails(c linear.Constraint) bool {
 		return true
 	}
 	p.ensureGens()
-	r := rowOf(c, p.n, p.cfg)
-	ok := rowHoldsGens(r, p.gens)
-	r.v.release(p.cfg.ar())
+	sc := getScratch()
+	ok := rowHoldsGens(fillRow(c, p.n, sc.vec(p.n+1, p.cfg.pure())), p.gens)
+	putScratch(sc)
 	return ok
 }
 
@@ -398,33 +400,37 @@ func (p *Poly) Assign(v int, e linear.Expr) *Poly {
 		return p.cfg.Bottom(p.n)
 	}
 	p.ensureGens()
-	ar := p.cfg.ar()
-	mapped := &genset{}
-	mapGen := func(g vec) vec {
-		r := g.cloneAr(ar)
+	// The images are dead once the dual has read them, so they live in
+	// pooled scratch storage.
+	sc := getScratch()
+	sc.words = slices.Grow(sc.words, (len(p.gens.lines)+len(p.gens.rays))*(p.n+1))
+	vs := sc.vecs[:0]
+	mapGen := func(g vec) {
+		var r vec
+		if g.xs == nil {
+			r = sc.vec(p.n+1, false)
+			copy(r.w, g.w)
+		} else {
+			r = g.clone()
+		}
 		// New value of coordinate v+1: e evaluated homogeneously.
 		r.setScalar(v+1, evalHom(e, g))
-		return r.normalize()
+		if r = r.normalize(); !r.isZero() {
+			vs = append(vs, r)
+		}
 	}
 	for _, l := range p.gens.lines {
-		m := mapGen(l)
-		if !m.isZero() {
-			mapped.lines = append(mapped.lines, m)
-		} else {
-			m.release(ar)
-		}
+		mapGen(l)
 	}
+	nl := len(vs)
 	for _, r := range p.gens.rays {
-		m := mapGen(r)
-		if !m.isZero() {
-			mapped.rays = append(mapped.rays, m)
-		} else {
-			m.release(ar)
-		}
+		mapGen(r)
 	}
-	// Re-minimize through the dual; the mapped genset is dead afterwards.
-	out := &Poly{n: p.n, cons: consOf(p.n, p.cfg, mapped), minimized: true, cfg: p.cfg}
-	mapped.release(ar)
+	// Re-minimize through the dual.
+	out := &Poly{n: p.n, cons: consOf(p.n, p.cfg, &genset{lines: vs[:nl:nl], rays: vs[nl:]}), minimized: true, cfg: p.cfg}
+	clear(vs)
+	sc.vecs = vs[:0]
+	putScratch(sc)
 	return out
 }
 
@@ -434,12 +440,12 @@ func (p *Poly) Havoc(v int) *Poly {
 		return p.cfg.Bottom(p.n)
 	}
 	p.ensureGens()
-	ar := p.cfg.ar()
-	l := newVecAr(ar, p.n+1, p.cfg.pure())
+	sc := getScratch()
+	l := sc.vec(p.n+1, p.cfg.pure())
 	l.setInt64(v+1, 1)
 	// p's generators plus the line along v.
 	out := &Poly{n: p.n, cons: consOf(p.n, p.cfg, p.gens, &genset{lines: []vec{l}}), minimized: true, cfg: p.cfg}
-	l.release(ar)
+	putScratch(sc)
 	return out
 }
 

@@ -3,6 +3,7 @@ package polyhedra
 import (
 	"math/big"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/arena"
@@ -241,16 +242,26 @@ func TestOperationsLeaveOperandsIntact(t *testing.T) {
 		}
 	}
 
-	// normalize copies a borrowed vector before dividing it.
-	cfg := &Config{Arena: arena.New()}
-	p := operands[0].mk(cfg)
-	p.IsEmpty()
-	want := snap(p)
-	row := p.cons[0].v // 2x - 4 >= 0, unnormalized
-	row.borrow().normalize()
-	churn(cfg.Arena)
-	if got := snap(p); got != want {
-		t.Errorf("normalizing a borrowed row changed its owner:\ngot  %+v\nwant %+v", got, want)
+	// A continued conversion copies its base genset's coefficients and
+	// saturation rows into its own cone, so the base is only read: they
+	// must come through the continuation, a meet chained on its result
+	// and an arena churn as they were.
+	for _, a := range operands[:2] {
+		cfg := &Config{Arena: arena.New()}
+		p := a.mk(cfg)
+		p.IsEmpty()
+		base := p.gens
+		want, wantSat := genState(base), slices.Clone(base.sat)
+		r := p.MeetSystem(chain[0])
+		if r.base != base {
+			t.Fatalf("%s: the meet does not continue its operand's conversion", a.name)
+		}
+		r.IsEmpty()
+		r.MeetSystem(chain[1]).IsEmpty()
+		churn(cfg.Arena)
+		if got := genState(base); got != want || !slices.Equal(base.sat, wantSat) {
+			t.Errorf("%s: continuing a conversion changed its base:\ngot  %s %x\nwant %s %x", a.name, got, base.sat, want, wantSat)
+		}
 	}
 }
 

@@ -25,9 +25,15 @@ type rayStats struct {
 	gens, continued, duals, steps, reversed, dropped int
 }
 
+// satVec is a ray with the set of constraints it saturates.
+type satVec struct {
+	v   vec
+	sat bitset
+}
+
 // distinctRays fails if two of rays are equal by value or saturate the
 // same constraints.
-func distinctRays(t *testing.T, what string, rays []satRay) {
+func distinctRays(t *testing.T, what string, rays []satVec) {
 	t.Helper()
 	for i := range rays {
 		for j := i + 1; j < len(rays); j++ {
@@ -43,10 +49,20 @@ func distinctRays(t *testing.T, what string, rays []satRay) {
 }
 
 // gensetRays pairs a converted genset's rays with their saturation sets.
-func gensetRays(g *genset) []satRay {
-	rays := make([]satRay, len(g.rays))
+func gensetRays(g *genset) []satVec {
+	rays := make([]satVec, len(g.rays))
 	for i := range g.rays {
-		rays[i] = satRay{v: g.rays[i], sat: g.sat[i]}
+		rays[i] = satVec{v: g.rays[i], sat: g.satOf(i)}
+	}
+	return rays
+}
+
+// coneRays pairs a cone's rays with their saturation sets, as views of
+// its storage.
+func coneRays(c *cone) []satVec {
+	rays := make([]satVec, len(c.rays))
+	for i, r := range c.rays {
+		rays[i] = satVec{v: c.vec(r.v), sat: c.sat(r.sat)}
 	}
 	return rays
 }
@@ -56,7 +72,7 @@ func gensetRays(g *genset) []satRay {
 func checkDual(t *testing.T, what string, n int, cfg *Config, st *rayStats, gs ...*genset) {
 	t.Helper()
 	dual := dualOf(n, cfg, gs...)
-	distinctRays(t, what+": dual", dual.rays)
+	distinctRays(t, what+": dual", coneRays(dual))
 	dual.recycle()
 	st.duals++
 }
@@ -198,10 +214,10 @@ func TestConversionsMakeNoDuplicateRays(t *testing.T) {
 		}
 		what := fmt.Sprintf("trial %d, ray cap %d", trial, cfg.MaxRays)
 		checkConversions(t, what, rows, n, cfg, &st)
-		c := universePolyCone(n, cfg.maxRays(), false, nil, nil)
+		c := universePolyCone(n, len(rows), cfg.maxRays(), false, nil)
 		for k, r := range rows {
 			c.add(r)
-			distinctRays(t, fmt.Sprintf("%s, step %d", what, k), c.rays)
+			distinctRays(t, fmt.Sprintf("%s, step %d", what, k), coneRays(c))
 			st.steps++
 		}
 		c.recycle()

@@ -26,7 +26,6 @@ import (
 	"slices"
 	"sync"
 
-	"repro/internal/arena"
 	"repro/internal/numkernel"
 )
 
@@ -35,15 +34,11 @@ import (
 // vectors of the reference kernel (Config.PureBig): they live on the
 // exact tier and are never demoted. The flag is per-vector rather than a
 // package global so concurrent analyses with different configurations
-// cannot interfere. borrowed marks a vector a continued conversion reads
-// from the genset it continues (continueGens): its storage belongs to
-// that genset, so release leaves it alone and normalize copies it before
-// writing.
+// cannot interfere.
 type vec struct {
-	w        []int64
-	xs       []*big.Int
-	pure     bool
-	borrowed bool
+	w    []int64
+	xs   []*big.Int
+	pure bool
 }
 
 func newVec(n int, pure bool) vec {
@@ -55,15 +50,6 @@ func newVec(n int, pure bool) vec {
 		return vec{xs: xs, pure: true}
 	}
 	return vec{w: make([]int64, n)}
-}
-
-// newVecAr is newVec with the machine-tier backing drawn from the arena;
-// pure (exact-tier) vectors never touch the arena.
-func newVecAr(ar *arena.Arena, n int, pure bool) vec {
-	if pure {
-		return newVec(n, pure)
-	}
-	return vec{w: ar.Int64s(n)}
 }
 
 func (v vec) dim() int {
@@ -105,9 +91,8 @@ func (v vec) demoted() vec {
 	return vec{w: w}
 }
 
-// cloneAr returns an independent copy of v; a machine-tier backing is
-// drawn from the arena (a nil arena allocates).
-func (v vec) cloneAr(ar *arena.Arena) vec {
+// clone returns an independent copy of v.
+func (v vec) clone() vec {
 	if v.xs != nil {
 		c := make([]*big.Int, len(v.xs))
 		for i := range v.xs {
@@ -115,24 +100,7 @@ func (v vec) cloneAr(ar *arena.Arena) vec {
 		}
 		return vec{xs: c, pure: v.pure}
 	}
-	w := ar.Int64s(len(v.w))
-	copy(w, v.w)
-	return vec{w: w}
-}
-
-// borrow returns v marked borrowed: the same storage, read-only.
-func (v vec) borrow() vec {
-	v.borrowed = true
-	return v
-}
-
-// release returns a machine-tier vector's backing store to the arena,
-// unless the vector is borrowed. The caller asserts the vector is dead: no
-// live row, generator, or genset references it.
-func (v vec) release(ar *arena.Arena) {
-	if v.xs == nil && !v.borrowed {
-		ar.PutInt64s(v.w)
-	}
+	return vec{w: slices.Clone(v.w)}
 }
 
 func (v vec) sign(i int) int {
@@ -196,26 +164,6 @@ func (v vec) bigRef(i int, tmp *big.Int) *big.Int {
 		return v.xs[i]
 	}
 	return tmp.SetInt64(v.w[i])
-}
-
-// neg returns -v; a machine-tier result is drawn from the arena.
-func (v vec) neg(ar *arena.Arena) vec {
-	if v.xs == nil {
-		c := ar.Int64sUninit(len(v.w)) // every entry is written before any read
-		for i, x := range v.w {
-			if x == math.MinInt64 {
-				ar.PutInt64s(c)
-				return v.promoted().neg(ar)
-			}
-			c[i] = -x
-		}
-		return vec{w: c}
-	}
-	c := make([]*big.Int, len(v.xs))
-	for i := range v.xs {
-		c[i] = new(big.Int).Neg(v.xs[i])
-	}
-	return vec{xs: c, pure: v.pure}
 }
 
 func (v vec) isZero() bool {
@@ -395,24 +343,44 @@ func (v vec) nonzeros(buf []int) []int {
 // coordinate and the result's tier is the same.
 func dot(a, b vec, nz []int) scalar {
 	if a.xs == nil && b.xs == nil {
-		var acc int64
-		for _, i := range nz {
-			y := b.w[i]
-			if y == 0 {
-				continue
-			}
-			p, ok := numkernel.MulOK(a.w[i], y)
-			if !ok {
-				return scalar{b: dotBig(a, b, nz)}
-			}
-			if acc, ok = numkernel.AddOK(acc, p); !ok {
-				return scalar{b: dotBig(a, b, nz)}
-			}
+		if p, ok := dotWords(a.w, b.w, nz); ok {
+			return scalar{w: p}
 		}
-		return scalar{w: acc}
 	}
 	return scalar{b: dotBig(a, b, nz)}
 }
+
+// dotWords is the machine-tier inner product of a and b over a's nonzero
+// index nz; it reports whether every product and partial sum fitted a
+// word.
+func dotWords(a, b []int64, nz []int) (int64, bool) {
+	var acc int64
+	for _, i := range nz {
+		y := b[i]
+		if y == 0 {
+			continue
+		}
+		x := a[i]
+		var p int64
+		if small(x) && small(y) {
+			p = x * y
+		} else {
+			var ok bool
+			if p, ok = numkernel.MulOK(x, y); !ok {
+				return 0, false
+			}
+		}
+		var ok bool
+		if acc, ok = numkernel.AddOK(acc, p); !ok {
+			return 0, false
+		}
+	}
+	return acc, true
+}
+
+// small reports whether |x| < 2^31, so that the product of two such
+// values fits a word.
+func small(x int64) bool { return uint64(x+1<<31) < 1<<32 }
 
 // dotBig is the exact-tier inner product over a's nonzero index nz;
 // per-element temporaries come from the pooled scratch space.
@@ -448,31 +416,10 @@ func gcdWords(w []int64) uint64 {
 // normalize divides v by the gcd of its entries (leaving sign intact) and
 // returns the canonical-tier result: exact-tier rows whose entries all fit
 // a machine word are demoted, so equal rows always land on the same tier.
-// It writes v's entries, unless v is borrowed; normalized is the
-// copy-on-write form.
+// It writes v's entries; normalized is the copy-on-write form.
 func (v vec) normalize() vec {
-	if v.borrowed {
-		return v.normalized()
-	}
 	if v.xs == nil {
-		g := gcdWords(v.w)
-		if g <= 1 {
-			return v
-		}
-		if g > math.MaxInt64 {
-			// Every nonzero entry is MinInt64 (|MinInt64| = 2^63): the
-			// quotient is -1.
-			for i := range v.w {
-				if v.w[i] != 0 {
-					v.w[i] = -1
-				}
-			}
-			return v
-		}
-		d := int64(g)
-		for i := range v.w {
-			v.w[i] /= d
-		}
+		normalizeWords(v.w)
 		return v
 	}
 	sc := getScratch()
@@ -492,6 +439,30 @@ func (v vec) normalize() vec {
 	return v.demoted()
 }
 
+// normalizeWords divides the machine-tier entries w by their gcd in place
+// and reports whether that changed them.
+func normalizeWords(w []int64) bool {
+	g := gcdWords(w)
+	if g <= 1 {
+		return false
+	}
+	if g > math.MaxInt64 {
+		// Every nonzero entry is MinInt64 (|MinInt64| = 2^63): the
+		// quotient is -1.
+		for i := range w {
+			if w[i] != 0 {
+				w[i] = -1
+			}
+		}
+		return true
+	}
+	d := int64(g)
+	for i := range w {
+		w[i] /= d
+	}
+	return true
+}
+
 // normalized is normalize without writing v: a machine-tier v whose
 // entries have gcd at most 1 is returned as is, any other v (exact-tier
 // vectors, which are rare, included) as a normalized copy.
@@ -499,39 +470,42 @@ func (v vec) normalized() vec {
 	if v.xs == nil && gcdWords(v.w) <= 1 {
 		return v
 	}
-	return v.cloneAr(nil).normalize()
+	return v.clone().normalize()
 }
 
-// combine returns ka*a + kb*b, normalized. The machine-tier result is
-// drawn from the arena; on overflow the partial result is returned to it
-// and the combination replays on the exact tier.
-func combine(ar *arena.Arena, ka scalar, a vec, kb scalar, b vec) vec {
-	if ka.b == nil && kb.b == nil && a.xs == nil && b.xs == nil {
-		r := ar.Int64sUninit(len(a.w)) // every entry is written before any read
-		ok := true
-		for i, av := range a.w {
-			bv := b.w[i]
-			var x, y int64
+// combineWords writes ka*a + kb*b, normalized, into dst and reports
+// whether every product and sum fitted a machine word. On overflow dst
+// holds a partial result and the combination must be replayed on the
+// exact tier (combineBig); dst may not alias a or b.
+func combineWords(dst []int64, ka int64, a []int64, kb int64, b []int64) bool {
+	b = b[:len(a)]
+	dst = dst[:len(a)]
+	smallK := small(ka) && small(kb)
+	for i, av := range a {
+		bv := b[i]
+		var x, y int64
+		if smallK && small(av) && small(bv) {
+			x, y = ka*av, kb*bv
+		} else {
+			var ok bool
 			if av != 0 {
-				if x, ok = numkernel.MulOK(ka.w, av); !ok {
-					break
+				if x, ok = numkernel.MulOK(ka, av); !ok {
+					return false
 				}
 			}
 			if bv != 0 {
-				if y, ok = numkernel.MulOK(kb.w, bv); !ok {
-					break
+				if y, ok = numkernel.MulOK(kb, bv); !ok {
+					return false
 				}
 			}
-			if r[i], ok = numkernel.AddOK(x, y); !ok {
-				break
-			}
 		}
-		if ok {
-			return vec{w: r}.normalize()
+		var ok bool
+		if dst[i], ok = numkernel.AddOK(x, y); !ok {
+			return false
 		}
-		ar.PutInt64s(r)
 	}
-	return combineBig(ka, a, kb, b)
+	normalizeWords(dst)
+	return true
 }
 
 // combineBig is the exact-tier linear combination.
@@ -566,13 +540,16 @@ var (
 )
 
 // scratch is pooled working storage for the exact-tier paths, the key
-// builder, row dedup and a row's nonzero index, so the hot loops allocate
-// only their results.
+// builder, row dedup, a row's nonzero index and the vectors an operation
+// drops once the dual conversion has read them (words, vecs), so the hot
+// loops allocate only their results.
 type scratch struct {
-	t   [4]*big.Int
-	key []byte
-	set vecSet
-	nz  []int
+	t     [4]*big.Int
+	key   []byte
+	set   vecSet
+	nz    []int
+	words []int64
+	vecs  []vec
 }
 
 var scratchPool = sync.Pool{New: func() any {
@@ -586,63 +563,48 @@ var scratchPool = sync.Pool{New: func() any {
 func getScratch() *scratch { return scratchPool.Get().(*scratch) }
 
 func putScratch(s *scratch) {
-	s.key = s.key[:0]
+	s.key, s.words = s.key[:0], s.words[:0]
 	scratchPool.Put(s)
 }
 
-// bitset is a growable bit vector used for constraint-saturation tracking.
+// vec returns a zero vector of length n held in the scratch words until
+// the scratch goes back to the pool; a pure one is allocated.
+func (s *scratch) vec(n int, pure bool) vec {
+	if pure {
+		return newVec(n, true)
+	}
+	k := len(s.words)
+	s.words = extend(s.words, n)
+	w := s.words[k : k+n : k+n]
+	clear(w)
+	return vec{w: w}
+}
+
+// bitset is a saturation row: bit i is set when the ray saturates
+// constraint i. A cone's rows all have the length its constraint count
+// needs (cone.nw words), so no operation grows one.
 type bitset []uint64
 
-// newBitsetAr returns an all-clear bitset for n bits, drawn from the arena.
-func newBitsetAr(ar *arena.Arena, n int) bitset { return bitset(ar.Uint64s((n + 63) / 64)) }
+func (b bitset) set(i int) { b[i/64] |= 1 << uint(i%64) }
 
-// release returns the bitset's backing store to the arena; the caller
-// asserts no live ray references it.
-func (b bitset) release(ar *arena.Arena) { ar.PutUint64s(b) }
+func (b bitset) unset(i int) { b[i/64] &^= 1 << uint(i%64) }
 
-// cloneAr returns a copy of b drawn from the arena.
-func (b bitset) cloneAr(ar *arena.Arena) bitset {
-	c := bitset(ar.Uint64sUninit(len(b))) // every word is written below
-	copy(c, b)
-	return c
-}
-
-func (b *bitset) set(i int) {
-	for len(*b) <= i/64 {
-		*b = append(*b, 0)
-	}
-	(*b)[i/64] |= 1 << uint(i%64)
-}
-
-func (b bitset) unset(i int) {
-	if i/64 < len(b) {
-		b[i/64] &^= 1 << uint(i%64)
-	}
-}
-
-// and returns the intersection of b and c, drawn from the arena.
-func (b bitset) and(ar *arena.Arena, c bitset) bitset {
-	n := len(b)
-	if len(c) < n {
-		n = len(c)
-	}
-	r := bitset(ar.Uint64sUninit(n)) // every word is written below
-	for i := 0; i < n; i++ {
-		r[i] = b[i] & c[i]
-	}
-	return r
-}
-
-// subsetOf reports whether every bit of b is set in c.
+// subsetOf reports whether every bit of b is set in c, of b's length.
 func (b bitset) subsetOf(c bitset) bool {
 	for i := range b {
-		var ci uint64
-		if i < len(c) {
-			ci = c[i]
-		}
-		if b[i]&^ci != 0 {
+		if b[i]&^c[i] != 0 {
 			return false
 		}
 	}
 	return true
+}
+
+// extend returns s lengthened by n elements, whose values are unset. When
+// s must move, its capacity at least doubles, so a slab that grows from
+// empty to k elements allocates fewer than 2k in all.
+func extend[T int64 | uint64](s []T, n int) []T {
+	if len(s)+n > cap(s) {
+		s = slices.Grow(s, max(n, cap(s)))
+	}
+	return s[:len(s)+n]
 }

@@ -45,7 +45,6 @@ func Render(w io.Writer, rep *Report, o RenderOptions) (messages, certFailed int
 		fmt.Fprintf(w, "run: workers=%d wall=%s cpu=%s speedup=%.1fx libc-header-cached=%v precision-drops=%d degraded=%d unresolved=%d\n",
 			s.Workers, s.Wall.Round(1e6), s.SequentialCPU.Round(1e6), speedup, s.LibcHeaderReused,
 			s.PrecisionDrops, s.DegradedProcs, s.UnresolvedChecks)
-		fmt.Fprintf(w, "run: arena-recycled=%dB\n", s.ArenaRecycledBytes)
 		fmt.Fprintf(w, "run: target=%s member-accesses resolved=%d havocked=%d\n",
 			o.Target, s.MemberResolved, s.MemberHavocked)
 		fmt.Fprintf(w, "run: cache hits=%d revalidated=%d misses=%d stores=%d bad=%d cert-rejected=%d fixpoint-iterations=%d\n",
