@@ -22,7 +22,7 @@ type genset struct {
 	// ncons the number of constraints registered (the positivity
 	// constraint included), nrows the number of rows converted and
 	// dropped the number of those the ray cap dropped. sat is nil for a
-	// genset made otherwise.
+	// genset made otherwise, and for one without generators.
 	sat                   []uint64
 	nw                    int
 	ncons, nrows, dropped int
