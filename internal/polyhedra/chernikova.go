@@ -136,10 +136,6 @@ type coneBufs struct {
 	common            bitset
 }
 
-// maxPooledWords bounds the slab a pooled cone keeps, so that one huge
-// conversion does not pin its storage for the rest of the run.
-const maxPooledWords = 1 << 18
-
 var coneBufPool = sync.Pool{New: func() any { return new(coneBufs) }}
 
 // newCone returns a cone of vectors of length dim with no generators,
@@ -163,9 +159,7 @@ func (c *cone) recycle() {
 	clear(b.exact)
 	clear(b.prods)
 	b.exact, b.prods = b.exact[:0], b.prods[:0]
-	if cap(b.words) <= maxPooledWords && cap(b.bits) <= maxPooledWords {
-		coneBufPool.Put(b)
-	}
+	coneBufPool.Put(b)
 }
 
 // newSlot returns a slot of the machine-tier slab, its words unset.
@@ -386,6 +380,19 @@ func universeCone(m, ncap, maxRays int, pure bool) *cone {
 // (false when the ray cap or the budget forced it to be dropped, which
 // over-approximates).
 func (c *cone) add(r row) bool {
+	return c.addUntil(r, c.exhausted)
+}
+
+// exhausted polls the budget token every pollPairs (plus, minus) pairs of
+// the combination step, and once before it (pairs 0).
+func (c *cone) exhausted(pairs int) bool {
+	return pairs%pollPairs == 0 && c.token.Exhausted()
+}
+
+// addUntil is add with the budget poll as a parameter: stop(0) is asked
+// before the combination step and stop(k) before its k-th (plus, minus)
+// pair, and a true answer drops the constraint.
+func (c *cone) addUntil(r row, stop func(pairs int) bool) bool {
 	idx := c.ncons
 	c.ncons++
 	// r takes part in every inner product of this step.
@@ -449,7 +456,7 @@ func (c *cone) add(r row) bool {
 	// sound over-approximation for the forward analysis. Budget drops are
 	// not counted in dropped: they depend on wall-clock timing and must
 	// not feed deterministic precision stats.
-	if capped || c.token.Exhausted() {
+	if capped || stop(0) {
 		if capped {
 			c.dropped++
 		}
@@ -469,7 +476,7 @@ func (c *cone) add(r row) bool {
 	from, exact, pairs := len(newRays), len(c.exact), 0
 	for _, pl := range plus {
 		for _, mi := range minus {
-			if pairs++; pairs%pollPairs == 0 && c.token.Exhausted() {
+			if pairs++; stop(pairs) {
 				c.drop(idx, newRays, from, exact)
 				return false
 			}

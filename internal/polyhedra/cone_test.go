@@ -2,6 +2,7 @@ package polyhedra
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
 	"slices"
 	"strings"
@@ -100,14 +101,16 @@ func coneState(t *testing.T, c *cone) string {
 	return sb.String()
 }
 
-// TestDropMidCombinationRestoresCone drops a constraint in the middle of
-// cone.add's combination loop, as an exhausted budget does, through the
-// helper both drop paths use. The cone must then hold the records, the
-// slots in use and the saturation bits it held before the add, and a
-// conversion that goes on from it must match one that never saw the row.
+// TestDropMidCombinationRestoresCone drops a constraint the way an
+// exhausted budget does: cone.addUntil, the body of cone.add, is stopped
+// before the combination step and then before each (plus, minus) pair in
+// turn. The cone must then hold the records, the slots in use, the side
+// table and the saturation bits it held before the add, and a conversion
+// that goes on from it must match one that never saw the row. One cut
+// combines on the machine tier, the other makes exact-tier rays.
 func TestDropMidCombinationRestoresCone(t *testing.T) {
 	const n = 3
-	// A box with a cut corner: enough plus and minus rays for the cut
+	// A box with a cut corner: enough plus and minus rays for the cuts
 	// below to combine several adjacent pairs.
 	rows := []row{
 		rowOf(ge(0, 1, 0), n, nil), rowOf(ge(4, -1, 0), n, nil),
@@ -115,49 +118,74 @@ func TestDropMidCombinationRestoresCone(t *testing.T) {
 		rowOf(ge(0, 1, 2), n, nil), rowOf(ge(4, -1, 2), n, nil),
 		rowOf(ge(10, -1, 0, -1, 1, -1, 2), n, nil),
 	}
-	cut := rowOf(ge(-5, 1, 0, 1, 1, -1, 2), n, nil) // x + y - z >= 5
-	next := rowOf(ge(3, -1, 1), n, nil)             // y <= 3
-	for stop := 0; ; stop++ {
-		c := universePolyCone(n, len(rows)+2, 0, false, nil)
-		for _, r := range rows {
-			c.add(r)
-		}
-		before := coneState(t, c)
-
-		idx := c.ncons
-		c.ncons++
-		nz := cut.v.nonzeros(nil)
-		keep := c.partition(cut.v, idx, nz)
-		newRays := keep
-		for _, pl := range c.plusBuf {
-			newRays = append(newRays, c.rays[pl.idx])
-		}
-		from, exact, pairs := len(newRays), len(c.exact), 0
-	combine:
-		for _, pl := range c.plusBuf {
-			for _, mi := range c.minusBuf {
-				if pairs == stop {
-					break combine
+	next := rowOf(ge(3, -1, 1), n, nil) // y <= 3
+	const big = 1 << 62
+	for _, tc := range []struct {
+		name  string
+		cut   row
+		exact bool
+	}{
+		{"machine", rowOf(ge(-5, 1, 0, 1, 1, -1, 2), n, nil), false},        // x + y - z >= 5
+		{"exact", rowOf(ge(-big, big-1, 0, big-3, 1, -1, 2), n, nil), true}, // about x + y >= 1, near 2^62
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			made, exact := 0, 0 // most rays and side-table entries made before a drop
+			for limit := 0; ; limit++ {
+				c := universePolyCone(n, len(rows)+2, 0, false, nil)
+				for _, r := range rows {
+					c.add(r)
 				}
-				pairs++
-				newRays = c.combinePair(idx, pl, mi, newRays)
+				before := coneState(t, c)
+				live := func() int { return len(c.bits)/c.nw - len(c.freeS) }
+				rays, entries := live(), len(c.exact)
+				stopped := false
+				stop := func(pairs int) bool {
+					if pairs < limit {
+						return false
+					}
+					stopped = true
+					made, exact = max(made, live()-rays), max(exact, len(c.exact)-entries)
+					return true
+				}
+				if c.addUntil(tc.cut, stop) == stopped {
+					t.Fatalf("limit %d: addUntil reported the wrong outcome", limit)
+				}
+				if !stopped {
+					if made == 0 || tc.exact && exact == 0 {
+						t.Fatalf("no drop came after a combined ray (%d) or side-table entry (%d)", made, exact)
+					}
+					return
+				}
+				if got := coneState(t, c); got != before {
+					t.Fatalf("stopped before pair %d: the dropped constraint left the cone changed:\ngot  %s\nwant %s", limit, got, before)
+				}
+				c.add(next)
+				got := genState(c.result(len(rows) + 1))
+				if want := genState(gensOf(append(rows[:len(rows):len(rows)], next), n, nil)); got != want {
+					t.Fatalf("stopped before pair %d: the conversion went on from a changed cone:\ngot  %s\nwant %s", limit, got, want)
+				}
 			}
+		})
+	}
+}
+
+// TestAdjacencyWordPathsAgree converts each random system twice: once in
+// a cone whose saturation rows are one word, so that cone.adjacent takes
+// its one-word path, and once in a cone sized for 64 more constraints,
+// whose two-word rows take the general path. The generators and their
+// saturation sets must be the same.
+func TestAdjacencyWordPathsAgree(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 1000; trial++ {
+		n := 1 + rng.Intn(4)
+		rows := randomRows(rng, n)
+		one := universePolyCone(n, len(rows), 0, false, nil)
+		two := universePolyCone(n, 64+len(rows), 0, false, nil)
+		if one.nw != 1 || two.nw != 2 {
+			t.Fatalf("saturation rows of %d and %d words, want 1 and 2", one.nw, two.nw)
 		}
-		made := len(newRays) - from
-		c.drop(idx, newRays, from, exact)
-		if got := coneState(t, c); got != before {
-			t.Fatalf("after %d pairs (%d rays made): the dropped constraint left the cone changed:\ngot  %s\nwant %s", pairs, made, got, before)
-		}
-		c.add(next)
-		got := genState(c.result(len(rows) + 1))
-		if want := genState(gensOf(append(rows[:len(rows):len(rows)], next), n, nil)); got != want {
-			t.Fatalf("after %d pairs: the conversion went on from a changed cone:\ngot  %s\nwant %s", pairs, got, want)
-		}
-		if pairs < stop {
-			if made == 0 {
-				t.Fatal("the cut combined no pair")
-			}
-			return
+		if got, want := genState(two.convert(rows, 0)), genState(one.convert(rows, 0)); got != want {
+			t.Fatalf("trial %d: the two adjacency paths disagree:\ntwo words %s\none word  %s", trial, got, want)
 		}
 	}
 }
