@@ -147,12 +147,30 @@ type ReplayRequest struct {
 // violated assert is the target exists within the search budget, potential
 // otherwise.
 func Replay(p *ip.Program, req ReplayRequest, opts ip.DirectedOptions) CheckResult {
+	return NewReplayer(p).Replay(req, opts)
+}
+
+// Replayer replays the violations of one program, compiling it for the
+// directed search at most once. It replays one violation at a time.
+type Replayer struct {
+	p *ip.Program
+	d *ip.Directed
+}
+
+// NewReplayer returns a Replayer for p; p is compiled at the first replay
+// that searches.
+func NewReplayer(p *ip.Program) *Replayer { return &Replayer{p: p} }
+
+// Replay classifies one violation of the Replayer's program, as the
+// package-level Replay does.
+func (rp *Replayer) Replay(req ReplayRequest, opts ip.DirectedOptions) CheckResult {
 	r := CheckResult{Index: req.Index, Pos: req.Pos, Msg: req.Msg, Tier: req.Tier}
 	if req.Unverifiable {
 		r.Status = StatusPotential
 		r.Detail = "condition not expressible in linear arithmetic"
 		return r
 	}
+	p := rp.p
 	hints := map[int]*big.Int{}
 	for _, name := range sortedNames(req.Hints) {
 		v, ok := p.Space.Lookup(name)
@@ -166,7 +184,10 @@ func Replay(p *ip.Program, req ReplayRequest, opts ip.DirectedOptions) CheckResu
 		hints[v] = new(big.Int).Set(rat.Num())
 	}
 	opts.Values = seedValues(opts.Values, hints)
-	dr := p.ExecDirected(req.Index, hints, opts)
+	if rp.d == nil {
+		rp.d = p.CompileDirected()
+	}
+	dr := rp.d.Exec(req.Index, hints, opts)
 	if dr.Found {
 		r.Status = StatusWitnessed
 		r.TraceLen = len(dr.Trace)

@@ -17,6 +17,7 @@ import (
 func certifyProc(p *ip.Program, certs []*certify.Certificate,
 	viols []analysis.Violation, tierOf map[int]string) *certify.Outcome {
 	results := certify.VerifyAll(certs)
+	rp := certify.NewReplayer(p)
 	for _, v := range viols {
 		req := certify.ReplayRequest{
 			Index: v.Index, Pos: v.Pos, Msg: v.Msg,
@@ -26,7 +27,7 @@ func certifyProc(p *ip.Program, certs []*certify.Certificate,
 		if v.CounterExampleIntegral {
 			req.Hints = v.CounterExample
 		}
-		results = append(results, certify.Replay(p, req, ip.DirectedOptions{}))
+		results = append(results, rp.Replay(req, ip.DirectedOptions{}))
 	}
 	sort.SliceStable(results, func(i, j int) bool {
 		if results[i].Index != results[j].Index {

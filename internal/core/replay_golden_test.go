@@ -170,9 +170,58 @@ func TestReplayOutcomesGolden(t *testing.T) {
 	}
 }
 
+// TestReplayMemoCutsWork replays every corpus violation under
+// Cascade+Certify and counts the statements each search executes: never
+// more than the Steps it reports, which also counts the subtrees replayed
+// from its memo, and at most a fifth of them for each of the six searches
+// that spend the whole 200,000-step budget.
+func TestReplayMemoCutsWork(t *testing.T) {
+	opts := Options{Workers: 1, Domain: analysis.PolyDomain{}, Cascade: true, Certify: true, NoSideEffectCheck: true}
+	const budget = 200000
+	full := 0
+	for _, path := range replayCorpus(t) {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := AnalyzeSource(path, string(src), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range rep.Procs {
+			pr := &rep.Procs[i]
+			d := pr.IP.CompileDirected()
+			for _, v := range pr.Violations {
+				if v.Unverifiable {
+					continue
+				}
+				hints, values := replayHints(pr.IP, v)
+				dr := d.Exec(v.Index, hints, ip.DirectedOptions{Values: values})
+				ran := d.Executed()
+				if ran > dr.Steps {
+					t.Errorf("%s %s check %d: executed %d statements, more than its %d steps", path, pr.Name, v.Index, ran, dr.Steps)
+				}
+				if dr.Steps < budget {
+					continue
+				}
+				full++
+				t.Logf("%s %s check %d: executed %d of %d steps", path, pr.Name, v.Index, ran, dr.Steps)
+				if 5*ran > dr.Steps {
+					t.Errorf("%s %s check %d: executed %d statements, more than a fifth of its %d steps", path, pr.Name, v.Index, ran, dr.Steps)
+				}
+			}
+		}
+	}
+	if full != 6 {
+		t.Errorf("%d searches spent the whole budget, want the 6 of testdata/goldens/replay.txt", full)
+	}
+}
+
 // BenchmarkExecDirected replays fixwrites' two join_lines violations, each
-// of which spends the directed search's whole 200,000-step budget, and
-// reports the cost per executed statement.
+// of which reports the directed search's whole 200,000-step budget, on
+// the program compiled once. It reports the cost per statement the search
+// executed, and executed statements per reported step: the memo accounts
+// for the rest without executing them.
 func BenchmarkExecDirected(b *testing.B) {
 	const path = "../../testdata/fixwrites/fixwrites.c"
 	src, err := os.ReadFile(path)
@@ -189,13 +238,16 @@ func BenchmarkExecDirected(b *testing.B) {
 		b.Fatalf("want join_lines with 2 violations, got %d procedures", len(rep.Procs))
 	}
 	pr := &rep.Procs[0]
+	d := pr.IP.CompileDirected()
 	b.ResetTimer()
-	steps := 0
+	steps, ran := 0, 0
 	for i := 0; i < b.N; i++ {
 		for _, v := range pr.Violations {
 			hints, values := replayHints(pr.IP, v)
-			steps += pr.IP.ExecDirected(v.Index, hints, ip.DirectedOptions{Values: values}).Steps
+			steps += d.Exec(v.Index, hints, ip.DirectedOptions{Values: values}).Steps
+			ran += d.Executed()
 		}
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(steps), "ns/step")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(ran), "ns/executed")
+	b.ReportMetric(float64(ran)/float64(steps), "executed/step")
 }

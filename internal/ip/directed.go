@@ -1,10 +1,14 @@
 package ip
 
 import (
+	"bytes"
+	"encoding/binary"
+	"hash/maphash"
 	"math"
 	"math/big"
 	"math/bits"
 	"slices"
+	"sync"
 
 	"repro/internal/linear"
 )
@@ -53,7 +57,10 @@ type DirectedResult struct {
 	// sum. Such a value is no concrete C execution on a machine word, and
 	// the caller's conservative answer for an inconclusive search stands.
 	Truncated bool
-	// Steps counts the statements executed across all explored paths.
+	// Steps counts the statements executed across all explored paths. A
+	// subtree the search had already explored from the same state is not
+	// run again, but its statements still count (see Directed.Executed),
+	// so Steps is the count of the search without that memo.
 	Steps int
 }
 
@@ -71,42 +78,106 @@ type DirectedResult struct {
 // variable. The search is fully deterministic: identical inputs explore
 // identical trees.
 //
-// The program is compiled once per call to a flat int64 form, and the
-// search runs on machine words with every operation overflow-checked. Any
-// value outside int64 ends the search with Truncated set and Found unset
-// (see DirectedResult.Truncated); whenever every value fits, the result is
-// the one exact integer arithmetic gives, Steps included.
+// The search runs on machine words with every operation overflow-checked.
+// Any value outside int64 ends the search with Truncated set and Found
+// unset (see DirectedResult.Truncated); whenever every value fits, the
+// result is the one exact integer arithmetic gives, Steps included.
+// ExecDirected compiles the program for each call; CompileDirected
+// compiles it once for several searches.
 func (p *Program) ExecDirected(target int, hints map[int]*big.Int, opts DirectedOptions) DirectedResult {
-	res, _ := p.execDirected(target, hints, opts)
-	return res
+	return p.CompileDirected().Exec(target, hints, opts)
 }
 
-// execDirected is ExecDirected that also reports whether the search
-// stopped on a value outside int64.
-func (p *Program) execDirected(target int, hints map[int]*big.Int, opts DirectedOptions) (res DirectedResult, overflow bool) {
-	opts.fill()
+// Directed is a program compiled for the directed search: flat int64
+// statement records, and the live variables of the statements where the
+// search memoizes the subtrees it has explored. It stays valid while the
+// program is not modified. A Directed runs one search at a time.
+type Directed struct {
+	p *Program
+	// invalid marks a program whose labels do not resolve; overflow one
+	// with a constant or coefficient outside int64.
+	invalid, overflow bool
+	stmts             []dstmt
+	// last counts what the most recent search did.
+	last memoStats
+}
+
+// memoStats counts the work of one search.
+type memoStats struct {
+	// executed counts the statements the search ran; Steps adds those of
+	// the subtrees it replayed from the memo.
+	executed int
+	// hits counts memo hits, overruns the hits whose subtree the step
+	// budget would have cut short.
+	hits, overruns int
+}
+
+// CompileDirected compiles p for any number of directed searches.
+func (p *Program) CompileDirected() *Directed {
+	c := &Directed{p: p}
 	if err := p.Resolve(); err != nil {
-		return res, false
+		c.invalid = true
+		return c
 	}
-	if target < 0 || target >= len(p.Stmts) {
-		return res, false
-	}
-	if _, ok := p.Stmts[target].(*Assert); !ok {
-		return res, false
-	}
-	var d *directed
 	defer func() {
 		if r := recover(); r != nil {
 			if _, ok := r.(directedOverflow); !ok {
 				panic(r)
 			}
-			res, overflow = DirectedResult{Truncated: true}, true
-			if d != nil {
-				res.Steps = d.res.Steps
-			}
+			c.overflow, c.stmts = true, nil
 		}
 	}()
-	d = p.compileDirected(target, hints, opts)
+	c.stmts = compileStmts(p)
+	markMemoPoints(c.stmts, p.NumVars())
+	return c
+}
+
+// Exec runs one directed search for target (see ExecDirected).
+func (c *Directed) Exec(target int, hints map[int]*big.Int, opts DirectedOptions) DirectedResult {
+	res, _ := c.exec(target, hints, opts)
+	return res
+}
+
+// Executed returns the number of statements the most recent Exec ran.
+// Its Steps also counts the statements of every subtree the search had
+// already explored from the same state and replayed from its memo, so
+// Executed never exceeds Steps.
+func (c *Directed) Executed() int { return c.last.executed }
+
+// exec is Exec that also reports whether the search stopped on a value
+// outside int64.
+func (c *Directed) exec(target int, hints map[int]*big.Int, opts DirectedOptions) (res DirectedResult, overflow bool) {
+	opts.fill()
+	c.last = memoStats{}
+	if c.invalid || target < 0 || target >= len(c.p.Stmts) {
+		return res, false
+	}
+	if _, ok := c.p.Stmts[target].(*Assert); !ok {
+		return res, false
+	}
+	if c.overflow {
+		return DirectedResult{Truncated: true}, true
+	}
+	d := &directed{
+		stmts:    c.stmts,
+		target:   target,
+		maxDepth: opts.MaxDepth,
+		budget:   opts.Budget,
+		pool:     opts.Values,
+		memo:     memoPool.Get().(*memoTable),
+	}
+	defer func() {
+		d.memo.reset()
+		memoPool.Put(d.memo)
+		c.last = d.stats
+		if r := recover(); r != nil {
+			if _, ok := r.(directedOverflow); !ok {
+				panic(r)
+			}
+			res, overflow = DirectedResult{Truncated: true, Steps: d.res.Steps}, true
+		}
+	}()
+	d.bindHints(hints, c.p.NumVars())
 	d.run(0, 0)
 	if d.res.Found {
 		d.res.Truncated = false
@@ -161,6 +232,9 @@ type dcond struct {
 // dstmt is one compiled statement.
 type dstmt struct {
 	kind dkind
+	// memo marks a memo point: the search looks its state up on entry
+	// and records the subtrees below it that end without a witness.
+	memo bool
 	// v is the variable an assign or havoc writes; e an assign's value.
 	v int
 	e dexpr
@@ -168,9 +242,13 @@ type dstmt struct {
 	// search binds undefined ones: sorted, and for a conditional branch
 	// the taken condition's list followed by the fall-through's.
 	reads []int
+	// live lists, at a memo point, the variables some path from the
+	// statement reads before writing them, in increasing order.
+	live []int32
 	// cond is the assume, assert or branch condition; fall a conditional
 	// branch's fall-through condition.
-	cond, fall dcond
+	cond dcond
+	fall *dcond
 	// target is a jump's resolved statement index.
 	target int
 	// after is, for a havoc, the condition of the assume that follows it.
@@ -195,31 +273,33 @@ type directed struct {
 	cands []int64
 	trace []int
 	res   DirectedResult
+	// memo holds the explored states whose subtree ended without a
+	// witness; checked is the step count at the latest budget check.
+	memo    *memoTable
+	checked int
+	stats   memoStats
 }
 
-// compileDirected builds the search state. It panics with
-// directedOverflow when a program constant, coefficient or hint lies
-// outside int64.
-func (p *Program) compileDirected(target int, hints map[int]*big.Int, opts DirectedOptions) *directed {
-	n := p.NumVars()
-	d := &directed{
-		stmts:    make([]dstmt, len(p.Stmts)),
-		target:   target,
-		maxDepth: opts.MaxDepth,
-		budget:   opts.Budget,
-		pool:     opts.Values,
-		hint:     make([]int64, n),
-		hinted:   make([]bool, n),
-		env:      make([]int64, n),
-		def:      make([]uint64, (n+63)/64),
-	}
+// bindHints sizes the environment for n variables and records the hints.
+// It panics with directedOverflow when a hint lies outside int64.
+func (d *directed) bindHints(hints map[int]*big.Int, n int) {
+	d.hint = make([]int64, n)
+	d.hinted = make([]bool, n)
+	d.env = make([]int64, n)
+	d.def = make([]uint64, (n+63)/64)
 	for v, h := range hints {
 		if h != nil && v >= 0 && v < n {
 			d.hint[v], d.hinted[v] = int64Of(h), true
 		}
 	}
+}
+
+// compileStmts compiles p's statements. It panics with directedOverflow
+// when a program constant or coefficient lies outside int64.
+func compileStmts(p *Program) []dstmt {
+	stmts := make([]dstmt, len(p.Stmts))
 	for i, s := range p.Stmts {
-		c := &d.stmts[i]
+		c := &stmts[i]
 		switch s := s.(type) {
 		case *Assign:
 			c.kind, c.v, c.e, c.reads = dAssign, s.V, compileExpr(s.E), s.E.Vars()
@@ -238,19 +318,125 @@ func (p *Program) compileDirected(target int, hints map[int]*big.Int, opts Direc
 			c.kind, c.target = dBranch, p.TargetOf(s.Target)
 			if s.C != nil {
 				fall := s.FallthroughCond()
-				c.kind, c.cond, c.fall = dIfGoto, compileDNF(s.C), compileDNF(fall)
+				c.kind, c.cond = dIfGoto, compileDNF(s.C)
+				c.fall = new(dcond)
+				*c.fall = compileDNF(fall)
 				c.reads = append(dnfVars(s.C), dnfVars(fall)...)
 			}
 		default: // *Label
 			c.kind = dLabel
 		}
 	}
-	for i := range d.stmts {
-		if d.stmts[i].kind == dHavoc && i+1 < len(d.stmts) && d.stmts[i+1].kind == dAssume {
-			d.stmts[i].after = &d.stmts[i+1].cond
+	for i := range stmts {
+		if stmts[i].kind == dHavoc && i+1 < len(stmts) && stmts[i+1].kind == dAssume {
+			stmts[i].after = &stmts[i+1].cond
 		}
 	}
-	return d
+	return stmts
+}
+
+// succs returns the statements the search may run after statement pc:
+// none past an unverifiable assert, the jump target for a goto, the
+// target and pc+1 for a branch, pc+1 otherwise. Indices past the last
+// statement are the normal exit.
+func succs(s *dstmt, pc int) (a, b int) {
+	switch s.kind {
+	case dUnverifiable:
+		return -1, -1
+	case dGoto:
+		return s.target, -1
+	case dIfGoto, dBranch:
+		return s.target, pc + 1
+	}
+	return pc + 1, -1
+}
+
+// markMemoPoints computes which variables are live at each statement —
+// read on some path from it before being written — and marks the memo
+// points with their live lists: the labels, the statements entered over
+// an edge on which a live variable dies, and the statement after a havoc
+// of a variable that is dead there. At any other statement the state
+// carries no less information than at the memo point before it, so
+// memoizing there too would prune no more.
+func markMemoPoints(stmts []dstmt, n int) {
+	w := (n + 63) / 64
+	live := make([]uint64, (len(stmts)+1)*w) // row len(stmts) is the exit
+	row := func(pc int) []uint64 {
+		if pc < 0 {
+			return nil
+		}
+		return live[pc*w : (pc+1)*w]
+	}
+	next := make([]uint64, w)
+	for changed := true; changed; {
+		changed = false
+		for pc := len(stmts) - 1; pc >= 0; pc-- {
+			s := &stmts[pc]
+			clear(next)
+			a, b := succs(s, pc)
+			for _, t := range [2][]uint64{row(a), row(b)} {
+				for i, x := range t {
+					next[i] |= x
+				}
+			}
+			if s.kind == dAssign || s.kind == dHavoc {
+				next[s.v>>6] &^= 1 << (uint(s.v) & 63)
+			}
+			for _, v := range s.reads {
+				next[v>>6] |= 1 << (uint(v) & 63)
+			}
+			if cur := row(pc); !slices.Equal(cur, next) {
+				copy(cur, next)
+				changed = true
+			}
+		}
+	}
+	dies := func(from, to int) bool {
+		for i, x := range row(from) {
+			if x&^row(to)[i] != 0 {
+				return true
+			}
+		}
+		return false
+	}
+	for pc := range stmts {
+		s := &stmts[pc]
+		if s.kind == dLabel {
+			s.memo = true
+		}
+		a, b := succs(s, pc)
+		for _, t := range [2]int{a, b} {
+			if t >= 0 && t < len(stmts) && dies(pc, t) {
+				stmts[t].memo = true
+			}
+		}
+		if s.kind == dHavoc && pc+1 < len(stmts) {
+			if after := row(pc + 1); after[s.v>>6]&(1<<(uint(s.v)&63)) == 0 {
+				stmts[pc+1].memo = true
+			}
+		}
+	}
+	total := 0
+	for pc := range stmts {
+		if stmts[pc].memo {
+			for _, x := range row(pc) {
+				total += bits.OnesCount64(x)
+			}
+		}
+	}
+	vars := make([]int32, 0, total)
+	for pc := range stmts {
+		if !stmts[pc].memo {
+			continue
+		}
+		start := len(vars)
+		for i, x := range row(pc) {
+			for ; x != 0; x &= x - 1 {
+				vars = append(vars, int32(i*64+bits.TrailingZeros64(x)))
+			}
+		}
+		stmts[pc].live = vars[start:len(vars):len(vars)]
+	}
 }
 
 func compileExpr(e linear.Expr) dexpr {
@@ -433,10 +619,18 @@ func (d *directed) run(pc, depth int) status {
 		d.res.Truncated = true
 		return exhausted
 	}
+	d.checked = d.res.Steps
+	if s := &d.stmts[pc]; s.memo {
+		return d.memoRun(s, pc, depth)
+	}
+	return d.step(&d.stmts[pc], pc, depth)
+}
+
+// step binds the variables statement s reads and executes it.
+func (d *directed) step(s *dstmt, pc, depth int) status {
 	// Bind every undefined variable the statement reads before executing
 	// it (initial values are lazy choice points), trying the values the
 	// statement's own constraints suggest.
-	s := &d.stmts[pc]
 	for _, v := range s.reads {
 		if !d.isDef(v) {
 			base := len(d.cands)
@@ -444,7 +638,7 @@ func (d *directed) run(pc, depth int) status {
 			case dAssume, dAssert:
 				d.candidates(v, base, &s.cond)
 			case dIfGoto:
-				d.candidates(v, base, &s.cond, &s.fall)
+				d.candidates(v, base, &s.cond, s.fall)
 			default:
 				d.candidates(v, base)
 			}
@@ -452,10 +646,86 @@ func (d *directed) run(pc, depth int) status {
 		}
 	}
 	d.res.Steps++
+	d.stats.executed++
 	d.trace = append(d.trace, pc)
 	st := d.exec(s, pc, depth)
 	d.trace = d.trace[:len(d.trace)-1]
 	return st
+}
+
+// memoRun runs step at a memo point, unless the memo holds the state:
+// pc, depth, which live variables are defined and their values. Nothing
+// else of the state (dead variables, the trace, the candidates below the
+// top of the stack) changes the subtree a deadend search explores, and
+// hints, pool and target are fixed for the search. A deadend subtree of
+// at least memoMinSteps steps is recorded. A hit adds its steps; when the budget would have run out inside
+// that subtree, the search stops exactly as it would have there: Steps at
+// the budget, Truncated, exhausted. A hit needs not replay a depth
+// truncation: the recorded subtree ran earlier in the same search, which
+// never clears Truncated.
+func (d *directed) memoRun(s *dstmt, pc, depth int) status {
+	m := d.memo
+	if len(m.keys) >= maxMemoKeys {
+		return d.step(s, pc, depth) // the arena is full: search on without
+	}
+	off := len(m.keys)
+	k := binary.AppendUvarint(m.keys, uint64(pc))
+	k = binary.AppendUvarint(k, uint64(depth))
+	for i := 0; i < len(s.live); i += 8 {
+		var b byte
+		for j, v := range s.live[i:min(i+8, len(s.live))] {
+			if d.isDef(int(v)) {
+				b |= 1 << uint(j)
+			}
+		}
+		k = append(k, b)
+	}
+	for _, v := range s.live {
+		if d.isDef(int(v)) {
+			k = binary.AppendVarint(k, d.env[v])
+		}
+	}
+	m.keys = k
+	h := m.hash(m.keys[off:])
+	if e := m.find(h, off); e != nil {
+		m.keys = m.keys[:off]
+		return d.replay(e)
+	}
+	start := d.res.Steps
+	st := d.step(s, pc, depth)
+	if st == deadend && d.res.Steps-start < memoMinSteps {
+		// No subtree below was recorded either: drop their keys too.
+		m.keys = m.keys[:off]
+	} else if st == deadend {
+		m.add(h, memoEntry{
+			off: int32(off), n: int32(len(k) - off),
+			steps: d.res.Steps - start,
+			tail:  d.checked == d.res.Steps,
+		})
+	}
+	return st
+}
+
+// replay accounts for a subtree the memo recorded as a dead end. Every
+// step of the subtree was preceded by a budget check, and tail records a
+// check after its last step, so its last check came steps-1 (or steps)
+// after its first.
+func (d *directed) replay(e *memoEntry) status {
+	d.stats.hits++
+	start := d.res.Steps
+	last := start + e.steps - 1
+	if e.tail {
+		last++
+	}
+	if last >= d.budget {
+		d.stats.overruns++
+		d.res.Steps = d.budget
+		d.res.Truncated = true
+		return exhausted
+	}
+	d.res.Steps += e.steps
+	d.checked = last
+	return deadend
 }
 
 // exec executes statement s at pc, every variable it reads being bound.
@@ -500,11 +770,96 @@ func (d *directed) exec(s *dstmt, pc, depth int) status {
 		if d.holds(&s.cond) {
 			return d.run(s.target, depth+1)
 		}
-		if !d.holds(&s.fall) {
+		if !d.holds(s.fall) {
 			return deadend // infeasible fall-through: blocked
 		}
 	}
 	return d.run(pc+1, depth+1)
+}
+
+// memoPool recycles memo tables across searches.
+var memoPool = sync.Pool{New: func() any { return &memoTable{seed: maphash.MakeSeed()} }}
+
+// maxMemoKeys bounds the key arena, so that int32 offsets address it.
+const maxMemoKeys = 1 << 30
+
+// memoMinSteps is the fewest steps a subtree must take to be recorded.
+// Re-running a shorter one costs little more than its entry and lookups.
+// Over the corpus replays, recording every dead end keeps 7,114 entries
+// per pass and executes 31,201 statements; this bound keeps 1,629 and
+// executes 36,896.
+const memoMinSteps = 8
+
+// memoTable maps search states to the subtrees explored from them. A key
+// is the state's pc and depth as uvarints, one bit per live variable
+// telling whether it is defined, and the values of the defined ones as
+// varints; keys lie end to end in one arena, and heads indexes entries by
+// hash, chaining entries with equal hash bits.
+type memoTable struct {
+	seed maphash.Seed
+	keys []byte
+	ents []memoEntry
+	// heads[h&mask] is 1 + the index of its chain's first entry, 0 for
+	// an empty chain.
+	heads []int32
+}
+
+// memoEntry is one explored state: its key, and the steps of its subtree
+// and whether a budget check followed the last of them.
+type memoEntry struct {
+	off, n int32
+	next   int32 // 1 + the index of the chain's next entry, 0 at its end
+	tail   bool
+	steps  int
+}
+
+func (m *memoTable) key(e *memoEntry) []byte { return m.keys[e.off : e.off+e.n] }
+
+func (m *memoTable) hash(key []byte) uint64 { return maphash.Bytes(m.seed, key) }
+
+// find returns the entry whose key equals the one from off to the end of
+// the arena, which hashes to h, or nil.
+func (m *memoTable) find(h uint64, off int) *memoEntry {
+	if len(m.heads) == 0 {
+		return nil
+	}
+	key := m.keys[off:]
+	for i := m.heads[h&uint64(len(m.heads)-1)]; i != 0; {
+		e := &m.ents[i-1]
+		if bytes.Equal(m.key(e), key) {
+			return e
+		}
+		i = e.next
+	}
+	return nil
+}
+
+// add inserts e, whose key already lies in the arena and hashes to h.
+// When the entries outnumber the chains, the chains double and every key
+// is rehashed.
+func (m *memoTable) add(h uint64, e memoEntry) {
+	m.ents = append(m.ents, e)
+	if len(m.ents) > len(m.heads) {
+		m.heads = make([]int32, max(256, 2*len(m.heads)))
+		for i := range m.ents {
+			m.link(i, m.hash(m.key(&m.ents[i])))
+		}
+		return
+	}
+	m.link(len(m.ents)-1, h)
+}
+
+// link puts entry i, whose key hashes to h, at the head of its chain.
+func (m *memoTable) link(i int, h uint64) {
+	b := h & uint64(len(m.heads)-1)
+	m.ents[i].next = m.heads[b]
+	m.heads[b] = int32(i + 1)
+}
+
+// reset empties the table, keeping its storage.
+func (m *memoTable) reset() {
+	m.keys, m.ents = m.keys[:0], m.ents[:0]
+	clear(m.heads)
 }
 
 // The helpers below panic with directedOverflow instead of leaving int64.

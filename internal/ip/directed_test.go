@@ -220,6 +220,45 @@ func TestExecTruncatedFlag(t *testing.T) {
 	}
 }
 
+// TestExecDirectedMemoTailCheck replays recorded subtrees that end on a
+// budget check with no step after it: an empty candidate pool leaves the
+// assert's unbound variables without values. Both edges of each branch
+// reach the next label in the same state. Below A, the fall-through to B
+// hits the subtree of k = memoMinSteps steps the taken edge recorded, so
+// A's subtree of 2k+2 steps ends on that hit's trailing check; the
+// fall-through to A hits it after 2k+3 steps. With a budget of 4k+5 the
+// unmemoized search runs out at the trailing check, so the hit must stop
+// the search; with 4k+6 it must not.
+func TestExecDirectedMemoTailCheck(t *testing.T) {
+	p := New("tail")
+	p.Space.Var("y")
+	p.Space.Var("z")
+	p.Emit(&IfGoto{Target: "A"})
+	p.Emit(&Label{Name: "A"})
+	p.Emit(&IfGoto{Target: "B"})
+	p.Emit(&Label{Name: "B"})
+	for i := 1; i < memoMinSteps; i++ {
+		p.Emit(&Assume{C: True()})
+	}
+	target := len(p.Stmts)
+	p.Emit(&Assert{C: Single(geC(0, 1, 1)), Msg: "y + z >= 0"})
+	steps := 4*memoMinSteps + 5
+	for budget, want := range map[int]DirectedResult{
+		steps:     {Truncated: true, Steps: steps},
+		steps + 1: {Steps: steps},
+	} {
+		opts := DirectedOptions{Budget: budget, Values: []int64{}}
+		c := p.CompileDirected()
+		got := c.Exec(target, nil, opts)
+		if ref := execDirectedReference(p, target, nil, opts); !reflect.DeepEqual(got, want) || !reflect.DeepEqual(ref, want) {
+			t.Errorf("budget %d: got %+v, reference %+v, want %+v", budget, got, ref, want)
+		}
+		if overrun := budget == steps; c.last.hits != 2 || (c.last.overruns == 1) != overrun {
+			t.Errorf("budget %d: %d hits, %d overruns", budget, c.last.hits, c.last.overruns)
+		}
+	}
+}
+
 // genDirected draws a small integer program, a target, hints and search
 // options from rng: havoc→assume pairs, if (unknown), conditional
 // branches with and without FalseC, backward gotos, unverifiable asserts
@@ -347,14 +386,19 @@ const (
 // checkDirected runs the compiled search and the reference on one trial
 // and holds them to the law: without an overflow stop the results are
 // identical, Steps included; with one the search is Truncated, not Found.
-func checkDirected(t *testing.T, p *Program, target int, hints map[int]*big.Int, opts DirectedOptions) int {
+// It also returns what the search's memo did.
+func checkDirected(t *testing.T, p *Program, target int, hints map[int]*big.Int, opts DirectedOptions) (int, memoStats) {
 	t.Helper()
-	got, overflow := p.execDirected(target, hints, opts)
+	c := p.CompileDirected()
+	got, overflow := c.exec(target, hints, opts)
+	if c.last.executed > got.Steps {
+		t.Fatalf("executed %d statements, more than Steps %d\n%s", c.last.executed, got.Steps, p)
+	}
 	if overflow {
 		if !got.Truncated || got.Found {
 			t.Fatalf("overflow stop must be truncated and not found: %+v\n%s", got, p)
 		}
-		return outOverflow
+		return outOverflow, c.last
 	}
 	want := execDirectedReference(p, target, hints, opts)
 	if !reflect.DeepEqual(got, want) {
@@ -362,30 +406,42 @@ func checkDirected(t *testing.T, p *Program, target int, hints map[int]*big.Int,
 	}
 	switch {
 	case got.Found:
-		return outFound
+		return outFound, c.last
 	case got.Truncated && got.Steps >= opts.Budget:
-		return outBudget
+		return outBudget, c.last
 	case got.Truncated:
-		return outDepth
+		return outDepth, c.last
 	}
-	return outExhausted
+	return outExhausted, c.last
 }
 
 // TestExecDirectedMatchesReference holds the compiled search to the exact
 // reference on seeded random programs, and requires every path of the law
-// to occur: witnesses, budget and depth truncation, and overflow stops.
+// to occur: witnesses, budget and depth truncation, overflow stops, memo
+// hits, and memo hits the budget cuts short.
 func TestExecDirectedMatchesReference(t *testing.T) {
 	var n [numOutcomes]int
+	hit, overrun := 0, 0
 	for seed := int64(0); seed < 400; seed++ {
 		p, target, hints, opts := genDirected(rand.New(rand.NewSource(seed)), seed%4 == 3)
-		n[checkDirected(t, p, target, hints, opts)]++
+		o, st := checkDirected(t, p, target, hints, opts)
+		n[o]++
+		if st.hits > 0 {
+			hit++
+		}
+		if st.overruns > 0 {
+			overrun++
+		}
 	}
-	t.Logf("exhausted %d, found %d, budget-truncated %d, depth-truncated %d, overflow %d",
-		n[outExhausted], n[outFound], n[outBudget], n[outDepth], n[outOverflow])
+	t.Logf("exhausted %d, found %d, budget-truncated %d, depth-truncated %d, overflow %d; memo hit in %d, budget overrun on a hit in %d",
+		n[outExhausted], n[outFound], n[outBudget], n[outDepth], n[outOverflow], hit, overrun)
 	for o := outFound; o < numOutcomes; o++ {
 		if n[o] == 0 {
 			t.Errorf("no trial had outcome %d (found, budget, depth, overflow): %v", o, n)
 		}
+	}
+	if hit == 0 || overrun == 0 {
+		t.Errorf("memo hit in %d trials and overran the budget on a hit in %d: both paths must occur", hit, overrun)
 	}
 }
 
